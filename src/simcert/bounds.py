@@ -46,8 +46,7 @@ from .optimizer import (
     initialize_model,
     parameters,
     replace_parameters,
-    weighted_stress_gradient,
-    weighted_stress_value,
+    stress_state,
 )
 
 __all__ = [
@@ -213,9 +212,11 @@ def empirical_rademacher_mc(
     mirrored (diagonal signs multiply a zero term), then
     (1/m^2) sum_ij sigma_ij (dhat_ij - D_ij)^2 is maximized over the class
     by projected gradient ascent within the inner budget, keeping the best
-    visited value.  Returns (mean, standard error) over draws.  Local
-    ascent reaches only a lower bound on each supremum, so the estimate is
-    a lower-biased diagnostic, not a certified quantity.
+    visited value.  Each visited model costs one stress_state pass, whose
+    Gram-form value is the one compared and whose gradient drives the next
+    step.  Returns (mean, standard error) over draws.  Local ascent
+    reaches only a lower bound on each supremum, so the estimate is a
+    lower-biased diagnostic, not a certified quantity.
     """
     if n_sigma < 1:
         raise ValidationError("n_sigma must be >= 1")
@@ -234,18 +235,16 @@ def empirical_rademacher_mc(
         sigma = sigma + np.triu(sigma, 1).T
 
         model = initialize_model(hypothesis_class, sample, rng)
-        best = weighted_stress_value(model, sample, distances, sigma)
+        best, grad = stress_state(model, sample, distances, sigma, inner_cfg.smoothing_eps)
         for _ in range(inner_cfg.max_iters):
-            grad = weighted_stress_gradient(
-                model, sample, distances, sigma, inner_cfg.smoothing_eps
-            )
             if float(np.linalg.norm(grad)) < inner_cfg.grad_tol:
                 break
             stepped = parameters(model) + inner_cfg.step_size * grad
             if not np.all(np.isfinite(stepped)):
                 break
             model = project_norm_ball(replace_parameters(model, stepped))
-            best = max(best, weighted_stress_value(model, sample, distances, sigma))
+            value, grad = stress_state(model, sample, distances, sigma, inner_cfg.smoothing_eps)
+            best = max(best, value)
         values[draw] = best
 
     estimate = float(values.mean())
@@ -283,7 +282,8 @@ def certify(
         loss_bound = loss_bound_M(lam, radii.r, radii.beta)
         rad_upper = rademacher_bound_linear(lam, radii.r, radii.beta, m)
     else:
-        gram_matrix = model.anchor_gram if sample is model.anchors else gram(model.kernel, sample)
+        same_anchors = np.array_equal(sample.values, model.anchors.values)
+        gram_matrix = model.anchor_gram if same_anchors else gram(model.kernel, sample)
         q = feature_space_radius(gram_matrix)
         loss_bound = loss_bound_M(lam, q, radii.beta)
         rad_upper = rademacher_bound_kernel(lam, q, radii.beta, m)

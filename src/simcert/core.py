@@ -189,16 +189,29 @@ def confusion_to_distance(confusion: ConfusionMatrix) -> DistanceMatrix:
     return DistanceMatrix(1.0 - c)
 
 
+# Rows per block of the pairwise difference broadcast in pairwise_distances.
+_DISTANCE_BLOCK_ROWS = 64
+
+
 def pairwise_distances(points) -> np.ndarray:
     """Euclidean distance matrix between the rows of an m x k array.
 
-    Symmetric with an exactly zero diagonal by construction.
+    Symmetric with an exactly zero diagonal by construction.  The
+    differences are formed _DISTANCE_BLOCK_ROWS rows at a time, so the
+    working memory grows with m^2 rather than m^2 k; each entry is reduced
+    exactly as in a single full broadcast.
     """
     pts = _as_matrix(points, "point matrix")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("point matrix contains non-finite entries")
-    diff = pts[:, None, :] - pts[None, :, :]
-    out = np.sqrt(np.sum(diff * diff, axis=2))
+    m = pts.shape[0]
+    out = np.empty((m, m))
+    for start in range(0, m, _DISTANCE_BLOCK_ROWS):
+        stop = start + _DISTANCE_BLOCK_ROWS
+        diff = pts[start:stop, None, :] - pts[None, :, :]
+        diff *= diff
+        np.sum(diff, axis=2, out=out[start:stop])
+    np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out
 

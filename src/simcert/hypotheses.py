@@ -11,8 +11,7 @@ norm budget lambda_cap that projection re-establishes after every step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +25,9 @@ __all__ = [
     "KernelClass",
     "linear_forward",
     "kernel_forward",
+    "with_coefficients",
     "embed",
+    "gram_form_squared_distances",
     "embedding_distance_matrix",
     "model_norm",
     "project_norm_ball",
@@ -63,12 +64,19 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class KernelMap:
-    """Representer-form kernel hypothesis h(x) = A k_S(x) over fixed anchors."""
+    """Representer-form kernel hypothesis h(x) = A k_S(x) over fixed anchors.
+
+    anchor_gram is gram(kernel, anchors); it is built at construction unless
+    a caller that already holds it passes it in.  Maps derived from one
+    another by with_coefficients (every descent and projection step) share
+    one anchor Gram matrix, so a fit builds it once.
+    """
 
     coefficients: np.ndarray
     anchors: SampleMatrix
     kernel: KernelSpec
     lambda_cap: float
+    anchor_gram: GramMatrix | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         arr = _as_matrix(self.coefficients, "coefficient matrix")
@@ -81,10 +89,12 @@ class KernelMap:
         if self.lambda_cap < 0.0:
             raise ValidationError("lambda_cap must be nonnegative")
         object.__setattr__(self, "coefficients", _freeze(arr))
-
-    @cached_property
-    def anchor_gram(self) -> GramMatrix:
-        return gram(self.kernel, self.anchors)
+        if self.anchor_gram is None:
+            object.__setattr__(self, "anchor_gram", gram(self.kernel, self.anchors))
+        elif self.anchor_gram.size != self.anchors.m:
+            raise ValidationError(
+                f"anchor Gram matrix has size {self.anchor_gram.size} for {self.anchors.m} anchors"
+            )
 
     @property
     def output_dim(self) -> int:
@@ -137,6 +147,17 @@ def kernel_forward(model: KernelMap, x) -> np.ndarray:
     return model.coefficients @ cols[:, 0]
 
 
+def with_coefficients(model: KernelMap, coefficients) -> KernelMap:
+    """The same kernel map with new coefficients, sharing its anchor Gram matrix.
+
+    Only the anchors, kernel and cap of ``model`` are kept, so the held Gram
+    matrix always belongs to the anchors it is used with.
+    """
+    return KernelMap(
+        coefficients, model.anchors, model.kernel, model.lambda_cap, anchor_gram=model.anchor_gram
+    )
+
+
 def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
     """Map the rows of an (n x N) feature array into the embedding space."""
     pts = _as_matrix(points, "point matrix")
@@ -155,22 +176,31 @@ def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def gram_form_squared_distances(y: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of y as c_ii + c_jj - 2 c_ij, c = y y^T.
+
+    Round-off negatives are clamped at zero, which is exact for a squared
+    distance; the diagonal is exactly zero for finite y.
+    """
+    c = y @ y.T
+    d = np.diag(c).copy()
+    sq = d[:, None] + d[None, :]
+    c *= 2.0
+    sq -= c
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
 def embedding_distance_matrix(model: LinearMap | KernelMap, sample: SampleMatrix) -> np.ndarray:
     """Pairwise Euclidean distances between embedded sample points.
 
     Linear maps use the direct difference form.  Kernel maps go through the
-    inner-product (Gram-side) form sqrt(c_ii + c_jj - 2 c_ij); round-off
-    negatives under the root are clamped at zero, which is exact for the
-    squared RKHS distance being computed.
+    inner-product (Gram-side) form of gram_form_squared_distances.
     """
     y = embed(model, sample.values)
     if isinstance(model, LinearMap):
         return pairwise_distances(y)
-    c = y @ y.T
-    d = np.diag(c)
-    sq = d[:, None] + d[None, :] - 2.0 * c
-    np.maximum(sq, 0.0, out=sq)
-    out = np.sqrt(sq)
+    out = np.sqrt(gram_form_squared_distances(y))
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -205,7 +235,7 @@ def project_norm_ball(model: LinearMap | KernelMap):
         clipped = np.minimum(s, model.lambda_cap)
         return LinearMap(u @ (clipped[:, None] * vt), model.lambda_cap)
     scale = model.lambda_cap / nrm
-    return KernelMap(model.coefficients * scale, model.anchors, model.kernel, model.lambda_cap)
+    return with_coefficients(model, model.coefficients * scale)
 
 
 def model_to_dict(model: LinearMap | KernelMap) -> dict:

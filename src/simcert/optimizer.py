@@ -6,7 +6,9 @@ risk plus penalty_lambda * model_norm (penalized mode; the penalty is on
 the norm itself, not its square).  Distances are optionally smoothed as
 d~ = sqrt(d^2 + eps^2) because the gradient factor (d - D)/d is singular
 where embedded points coincide; with eps = 0 coincident pairs follow the
-zero-subgradient convention.
+zero-subgradient convention.  One kernel, stress_state, computes the
+weighted stress value and its gradient together; descent here and the
+Monte-Carlo ascent in bounds both call it once per step.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .hypotheses import (
     LinearClass,
     LinearMap,
     embedding_distance_matrix,
+    gram_form_squared_distances,
     model_norm,
     project_norm_ball,
+    with_coefficients,
 )
 from .kernels import gram, kernel_columns, psd_check
 
@@ -75,9 +79,13 @@ class TrainConfig:
 class TrainReport:
     """Outcome of one training run.
 
-    final_risk is the unsmoothed empirical risk of the returned model;
-    risk_trace holds one such value per descent step taken.  The trace is
-    not guaranteed nonincreasing under a fixed step.
+    final_risk is the unsmoothed empirical risk of the returned model,
+    computed from the direct-form embedded distances as certify computes
+    it.  risk_trace holds the unsmoothed risk of each projected iterate,
+    one per descent step taken, from the Gram-form pass that also yields
+    the next step's gradient (see stress_state); the two forms agree to
+    round-off.  The trace is not guaranteed nonincreasing under a fixed
+    step.
     """
 
     final_risk: float
@@ -110,7 +118,7 @@ def replace_parameters(model: LinearMap | KernelMap, param: np.ndarray):
     if isinstance(model, LinearMap):
         return LinearMap(param, model.lambda_cap)
     if isinstance(model, KernelMap):
-        return KernelMap(param, model.anchors, model.kernel, model.lambda_cap)
+        return with_coefficients(model, param)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -128,13 +136,64 @@ def _pair_features(model: LinearMap | KernelMap, sample: SampleMatrix) -> np.nda
     return kernel_columns(model.kernel, model.anchors.values, sample.values).T
 
 
-def _smoothed_distances(param: np.ndarray, feats: np.ndarray, eps: float) -> np.ndarray:
-    y = feats @ param.T
-    c = y @ y.T
-    d = np.diag(c)
-    sq = d[:, None] + d[None, :] - 2.0 * c
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq + eps * eps)
+def stress_state(
+    model: LinearMap | KernelMap,
+    sample: SampleMatrix,
+    distances: DistanceMatrix,
+    weights: np.ndarray | None,
+    eps: float,
+) -> tuple[float, np.ndarray]:
+    """Weighted stress value and its eps-smoothed gradient from one m x m pass.
+
+    Returns (value, grad) where value = (1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2
+    with unsmoothed distances and grad is the gradient in the trainable
+    matrix of the same sum with d~ = sqrt(dhat^2 + eps^2) in place of dhat.
+    ``weights=None`` means all ones; otherwise ``weights`` must be symmetric
+    (Rademacher sign matrices are).  Both come from the Gram-form squared
+    distances of the embedding Y (gram_form_squared_distances); each m x m
+    temporary is updated in place and freed as soon as it is used.
+
+    The gradient uses the graph-Laplacian identity
+    sum_ij a_ij (f_i - f_j)(f_i - f_j)^T = 2 F^T (diag(a 1) - a) F,
+    giving (2/m^2) * P F^T (diag(a 1) - a) F with a_ij = w_ij (d~ - D)/d~ * 2.
+    Pairs with d~ = 0 (possible only when eps = 0) contribute zero.
+
+    A non-finite gradient raises ValidationError only while the value is
+    finite and within DIVERGENCE_RISK in magnitude, so a diverged iterate
+    is returned to the caller, which reports it, rather than raising.
+    """
+    if distances.size != sample.m:
+        raise ValidationError(
+            f"size mismatch: {sample.m} sample points vs {distances.size} distance rows"
+        )
+    param = parameters(model)
+    feats = _pair_features(model, sample)
+    m = sample.m
+    sq = gram_form_squared_distances(feats @ param.T)
+    dt = sq + eps * eps
+    np.sqrt(dt, out=dt)
+    coef = dt - distances.values
+    coef *= 2.0
+    if weights is not None:
+        coef *= weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef /= dt
+    coef[dt == 0.0] = 0.0
+    del dt
+    lap_feats = coef.sum(axis=1)[:, None] * feats - coef @ feats
+    del coef
+    grad = (2.0 / (m * m)) * (param @ (feats.T @ lap_feats))
+
+    # sq becomes the weighted squared residual of the unsmoothed distances
+    np.sqrt(sq, out=sq)
+    sq -= distances.values
+    sq *= sq
+    if weights is not None:
+        sq *= weights
+    value = float(np.mean(sq))
+    if abs(value) <= DIVERGENCE_RISK and not np.all(np.isfinite(grad)):
+        raise ValidationError("non-finite gradient")
+    return value, grad
 
 
 def weighted_stress_gradient(
@@ -146,27 +205,9 @@ def weighted_stress_gradient(
 ) -> np.ndarray:
     """Gradient of (1/m^2) sum_ij w_ij (d~_ij - D_ij)^2 in the trainable matrix.
 
-    ``weights`` must be symmetric (Rademacher sign matrices and the all-ones
-    matrix both are).  Uses the graph-Laplacian identity
-    sum_ij a_ij (f_i - f_j)(f_i - f_j)^T = 2 F^T (diag(a 1) - a) F,
-    giving (2/m^2) * P F^T (diag(a 1) - a) F with a_ij = w_ij (d~ - D)/d~ * 2.
-    Pairs with d~ = 0 (possible only when eps = 0) contribute zero.
+    ``weights`` must be symmetric; see :func:`stress_state`.
     """
-    if distances.size != sample.m:
-        raise ValidationError(
-            f"size mismatch: {sample.m} sample points vs {distances.size} distance rows"
-        )
-    param = parameters(model)
-    feats = _pair_features(model, sample)
-    m = sample.m
-    dt = _smoothed_distances(param, feats, eps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(dt > 0.0, 2.0 * weights * (dt - distances.values) / dt, 0.0)
-    lap_feats = coef.sum(axis=1)[:, None] * feats - coef @ feats
-    grad = (2.0 / (m * m)) * (param @ (feats.T @ lap_feats))
-    if not np.all(np.isfinite(grad)):
-        raise ValidationError("non-finite gradient")
-    return grad
+    return stress_state(model, sample, distances, weights, eps)[1]
 
 
 def risk_gradient(
@@ -176,8 +217,7 @@ def risk_gradient(
     eps: float,
 ) -> np.ndarray:
     """Gradient of the eps-smoothed empirical risk."""
-    ones = np.ones((sample.m, sample.m))
-    return weighted_stress_gradient(model, sample, distances, ones, eps)
+    return stress_state(model, sample, distances, None, eps)[1]
 
 
 def weighted_stress_value(
@@ -187,8 +227,7 @@ def weighted_stress_value(
     weights: np.ndarray,
 ) -> float:
     """(1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2 with unsmoothed distances."""
-    resid = embedding_distance_matrix(model, sample) - distances.values
-    return float(np.mean(weights * resid * resid))
+    return stress_state(model, sample, distances, weights, 0.0)[0]
 
 
 def smoothed_risk(
@@ -255,14 +294,21 @@ def initialize_model(
         param = rng.uniform(-0.01, 0.01, size=(k, sample.n_features))
         model = LinearMap(param, hypothesis_class.lambda_cap)
     elif isinstance(hypothesis_class, KernelClass):
-        check = psd_check(gram(hypothesis_class.kernel, sample))
+        anchor_gram = gram(hypothesis_class.kernel, sample)
+        check = psd_check(anchor_gram)
         if not check.passed:
             raise ValidationError(
                 f"anchor Gram matrix fails the PSD check "
                 f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
             )
         param = rng.uniform(-0.01, 0.01, size=(k, sample.m))
-        model = KernelMap(param, sample, hypothesis_class.kernel, hypothesis_class.lambda_cap)
+        model = KernelMap(
+            param,
+            sample,
+            hypothesis_class.kernel,
+            hypothesis_class.lambda_cap,
+            anchor_gram=anchor_gram,
+        )
     else:
         raise TypeError(f"unsupported hypothesis class {type(hypothesis_class).__name__}")
     return project_norm_ball(model)
@@ -276,11 +322,13 @@ def train(
 ) -> tuple[LinearMap | KernelMap, TrainReport]:
     """Projected gradient descent on the (optionally penalized) stress loss.
 
-    Stops when the gradient Frobenius norm falls below grad_tol (converged)
-    or after max_iters steps.  Divergence (risk above DIVERGENCE_RISK or a
+    Each iterate costs one stress_state pass, which gives both its risk
+    (the risk_trace entry) and the gradient of the next step.  Stops when
+    the gradient Frobenius norm falls below grad_tol (converged) or after
+    max_iters steps.  Divergence (risk above DIVERGENCE_RISK or a
     non-finite iterate) is reported as non-convergence; the last usable
     model is still returned and always satisfies model_norm <= lambda_cap
-    up to round-off.
+    up to round-off.  final_risk is recomputed once, in direct form.
     """
     if distances.size != sample.m:
         raise ValidationError(
@@ -291,8 +339,8 @@ def train(
 
     trace: list[float] = []
     converged = False
+    _, grad = stress_state(model, sample, distances, None, config.smoothing_eps)
     for _ in range(config.max_iters):
-        grad = risk_gradient(model, sample, distances, config.smoothing_eps)
         if config.penalty_lambda > 0.0:
             grad = grad + config.penalty_lambda * norm_subgradient(model)
         if float(np.linalg.norm(grad)) < config.grad_tol:
@@ -302,7 +350,7 @@ def train(
         if not np.all(np.isfinite(stepped)):
             break
         model = project_norm_ball(replace_parameters(model, stepped))
-        risk = empirical_risk(embedding_distance_matrix(model, sample), distances)
+        risk, grad = stress_state(model, sample, distances, None, config.smoothing_eps)
         trace.append(risk)
         if not np.isfinite(risk) or risk > DIVERGENCE_RISK:
             break

@@ -27,7 +27,8 @@ from simcert import (
 )
 from simcert.bounds import BoundCertificate
 from simcert.harness import SyntheticSpec, generate_synthetic
-from simcert.hypotheses import KernelMap, KernelSpec
+from simcert.hypotheses import KernelMap, KernelSpec, load_model, save_model
+from simcert.optimizer import train
 
 # 2 * (1 * max(2, 0.5)^2 / 100) + 2 * sqrt(2 ln 20 / 100), frozen by hand
 SLACK_LAM1_R1_BETA05_M100_D05 = 0.5695493661361632
@@ -189,6 +190,20 @@ class TestCertify:
         assert cert.inputs.mode == "kernel"
         assert cert.inputs.q == 1.0
 
+    def test_loaded_kernel_model_builds_one_gram_matrix(self, tmp_path, count_calls):
+        sample, distances, _ = generate_synthetic(
+            SyntheticSpec(m=12, n_features=2, k_true=2, radius=1.0, map_norm=1.0,
+                          noise_sigma=0.05, seed=6)
+        )
+        hclass = KernelClass(KernelSpec("rbf", gamma=0.5), lambda_cap=1.0, k=2)
+        model, _ = train(sample, distances, hclass, TrainConfig(max_iters=20))
+        save_model(model, tmp_path / "model.json")
+        calls = count_calls(gram)
+        loaded = load_model(tmp_path / "model.json")
+        cert = certify(loaded, SampleMatrix(sample.values.copy()), distances, 0.05)
+        assert len(calls) == 1
+        assert cert.to_dict() == certify(model, sample, distances, 0.05).to_dict()
+
     def test_mode_mismatch_rejected(self):
         sample = _ball_sample(m=10, seed=5)
         distances = DistanceMatrix(pairwise_distances(sample.values))
@@ -285,3 +300,19 @@ class TestEmpiricalRademacherMc:
             )
             closed_form = rademacher_bound_linear(1.0, radii.r, radii.beta, sample.m)
             assert estimate <= closed_form + 2 * std_error
+
+    def test_distance_broadcasts_do_not_grow_with_iterations(self, count_calls):
+        spec = SyntheticSpec(
+            m=10, n_features=2, k_true=2, radius=1.0, map_norm=1.0, noise_sigma=0.05, seed=3
+        )
+        sample, distances, _ = generate_synthetic(spec)
+        calls = count_calls(pairwise_distances)
+        counts = []
+        for max_iters in (5, 20):
+            calls.clear()
+            empirical_rademacher_mc(
+                sample, distances, LinearClass(lambda_cap=1.0, k=2), 2,
+                TrainConfig(max_iters=max_iters, grad_tol=1e-300), seed=0,
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

@@ -163,6 +163,16 @@ class TestPairwiseDistances:
         with pytest.raises(ValidationError):
             pairwise_distances([[np.inf], [0.0]])
 
+    def test_row_blocks_match_a_full_broadcast_bitwise(self):
+        # sizes on both sides of the 64-row block and across several blocks
+        rng = np.random.default_rng(12)
+        for m, k in [(2, 1), (63, 3), (64, 7), (65, 2), (130, 7), (200, 16)]:
+            pts = rng.normal(size=(m, k))
+            diff = pts[:, None, :] - pts[None, :, :]
+            expected = np.sqrt(np.sum(diff * diff, axis=2))
+            np.fill_diagonal(expected, 0.0)
+            assert np.array_equal(pairwise_distances(pts), expected), (m, k)
+
 
 class TestEmpiricalRisk:
     def test_perfect_fit_is_zero(self):

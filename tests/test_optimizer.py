@@ -23,11 +23,15 @@ from simcert import (
     train,
     validate_distance_matrix,
 )
+from simcert.hypotheses import project_norm_ball
+from simcert.kernels import gram
 from simcert.optimizer import (
     initialize_model,
     norm_subgradient,
     parameters,
     replace_parameters,
+    weighted_stress_gradient,
+    weighted_stress_value,
 )
 
 
@@ -104,6 +108,30 @@ class TestRiskGradient:
             fd = finite_difference_gradient(model, sample, distances, eps=1e-6)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5, f"seed {seed}: relative error {rel:g}"
+
+
+class TestWeightedStress:
+    def test_unit_weights_match_the_unweighted_risk(self):
+        for seed, kernel in [(20, None), (21, KernelSpec("rbf", gamma=0.7))]:
+            model, sample, distances = random_instance(seed, kernel=kernel)
+            ones = np.ones((sample.m, sample.m))
+            assert np.array_equal(
+                weighted_stress_gradient(model, sample, distances, ones, 1e-6),
+                risk_gradient(model, sample, distances, eps=1e-6),
+            )
+            direct = empirical_risk(embedding_distance_matrix(model, sample), distances)
+            assert weighted_stress_value(model, sample, distances, ones) == pytest.approx(
+                direct, rel=1e-12
+            )
+
+    def test_signs_flip_each_pair_term(self):
+        model, sample, distances = random_instance(22)
+        resid = embedding_distance_matrix(model, sample) - distances.values
+        signs = np.where(np.add.outer(np.arange(sample.m), np.arange(sample.m)) % 2, -1.0, 1.0)
+        expected = float(np.mean(signs * resid * resid))
+        assert weighted_stress_value(model, sample, distances, signs) == pytest.approx(
+            expected, rel=1e-12, abs=1e-15
+        )
 
 
 class TestNormSubgradient:
@@ -231,6 +259,25 @@ class TestTrain:
         assert not report.converged
         assert trained is not None
 
+    def test_divergence_with_uncapped_norm_returns_a_model(self):
+        # the cap cannot hold the iterate, so the risk explodes on the first
+        # step; at step 1e200 the gradient there overflows too, and the
+        # divergence must still be reported rather than raised
+        _, sample, distances = random_instance(12)
+        rbf = KernelSpec("rbf", gamma=0.5)
+        for hclass, step_size in (
+            (LinearClass(lambda_cap=1e200, k=2), 1e8),
+            (KernelClass(rbf, lambda_cap=1e200, k=2), 1e8),
+            (LinearClass(lambda_cap=1e200, k=2), 1e200),
+        ):
+            cfg = TrainConfig(step_size=step_size, max_iters=50, seed=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trained, report = train(sample, distances, hclass, cfg)
+            assert trained is not None
+            assert not report.converged
+            assert report.iterations_used == 1
+            assert not report.risk_trace[-1] <= 1e12
+
     def test_penalty_shrinks_norm(self):
         rng = np.random.default_rng(13)
         sample = SampleMatrix(rng.uniform(-1.0, 1.0, size=(10, 2)))
@@ -262,3 +309,52 @@ class TestTrainConfig:
             TrainConfig(penalty_lambda=-0.1)
         with pytest.raises(ValidationError):
             TrainConfig(smoothing_eps=-1e-9)
+
+
+class TestWorkCounts:
+    def test_rbf_fit_builds_the_gram_matrix_once(self, count_calls):
+        _, sample, distances = random_instance(15)
+        hclass = KernelClass(KernelSpec("rbf", gamma=0.5), lambda_cap=2.0, k=2)
+        calls = count_calls(gram)
+        _, report = train(sample, distances, hclass, TrainConfig(max_iters=10, seed=0))
+        assert report.iterations_used == 10
+        assert len(calls) == 1
+
+    def test_distance_broadcasts_do_not_grow_with_iterations(self, count_calls):
+        _, sample, distances = random_instance(16)
+        calls = count_calls(pairwise_distances)
+        counts = []
+        for max_iters in (5, 20):
+            calls.clear()
+            _, report = train(
+                sample, distances, LinearClass(lambda_cap=2.0, k=2),
+                TrainConfig(max_iters=max_iters, seed=0),
+            )
+            assert report.iterations_used == max_iters
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_derived_maps_share_the_gram_matrix_and_new_anchors_do_not(self, count_calls):
+        _, sample, distances = random_instance(17)
+        hclass = KernelClass(KernelSpec("rbf", gamma=0.5), lambda_cap=0.01, k=2)
+        model = initialize_model(hclass, sample, np.random.default_rng(0))
+        calls = count_calls(gram)
+        derived = project_norm_ball(replace_parameters(model, parameters(model) * 100.0))
+        assert derived is not model
+        assert derived.anchor_gram is model.anchor_gram
+        assert calls == []
+        copied = SampleMatrix(sample.values.copy())
+        fresh = KernelMap(parameters(model), copied, model.kernel, model.lambda_cap)
+        assert len(calls) == 1
+        assert fresh.anchor_gram is not model.anchor_gram
+        assert np.array_equal(fresh.anchor_gram.values, model.anchor_gram.values)
+        rebuilt = replace_parameters(fresh, parameters(fresh))
+        assert rebuilt.anchors is copied
+        assert rebuilt.anchor_gram is fresh.anchor_gram
+
+    def test_held_gram_of_the_wrong_size_rejected(self):
+        model, sample, _ = random_instance(18, kernel=KernelSpec("rbf"))
+        other = SampleMatrix(np.vstack([sample.values, sample.values[:1] + 1.0]))
+        with pytest.raises(ValidationError):
+            KernelMap(np.zeros((2, other.m)), other, model.kernel, 1.0,
+                      anchor_gram=model.anchor_gram)
