@@ -37,6 +37,9 @@ __all__ = [
     "load_model",
 ]
 
+# Unit round-off of float64: |fl(x) - x| <= u |x|.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -168,7 +171,7 @@ def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
             )
         return pts @ model.weights.T
     if isinstance(model, KernelMap):
-        if pts is model.anchors.values or pts.base is model.anchors.values:
+        if np.array_equal(pts, model.anchors.values):
             cols = model.anchor_gram.values
         else:
             cols = kernel_columns(model.kernel, model.anchors.values, pts)
@@ -176,18 +179,26 @@ def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def gram_form_squared_distances(y: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of y as c_ii + c_jj - 2 c_ij, c = y y^T.
+def gram_form_squared_distances(
+    y: np.ndarray, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Squared distances from rows start:stop of y to every row of y.
 
-    Round-off negatives are clamped at zero, which is exact for a squared
-    distance; the diagonal is exactly zero for finite y.
+    Entry (i, j) is n_i + n_j - 2 c_ij with n the squared row norms and
+    c = y[start:stop] y^T, so a block of b rows costs O(b m k) flops and
+    O(b m) memory; the default range is the whole m x m matrix.  An entry
+    at or below the dot-product round-off bound 2 (k + 2) u (n_i + n_j),
+    u the unit round-off, cannot be told from zero in this form and is
+    set to zero.  This clamps round-off negatives and makes the distance
+    between coincident rows, and so the diagonal, exactly zero for finite y.
     """
-    c = y @ y.T
-    d = np.diag(c).copy()
-    sq = d[:, None] + d[None, :]
-    c *= 2.0
-    sq -= c
-    np.maximum(sq, 0.0, out=sq)
+    norms = np.einsum("ij,ij->i", y, y)
+    sq = y[start:stop] @ y.T
+    sq *= -2.0
+    floor = norms[start:stop, None] + norms[None, :]
+    sq += floor
+    floor *= 2.0 * (y.shape[1] + 2) * _UNIT_ROUNDOFF
+    sq[sq <= floor] = 0.0
     return sq
 
 
@@ -200,9 +211,7 @@ def embedding_distance_matrix(model: LinearMap | KernelMap, sample: SampleMatrix
     y = embed(model, sample.values)
     if isinstance(model, LinearMap):
         return pairwise_distances(y)
-    out = np.sqrt(gram_form_squared_distances(y))
-    np.fill_diagonal(out, 0.0)
-    return out
+    return np.sqrt(gram_form_squared_distances(y))
 
 
 def model_norm(model: LinearMap | KernelMap) -> float:

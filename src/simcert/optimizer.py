@@ -8,7 +8,10 @@ d~ = sqrt(d^2 + eps^2) because the gradient factor (d - D)/d is singular
 where embedded points coincide; with eps = 0 coincident pairs follow the
 zero-subgradient convention.  One kernel, stress_state, computes the
 weighted stress value and its gradient together; descent here and the
-Monte-Carlo ascent in bounds both call it once per step.
+Monte-Carlo ascent in bounds both call it once per step.  It visits the
+m x m pairs in blocks of b rows and contracts the graph Laplacian through
+the m x k embedding, so a step costs O(m^2 k + k m N) flops (N the
+feature width, N = m for kernel maps) and O(b m) working memory.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ __all__ = [
 
 # Empirical risk beyond this is reported as divergence.
 DIVERGENCE_RISK = 1e12
+
+# Target size in bytes of one (b x m) row-block temporary in stress_state.
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -126,12 +132,12 @@ def _pair_features(model: LinearMap | KernelMap, sample: SampleMatrix) -> np.nda
     """Row i is the vector the trainable matrix multiplies to embed x_i.
 
     Linear maps act on the raw features; kernel maps act on the kernel
-    column of x_i against the anchors (the Gram row when the sample is the
-    anchor set itself).
+    column of x_i against the anchors (the held Gram row when the sample
+    equals the anchor set, as in embed).
     """
     if isinstance(model, LinearMap):
         return sample.values
-    if sample is model.anchors:
+    if sample is model.anchors or np.array_equal(sample.values, model.anchors.values):
         return model.anchor_gram.values
     return kernel_columns(model.kernel, model.anchors.values, sample.values).T
 
@@ -143,20 +149,25 @@ def stress_state(
     weights: np.ndarray | None,
     eps: float,
 ) -> tuple[float, np.ndarray]:
-    """Weighted stress value and its eps-smoothed gradient from one m x m pass.
+    """Weighted stress value and its eps-smoothed gradient from one pass over the pairs.
 
     Returns (value, grad) where value = (1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2
     with unsmoothed distances and grad is the gradient in the trainable
-    matrix of the same sum with d~ = sqrt(dhat^2 + eps^2) in place of dhat.
+    matrix P of the same sum with d~ = sqrt(dhat^2 + eps^2) in place of dhat.
     ``weights=None`` means all ones; otherwise ``weights`` must be symmetric
-    (Rademacher sign matrices are).  Both come from the Gram-form squared
-    distances of the embedding Y (gram_form_squared_distances); each m x m
-    temporary is updated in place and freed as soon as it is used.
+    (Rademacher sign matrices are).
 
-    The gradient uses the graph-Laplacian identity
-    sum_ij a_ij (f_i - f_j)(f_i - f_j)^T = 2 F^T (diag(a 1) - a) F,
-    giving (2/m^2) * P F^T (diag(a 1) - a) F with a_ij = w_ij (d~ - D)/d~ * 2.
-    Pairs with d~ = 0 (possible only when eps = 0) contribute zero.
+    With F the m x N feature matrix (X, or the anchor Gram matrix) and
+    Y = F P^T the m x k embedding, the graph-Laplacian identity
+    sum_ij a_ij (f_i - f_j)(f_i - f_j)^T = 2 F^T L F, L = diag(a 1) - a,
+    gives grad = (2/m^2) P F^T L F = (2/m^2) (L Y)^T F for symmetric
+    a_ij = 2 w_ij (d~_ij - D_ij) / d~_ij.  Pairs with d~ = 0 (possible only
+    when eps = 0) contribute zero.  The pairs are visited in blocks of b
+    rows: each block's Gram-form squared distances
+    (gram_form_squared_distances), a, rows of L Y and share of the value
+    are computed and dropped before the next, so a step costs
+    O(m^2 k + k m N) flops and O(b m) working memory, with b sized so that
+    a block temporary takes about _BLOCK_BYTES.
 
     A non-finite gradient raises ValidationError only while the value is
     finite and within DIVERGENCE_RISK in magnitude, so a diverged iterate
@@ -169,28 +180,39 @@ def stress_state(
     param = parameters(model)
     feats = _pair_features(model, sample)
     m = sample.m
-    sq = gram_form_squared_distances(feats @ param.T)
-    dt = sq + eps * eps
-    np.sqrt(dt, out=dt)
-    coef = dt - distances.values
-    coef *= 2.0
-    if weights is not None:
-        coef *= weights
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef /= dt
-    coef[dt == 0.0] = 0.0
-    del dt
-    lap_feats = coef.sum(axis=1)[:, None] * feats - coef @ feats
-    del coef
-    grad = (2.0 / (m * m)) * (param @ (feats.T @ lap_feats))
+    y = feats @ param.T
+    lap_y = np.empty_like(y)
+    total = 0.0
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        target = distances.values[start:stop]
+        w = None if weights is None else weights[start:stop]
+        sq = gram_form_squared_distances(y, start, stop)
+        dt = sq + eps * eps
+        np.sqrt(dt, out=dt)
 
-    # sq becomes the weighted squared residual of the unsmoothed distances
-    np.sqrt(sq, out=sq)
-    sq -= distances.values
-    sq *= sq
-    if weights is not None:
-        sq *= weights
-    value = float(np.mean(sq))
+        # sq becomes the weighted squared residual of the unsmoothed distances
+        np.sqrt(sq, out=sq)
+        sq -= target
+        sq *= sq
+        if w is not None:
+            sq *= w
+        total += sq.sum()
+
+        # coef holds a / 2; the factor 2 is exact and joins the final scale
+        coef = np.subtract(dt, target, out=sq)
+        if w is not None:
+            coef *= w
+        if eps > 0.0:
+            coef /= dt
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                coef /= dt
+            coef[dt == 0.0] = 0.0
+        lap_y[start:stop] = coef.sum(axis=1)[:, None] * y[start:stop] - coef @ y
+    grad = (4.0 / (m * m)) * (lap_y.T @ feats)
+    value = float(total) / (m * m)
     if abs(value) <= DIVERGENCE_RISK and not np.all(np.isfinite(grad)):
         raise ValidationError("non-finite gradient")
     return value, grad

@@ -27,7 +27,7 @@ from simcert import (
 )
 from simcert.bounds import BoundCertificate
 from simcert.harness import SyntheticSpec, generate_synthetic
-from simcert.hypotheses import KernelMap, KernelSpec, load_model, save_model
+from simcert.hypotheses import KernelMap, KernelSpec, embed, load_model, save_model
 from simcert.optimizer import train
 
 # 2 * (1 * max(2, 0.5)^2 / 100) + 2 * sqrt(2 ln 20 / 100), frozen by hand
@@ -203,6 +203,24 @@ class TestCertify:
         cert = certify(loaded, SampleMatrix(sample.values.copy()), distances, 0.05)
         assert len(calls) == 1
         assert cert.to_dict() == certify(model, sample, distances, 0.05).to_dict()
+
+    def test_loaded_kernel_model_certifies_like_the_in_memory_model(self, tmp_path):
+        kernels = [KernelSpec("rbf", gamma=0.5), KernelSpec("polynomial", degree=2, coef0=1.0)]
+        for seed in range(6):
+            sample, distances, _ = generate_synthetic(
+                SyntheticSpec(m=15, n_features=3, k_true=2, radius=1.0, map_norm=1.0,
+                              noise_sigma=0.05, seed=seed)
+            )
+            hclass = KernelClass(kernels[seed % 2], lambda_cap=1.0, k=2)
+            model, _ = train(sample, distances, hclass, TrainConfig(max_iters=20, seed=seed))
+            save_model(model, tmp_path / f"model{seed}.json")
+            loaded = load_model(tmp_path / f"model{seed}.json")
+            copied = SampleMatrix(sample.values.copy())
+            assert np.array_equal(embed(loaded, copied.values), embed(model, sample.values))
+            assert (
+                certify(loaded, copied, distances, 0.05).to_dict()
+                == certify(model, sample, distances, 0.05).to_dict()
+            ), f"seed {seed}"
 
     def test_mode_mismatch_rejected(self):
         sample = _ball_sample(m=10, seed=5)

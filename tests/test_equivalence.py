@@ -2,9 +2,9 @@
 
 The golden file holds, for a linear, an RBF and a polynomial class: the
 Monte-Carlo Rademacher estimate, the training risk trace, and the CLI
-outputs model.json, certificate.json (without its config echo) and
-trials.csv.  Every number must agree within RELATIVE_TOL.  Regenerate the
-file only for an intended change of results, with
+outputs model.json, certificate.json and report.json (both without their
+config echo) and trials.csv.  Every number must agree within RELATIVE_TOL.
+Regenerate the file only for an intended change of results, with
 
     PYTHONPATH=src python tests/test_equivalence.py
 """
@@ -56,11 +56,14 @@ def _cli_outputs(flags, workdir: Path) -> dict:
     assert codes == [0, 0, 0, 0]
     certificate = json.loads((run / "certificate.json").read_text(encoding="utf-8"))
     certificate.pop("config")
+    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    report.pop("config")
     with open(run / "trials.csv", encoding="utf-8", newline="") as fh:
         trials = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
     return {
         "model": json.loads((run / "model.json").read_text(encoding="utf-8")),
         "certificate": certificate,
+        "report": report,
         "trials": trials,
     }
 

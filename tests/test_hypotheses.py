@@ -18,7 +18,12 @@ from simcert import (
     project_norm_ball,
     save_model,
 )
-from simcert.hypotheses import embed, model_from_dict, model_to_dict
+from simcert.hypotheses import (
+    embed,
+    gram_form_squared_distances,
+    model_from_dict,
+    model_to_dict,
+)
 
 
 def _single_anchor_map(anchor_value, coefficient, lambda_cap=100.0):
@@ -114,6 +119,30 @@ class TestEmbeddingDistanceMatrix:
         d = embedding_distance_matrix(h, fresh)
         expected = pairwise_distances(np.array([kernel_forward(h, x) for x in fresh.values]))
         np.testing.assert_allclose(d, expected, atol=1e-10)
+
+
+class TestGramFormSquaredDistances:
+    def test_row_blocks_match_the_whole_matrix(self):
+        rng = np.random.default_rng(7)
+        y = rng.normal(size=(23, 3))
+        whole = gram_form_squared_distances(y)
+        blocks = np.vstack([gram_form_squared_distances(y, s, s + 5) for s in range(0, 23, 5)])
+        assert blocks.shape == whole.shape == (23, 23)
+        np.testing.assert_allclose(blocks, whole, rtol=0.0, atol=1e-14 * np.max(whole))
+        np.testing.assert_allclose(whole, pairwise_distances(y) ** 2, rtol=1e-12)
+
+    def test_coincident_rows_are_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            m, n, k = int(rng.integers(3, 80)), int(rng.integers(1, 8)), int(rng.integers(1, 21))
+            x = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            x[rng.integers(0, m, size=m // 4 + 1)] = x[rng.integers(0, m, size=m // 4 + 1)]
+            y = x @ rng.normal(size=(k, n)).T
+            rows = int(rng.integers(1, 9))
+            sq = np.vstack(
+                [gram_form_squared_distances(y, s, s + rows) for s in range(0, m, rows)]
+            )
+            assert np.all(sq[np.all(x[:, None, :] == x[None, :, :], axis=2)] == 0.0)
 
 
 class TestModelNorm:

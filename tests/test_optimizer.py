@@ -1,7 +1,11 @@
 """Gradients against finite differences, objectives, and training runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import simcert.optimizer as optimizer_module
 
 from simcert import (
     DistanceMatrix,
@@ -23,13 +27,14 @@ from simcert import (
     train,
     validate_distance_matrix,
 )
-from simcert.hypotheses import project_norm_ball
-from simcert.kernels import gram
+from simcert.hypotheses import gram_form_squared_distances, project_norm_ball
+from simcert.kernels import gram, kernel_columns
 from simcert.optimizer import (
     initialize_model,
     norm_subgradient,
     parameters,
     replace_parameters,
+    stress_state,
     weighted_stress_gradient,
     weighted_stress_value,
 )
@@ -132,6 +137,144 @@ class TestWeightedStress:
         assert weighted_stress_value(model, sample, distances, signs) == pytest.approx(
             expected, rel=1e-12, abs=1e-15
         )
+
+
+BLOCK_ROWS = 8
+FAMILIES = {
+    "linear": None,
+    "rbf": KernelSpec("rbf", gamma=0.5),
+    "polynomial": KernelSpec("polynomial", degree=2, coef0=1.0),
+}
+
+
+def block_rows(monkeypatch, m, rows=BLOCK_ROWS):
+    """Make stress_state visit an m-point sample in blocks of ``rows`` rows."""
+    monkeypatch.setattr(optimizer_module, "_BLOCK_BYTES", 8 * m * rows)
+
+
+def pair_features(model, sample):
+    return sample.values if isinstance(model, LinearMap) else model.anchor_gram.values
+
+
+def symmetric_signs(rng, m):
+    upper = np.triu(rng.choice([-1.0, 1.0], size=(m, m)))
+    return upper + np.triu(upper, 1).T
+
+
+def full_matrix_state(model, sample, distances, weights, eps):
+    """(value, grad) from the full m x m formula P F^T (diag(a 1) - a) F.
+
+    The formula stress_state used before it was row-blocked and regrouped
+    through the embedding, kept here as the reference.
+    """
+    param = parameters(model)
+    feats = pair_features(model, sample)
+    m = sample.m
+    y = feats @ param.T
+    c = y @ y.T
+    d = np.diag(c).copy()
+    sq = np.maximum(d[:, None] + d[None, :] - 2.0 * c, 0.0)
+    dt = np.sqrt(sq + eps * eps)
+    w = np.ones((m, m)) if weights is None else weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(dt == 0.0, 0.0, 2.0 * w * (dt - distances.values) / dt)
+    lap = np.diag(coef.sum(axis=1)) - coef
+    grad = (2.0 / (m * m)) * (param @ (feats.T @ (lap @ feats)))
+    value = float(np.mean(w * (np.sqrt(sq) - distances.values) ** 2))
+    return value, grad
+
+
+class TestRowBlockedStressState:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_the_full_matrix_formula(self, monkeypatch, family):
+        rng = np.random.default_rng(sorted(FAMILIES).index(family))
+        b = BLOCK_ROWS
+        for m in (2, b - 1, b, b + 1, 2 * b + 5):
+            block_rows(monkeypatch, m)
+            sample = SampleMatrix(rng.normal(size=(m, 3)))
+            distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
+            if FAMILIES[family] is None:
+                model = LinearMap(rng.normal(size=(2, 3)), 1e6)
+            else:
+                model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
+            for weights in (None, symmetric_signs(rng, m)):
+                for eps in (0.0, 1e-9):
+                    value, grad = stress_state(model, sample, distances, weights, eps)
+                    ref_value, ref_grad = full_matrix_state(
+                        model, sample, distances, weights, eps
+                    )
+                    case = f"m={m} weighted={weights is not None} eps={eps}"
+                    assert abs(value - ref_value) <= 1e-12 * abs(ref_value), case
+                    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(
+                        ref_grad
+                    ), case
+
+    @pytest.mark.parametrize("family", ["linear", "rbf"])
+    def test_coincident_points_contribute_nothing_at_zero_eps(self, monkeypatch, family):
+        rng = np.random.default_rng(30)
+        b = BLOCK_ROWS
+        m = 2 * b + 5
+        block_rows(monkeypatch, m)
+        x = rng.normal(size=(m, 3))
+        x[3] = x[1]  # within the first block
+        x[b + 2] = x[2]  # across a block boundary
+        x[2 * b + 4] = x[2]  # in the last, partial block
+        sample = SampleMatrix(x)
+        distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
+        if FAMILIES[family] is None:
+            model = LinearMap(rng.normal(size=(2, 3)), 1e6)
+        else:
+            model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
+        feats = pair_features(model, sample)
+        y = feats @ parameters(model).T
+        same = np.all(x[:, None, :] == x[None, :, :], axis=2)
+        blocks = np.vstack([gram_form_squared_distances(y, s, s + b) for s in range(0, m, b)])
+        assert np.all(blocks[same] == 0.0)
+        assert np.all(blocks[~same] > 0.0)
+
+        for weights in (None, symmetric_signs(rng, m)):
+            w = np.ones((m, m)) if weights is None else weights
+            ref_value, ref_grad = 0.0, np.zeros_like(parameters(model))
+            for i in range(m):
+                for j in range(m):
+                    diff = y[i] - y[j]
+                    dist = float(np.sqrt(diff @ diff))
+                    resid = dist - distances.values[i, j]
+                    ref_value += w[i, j] * resid * resid
+                    if not same[i, j]:
+                        ref_grad += (2.0 * w[i, j] * resid / dist) * np.outer(
+                            diff, feats[i] - feats[j]
+                        )
+            value, grad = stress_state(model, sample, distances, weights, 0.0)
+            assert value == pytest.approx(ref_value / (m * m), rel=1e-12)
+            assert np.linalg.norm(grad - ref_grad / (m * m)) <= 1e-12 * np.linalg.norm(
+                ref_grad / (m * m)
+            )
+
+    def test_a_copy_of_the_anchors_uses_the_held_gram_matrix(self, count_calls):
+        model, sample, distances = random_instance(32, kernel=KernelSpec("rbf", gamma=0.5))
+        expected = stress_state(model, sample, distances, None, 1e-9)
+        calls = count_calls(kernel_columns)
+        value, grad = stress_state(
+            model, SampleMatrix(sample.values.copy()), distances, None, 1e-9
+        )
+        assert calls == []
+        assert value == expected[0]
+        assert np.array_equal(grad, expected[1])
+
+    def test_one_step_allocates_less_than_one_pair_matrix(self):
+        rng = np.random.default_rng(31)
+        m = 1500
+        sample = SampleMatrix(rng.normal(size=(m, 5)))
+        distances = DistanceMatrix(pairwise_distances(rng.normal(size=(m, 4))))
+        model = LinearMap(rng.normal(size=(4, 5)), 1e6)
+        tracemalloc.start()
+        try:
+            stress_state(model, sample, distances, None, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * np.dtype(np.float64).itemsize
 
 
 class TestNormSubgradient:
