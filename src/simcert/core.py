@@ -189,28 +189,82 @@ def confusion_to_distance(confusion: ConfusionMatrix) -> DistanceMatrix:
     return DistanceMatrix(1.0 - c)
 
 
-# Rows per block of the pairwise difference broadcast in pairwise_distances.
-_DISTANCE_BLOCK_ROWS = 64
+# Target size in bytes of one (b x m) row-block temporary; pairwise_distances
+# and optimizer.stress_state size their row blocks from it.
+_BLOCK_BYTES = 1 << 19
+
+
+def _squared_difference(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- (u_i - v_j)^2 for every i and j."""
+    np.subtract(u[:, None], v[None, :], out=out)
+    np.multiply(out, out, out=out)
+    return out
+
+
+def _sum_squared_differences(block, cols, acc, tmp) -> None:
+    """acc <- sum over coordinates c of the planes (block[c, i] - cols[c, j])^2,
+    added in the order of numpy's pairwise summation.
+
+    That order (pairwise_sum in numpy's loops_utils) is sequential below 8
+    terms; from 8 to 128 terms it keeps eight partial sums r_j += x[i + j],
+    combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and
+    adds the remainder one term at a time; above 128 it splits at
+    n2 = n//2 - (n//2) % 8 and recurses.  tmp is a scratch plane.
+    """
+    n = len(cols)
+    if n == 0:
+        acc.fill(0.0)
+    elif n < 8:
+        _squared_difference(block[0], cols[0], acc)
+        for c in range(1, n):
+            acc += _squared_difference(block[c], cols[c], tmp)
+    elif n <= 128:
+        r = [acc] + [np.empty_like(acc) for _ in range(7)]
+        for j in range(8):
+            _squared_difference(block[j], cols[j], r[j])
+        end = n - n % 8
+        for c in range(8, end):
+            r[c % 8] += _squared_difference(block[c], cols[c], tmp)
+        for i, j in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[i] += r[j]
+        for c in range(end, n):
+            acc += _squared_difference(block[c], cols[c], tmp)
+    else:
+        n2 = n // 2 - (n // 2) % 8
+        _sum_squared_differences(block[:n2], cols[:n2], acc, tmp)
+        right = np.empty_like(acc)
+        _sum_squared_differences(block[n2:], cols[n2:], right, tmp)
+        acc += right
 
 
 def pairwise_distances(points) -> np.ndarray:
     """Euclidean distance matrix between the rows of an m x k array.
 
-    Symmetric with an exactly zero diagonal by construction.  The
-    differences are formed _DISTANCE_BLOCK_ROWS rows at a time, so the
-    working memory grows with m^2 rather than m^2 k; each entry is reduced
-    exactly as in a single full broadcast.
+    Symmetric with an exactly zero diagonal by construction.  The squared
+    distances are accumulated one coordinate at a time, (x_ic - x_jc)^2
+    taken from a contiguous copy of the k columns, in row blocks of b rows
+    with b sized so that a (b x m) plane takes about _BLOCK_BYTES; no
+    (b x m x k) difference broadcast is formed.  The k planes are added in
+    numpy's own pairwise-summation order, the order of
+    np.sum(diff * diff, axis=2) over the full broadcast, so every entry
+    equals that direct difference form bit for bit: no Gram-form
+    cancellation at tiny distances.  Beyond the m x m output and the m x k
+    column copy, the working memory is a few (b x m) planes: two below 8
+    coordinates, about ten from 8 on.
     """
     pts = _as_matrix(points, "point matrix")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("point matrix contains non-finite entries")
     m = pts.shape[0]
+    cols = np.ascontiguousarray(pts.T)
     out = np.empty((m, m))
-    for start in range(0, m, _DISTANCE_BLOCK_ROWS):
-        stop = start + _DISTANCE_BLOCK_ROWS
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        diff *= diff
-        np.sum(diff, axis=2, out=out[start:stop])
+    rows = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
+    tmp = np.empty((min(rows, m), m))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        _sum_squared_differences(
+            cols[:, start:stop], cols, out[start:stop], tmp[: stop - start]
+        )
     np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out

@@ -205,8 +205,9 @@ def gram_form_squared_distances(
 def embedding_distance_matrix(model: LinearMap | KernelMap, sample: SampleMatrix) -> np.ndarray:
     """Pairwise Euclidean distances between embedded sample points.
 
-    Linear maps use the direct difference form.  Kernel maps go through the
-    inner-product (Gram-side) form of gram_form_squared_distances.
+    Linear maps use pairwise_distances, bitwise equal to the direct
+    difference form.  Kernel maps go through the inner-product (Gram-side)
+    form of gram_form_squared_distances.
     """
     y = embed(model, sample.values)
     if isinstance(model, LinearMap):
@@ -220,7 +221,7 @@ def model_norm(model: LinearMap | KernelMap) -> float:
     if isinstance(model, LinearMap):
         if model.weights.size == 0:
             return 0.0
-        return float(np.linalg.norm(model.weights, 2))
+        return float(np.linalg.svd(model.weights, compute_uv=False)[0])
     if isinstance(model, KernelMap):
         a = model.coefficients
         k = model.anchor_gram.values

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DistanceMatrix, SampleMatrix, ValidationError, empirical_risk
+from .core import _BLOCK_BYTES, DistanceMatrix, SampleMatrix, ValidationError, empirical_risk
 from .hypotheses import (
     KernelClass,
     KernelMap,
@@ -52,9 +52,6 @@ __all__ = [
 
 # Empirical risk beyond this is reported as divergence.
 DIVERGENCE_RISK = 1e12
-
-# Target size in bytes of one (b x m) row-block temporary in stress_state.
-_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Containers, validation, stress loss, and CSV round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import simcert.core as core_module
 
 from simcert import (
     ConfusionMatrix,
@@ -172,6 +176,34 @@ class TestPairwiseDistances:
             expected = np.sqrt(np.sum(diff * diff, axis=2))
             np.fill_diagonal(expected, 0.0)
             assert np.array_equal(pairwise_distances(pts), expected), (m, k)
+
+    def test_small_blocks_match_a_full_broadcast_bitwise_in_every_summation_regime(
+        self, monkeypatch
+    ):
+        # k spans numpy's sequential (< 8), eight-way (8..128) and recursive
+        # (> 128) summation; 4-row blocks leave a partial last block
+        rng = np.random.default_rng(13)
+        for m in [1, 2, 9, 65]:
+            monkeypatch.setattr(core_module, "_BLOCK_BYTES", 8 * m * 4)
+            for k in [0, 1, 2, 7, 8, 9, 16, 17, 129, 300]:
+                pts = rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, size=k)
+                diff = pts[:, None, :] - pts[None, :, :]
+                expected = np.sqrt(np.sum(diff * diff, axis=2))
+                np.fill_diagonal(expected, 0.0)
+                assert np.array_equal(pairwise_distances(pts), expected), (m, k)
+
+    def test_working_memory_stays_below_two_output_matrices(self):
+        # m = 1000, k = 50: the output takes 8 MB; a difference broadcast over
+        # 64 rows would take 26 MB on its own
+        m = 1000
+        pts = np.random.default_rng(14).normal(size=(m, 50))
+        tracemalloc.start()
+        try:
+            pairwise_distances(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m * m * np.dtype(np.float64).itemsize
 
 
 class TestEmpiricalRisk:

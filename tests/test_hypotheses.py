@@ -160,6 +160,13 @@ class TestModelNorm:
         h = KernelMap(np.zeros((2, 2)), anchors, KernelSpec("rbf"), 1.0)
         assert model_norm(h) == 0.0
 
+    def test_linear_norm_bitwise_equal_to_numpy_spectral_norm(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 9, size=2))
+            w = rng.normal(size=shape) * 10.0 ** rng.uniform(-150, 150)
+            assert model_norm(LinearMap(w, 1.0)) == float(np.linalg.norm(w, 2)), shape
+
 
 class TestProjectNormBall:
     def test_singular_values_clipped(self):
