@@ -45,8 +45,6 @@ from .hypotheses import (
     LinearClass,
     LinearMap,
     embedding_distance_matrix,
-    kernel_forward,
-    linear_forward,
     load_model,
     model_norm,
     project_norm_ball,
@@ -64,7 +62,6 @@ from .kernels import (
 from .optimizer import (
     TrainConfig,
     TrainReport,
-    objective,
     risk_gradient,
     smoothed_risk,
     train,

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DistanceMatrix, SampleMatrix, ValidationError, data_radii, empirical_risk
+from .core import (
+    DistanceMatrix,
+    SampleMatrix,
+    ValidationError,
+    _check_sizes,
+    data_radii,
+    empirical_risk,
+)
 from .hypotheses import (
     KernelClass,
     KernelMap,
@@ -38,16 +45,8 @@ from .hypotheses import (
     LinearMap,
     embedding_distance_matrix,
     model_norm,
-    project_norm_ball,
 )
-from .kernels import feature_space_radius, gram
-from .optimizer import (
-    TrainConfig,
-    initialize_model,
-    parameters,
-    replace_parameters,
-    stress_state,
-)
+from .optimizer import TrainConfig, initialize_model, projected_path
 
 __all__ = [
     "CertificateInputs",
@@ -173,6 +172,10 @@ def mcdiarmid_term(loss_bound: float, m: int, delta: float) -> float:
     return loss_bound * math.sqrt(2.0 * math.log(1.0 / delta) / m)
 
 
+# Closed-form bound on rad_m(G) for each map mode, in the map's feature radius.
+_CLOSED_FORMS = {"linear": rademacher_bound_linear, "kernel": rademacher_bound_kernel}
+
+
 def generalization_bound(
     empirical_risk_value: float,
     rademacher_upper: float,
@@ -211,19 +214,15 @@ def empirical_rademacher_mc(
     For each sign draw, sigma_ij in {-1, +1} is sampled for i <= j and
     mirrored (diagonal signs multiply a zero term), then
     (1/m^2) sum_ij sigma_ij (dhat_ij - D_ij)^2 is maximized over the class
-    by projected gradient ascent within the inner budget, keeping the best
-    visited value.  Each visited model costs one stress_state pass, whose
-    Gram-form value is the one compared and whose gradient drives the next
-    step.  Returns (mean, standard error) over draws.  Local ascent
-    reaches only a lower bound on each supremum, so the estimate is a
-    lower-biased diagnostic, not a certified quantity.
+    by projected gradient ascent within the inner budget (one projected_path
+    with sign +1 and no penalty), keeping the best visited value.  Returns
+    (mean, standard error) over draws.  Local ascent reaches only a lower
+    bound on each supremum, so the estimate is a lower-biased diagnostic,
+    not a certified quantity.
     """
     if n_sigma < 1:
         raise ValidationError("n_sigma must be >= 1")
-    if distances.size != sample.m:
-        raise ValidationError(
-            f"size mismatch: {sample.m} sample points vs {distances.size} distance rows"
-        )
+    _check_sizes(sample, distances)
     m = sample.m
     upper = np.triu_indices(m)
     values = np.empty(n_sigma)
@@ -235,17 +234,7 @@ def empirical_rademacher_mc(
         sigma = sigma + np.triu(sigma, 1).T
 
         model = initialize_model(hypothesis_class, sample, rng)
-        best, grad = stress_state(model, sample, distances, sigma, inner_cfg.smoothing_eps)
-        for _ in range(inner_cfg.max_iters):
-            if float(np.linalg.norm(grad)) < inner_cfg.grad_tol:
-                break
-            stepped = parameters(model) + inner_cfg.step_size * grad
-            if not np.all(np.isfinite(stepped)):
-                break
-            model = project_norm_ball(replace_parameters(model, stepped))
-            value, grad = stress_state(model, sample, distances, sigma, inner_cfg.smoothing_eps)
-            best = max(best, value)
-        values[draw] = best
+        values[draw] = max(projected_path(model, sample, distances, sigma, inner_cfg, 1.0, 0.0)[1])
 
     estimate = float(values.mean())
     if n_sigma == 1:
@@ -267,26 +256,18 @@ def certify(
     certificate speaks about must contain the model even when penalized
     training left it outside the nominal cap.
     """
-    inferred = "linear" if isinstance(model, LinearMap) else "kernel"
-    if mode is not None and mode != inferred:
-        raise ValidationError(f"mode {mode!r} does not match a {inferred} model")
+    if mode is not None and mode != model.mode:
+        raise ValidationError(f"mode {mode!r} does not match a {model.mode} model")
     _check_delta(delta)
 
     radii = data_radii(sample, distances)
     lam = max(model.lambda_cap, model_norm(model))
     r_hat = empirical_risk(embedding_distance_matrix(model, sample), distances)
     m = sample.m
+    radius = model.feature_radius(sample)
+    loss_bound = loss_bound_M(lam, radius, radii.beta)
+    rad_upper = _CLOSED_FORMS[model.mode](lam, radius, radii.beta, m)
 
-    if inferred == "linear":
-        q = None
-        loss_bound = loss_bound_M(lam, radii.r, radii.beta)
-        rad_upper = rademacher_bound_linear(lam, radii.r, radii.beta, m)
-    else:
-        same_anchors = np.array_equal(sample.values, model.anchors.values)
-        gram_matrix = model.anchor_gram if same_anchors else gram(model.kernel, sample)
-        q = feature_space_radius(gram_matrix)
-        loss_bound = loss_bound_M(lam, q, radii.beta)
-        rad_upper = rademacher_bound_kernel(lam, q, radii.beta, m)
-
-    inputs = CertificateInputs(lam=lam, r=radii.r, beta=radii.beta, q=q, mode=inferred)
+    q = None if model.mode == "linear" else radius
+    inputs = CertificateInputs(lam=lam, r=radii.r, beta=radii.beta, q=q, mode=model.mode)
     return generalization_bound(r_hat, rad_upper, loss_bound, m, delta, inputs=inputs)

@@ -17,6 +17,7 @@ from .bounds import certify
 from .core import (
     SampleMatrix,
     ValidationError,
+    _check_sizes,
     read_matrix_csv,
     validate_distance_matrix,
     write_matrix_csv,
@@ -188,10 +189,7 @@ def _load_problem(args):
     raw_distances = read_matrix_csv(args.distances)
     sample = SampleMatrix(features)
     distances = validate_distance_matrix(raw_distances, tol=args.tol)
-    if distances.size != sample.m:
-        raise ValidationError(
-            f"{sample.m} feature rows but {distances.size} distance rows"
-        )
+    _check_sizes(sample, distances)
     return sample, distances
 
 

@@ -285,12 +285,17 @@ def empirical_risk(predicted, target: DistanceMatrix) -> float:
     return float(np.mean(resid * resid))
 
 
-def data_radii(sample: SampleMatrix, distances: DistanceMatrix) -> DataRadii:
-    """Largest feature norm r and largest target distance beta."""
+def _check_sizes(sample: SampleMatrix, distances: DistanceMatrix) -> None:
+    """Reject target distances that do not have one row per sample point."""
     if distances.size != sample.m:
         raise ValidationError(
             f"size mismatch: {sample.m} sample points vs {distances.size} distance rows"
         )
+
+
+def data_radii(sample: SampleMatrix, distances: DistanceMatrix) -> DataRadii:
+    """Largest feature norm r and largest target distance beta."""
+    _check_sizes(sample, distances)
     r = float(np.max(np.linalg.norm(sample.values, axis=1)))
     return DataRadii(r=r, beta=distances.max_distance)
 
@@ -306,6 +311,11 @@ def write_matrix_csv(path, mat) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless CSV matrix written by :func:`write_matrix_csv`."""
-    arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return arr
+    """Read a headerless CSV matrix written by :func:`write_matrix_csv`.
+
+    A non-numeric field or a ragged row raises ValidationError.
+    """
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed CSV matrix: {exc}") from exc

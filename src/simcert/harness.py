@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import certify
+from .bounds import _check_delta, certify
 from .core import (
     DistanceMatrix,
     SampleMatrix,
@@ -105,15 +105,7 @@ class ExperimentReport:
         return self.coverage_rate >= 1.0 - self.delta
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "coverage_rate": self.coverage_rate,
-            "delta": self.delta,
-            "mean_gap": self.mean_gap,
-            "mean_slack": self.mean_slack,
-            "passed": self.passed,
-            "trials": [t.to_dict() for t in self.trials],
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
 def hidden_map(spec: SyntheticSpec) -> np.ndarray:
@@ -186,8 +178,7 @@ def run_coverage_experiment(
     """
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    if not (0.0 < delta <= 1.0):
-        raise ValidationError(f"delta must lie in (0, 1], got {delta}")
+    _check_delta(delta)
     if n_holdout is None:
         n_holdout = 10 * spec.m
 

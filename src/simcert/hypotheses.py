@@ -1,11 +1,24 @@
 """Norm-constrained hypothesis classes: linear maps and kernel maps.
 
-A linear map sends x to W x and is certified through its spectral norm,
-the smallest constant with ||W x_i - W x_j|| <= ||W||_2 ||x_i - x_j||.
-A kernel map is kept in representer form h(x) = A k_S(x), where k_S(x) is
-the vector of kernel evaluations against the training anchors; its RKHS
-norm is sqrt(trace(A K A^T)) with K the anchor Gram matrix.  Both carry a
-norm budget lambda_cap that projection re-establishes after every step.
+Both map types are a norm-capped trainable matrix P acting on a feature
+matrix F, and share one protocol:
+
+- ``params`` is P and ``with_params(P)`` the same map with a new P;
+- ``features(points)`` is the n x N matrix F, so the embedding is F P^T;
+- ``norm()`` is the certified size, ``shrink(nrm)`` maps a map of norm
+  nrm > lambda_cap back onto the ball and ``norm_subgradient()`` is a
+  subgradient of the norm in P;
+- ``feature_radius(sample)`` is the radius of the sample in feature space;
+- ``to_dict()`` is the JSON model format and ``mode`` names the class.
+
+A linear map sends x to W x: P = W, F = X, and the norm is the spectral
+norm, the smallest constant with ||W x_i - W x_j|| <= ||W||_2 ||x_i - x_j||;
+shrinking clips the singular values.  A kernel map is kept in representer
+form h(x) = A k_S(x), where k_S(x) is the vector of kernel evaluations
+against the training anchors: P = A, F holds the kernel columns, and the
+RKHS norm is sqrt(trace(A K A^T)) with K the anchor Gram matrix; being
+1-homogeneous in A, it is shrunk by rescaling.  Both carry a norm budget
+lambda_cap that projection re-establishes after every step.
 """
 
 from __future__ import annotations
@@ -15,17 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .core import SampleMatrix, ValidationError, _as_matrix, _freeze, pairwise_distances
-from .kernels import GramMatrix, KernelSpec, gram, kernel_columns
+from .kernels import GramMatrix, KernelSpec, feature_space_radius, gram, kernel_columns
 
 __all__ = [
     "LinearMap",
     "KernelMap",
     "LinearClass",
     "KernelClass",
-    "linear_forward",
-    "kernel_forward",
-    "with_coefficients",
     "embed",
     "gram_form_squared_distances",
     "embedding_distance_matrix",
@@ -41,6 +52,20 @@ __all__ = [
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
+def _check_budget(lambda_cap: float, k: int | None = None) -> None:
+    if lambda_cap < 0.0:
+        raise ValidationError("lambda_cap must be nonnegative")
+    if k is not None and k < 1:
+        raise ValidationError("output dimension k must be >= 1")
+
+
+def _trainable(values, name: str) -> np.ndarray:
+    arr = _as_matrix(values, name)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return _freeze(arr)
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Linear hypothesis x -> W x with spectral-norm budget lambda_cap."""
@@ -48,21 +73,55 @@ class LinearMap:
     weights: np.ndarray
     lambda_cap: float
 
+    mode = "linear"
+
     def __post_init__(self):
-        arr = _as_matrix(self.weights, "weight matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("weight matrix contains non-finite entries")
-        if self.lambda_cap < 0.0:
-            raise ValidationError("lambda_cap must be nonnegative")
-        object.__setattr__(self, "weights", _freeze(arr))
+        object.__setattr__(self, "weights", _trainable(self.weights, "weight matrix"))
+        _check_budget(self.lambda_cap)
 
     @property
-    def output_dim(self) -> int:
-        return self.weights.shape[0]
+    def params(self) -> np.ndarray:
+        return self.weights
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights.shape[1]
+    def with_params(self, weights) -> LinearMap:
+        return LinearMap(weights, self.lambda_cap)
+
+    def features(self, points) -> np.ndarray:
+        pts = _as_matrix(points, "point matrix")
+        if pts.shape[1] != self.weights.shape[1]:
+            raise ValidationError(
+                f"dimension mismatch: map expects {self.weights.shape[1]} features, "
+                f"got {pts.shape[1]}"
+            )
+        return pts
+
+    def norm(self) -> float:
+        if self.weights.size == 0:
+            return 0.0
+        return float(np.linalg.svd(self.weights, compute_uv=False)[0])
+
+    def shrink(self, nrm: float) -> LinearMap:
+        """Clip the singular values at lambda_cap (nrm, the largest, is not needed)."""
+        u, s, vt = np.linalg.svd(self.weights, full_matrices=False)
+        return self.with_params(u @ (np.minimum(s, self.lambda_cap)[:, None] * vt))
+
+    def norm_subgradient(self) -> np.ndarray:
+        """Outer product of the leading singular vectors; zero at the zero map."""
+        u, s, vt = np.linalg.svd(self.weights, full_matrices=False)
+        if s.size == 0 or s[0] == 0.0:
+            return np.zeros_like(self.weights)
+        return np.outer(u[:, 0], vt[0])
+
+    def feature_radius(self, sample: SampleMatrix) -> float:
+        """r, the largest feature norm in the sample."""
+        return float(np.max(np.linalg.norm(sample.values, axis=1)))
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self.mode,
+            "lambda_cap": float(self.lambda_cap),
+            "W": self.weights.tolist(),
+        }
 
 
 @dataclass(frozen=True)
@@ -71,8 +130,8 @@ class KernelMap:
 
     anchor_gram is gram(kernel, anchors); it is built at construction unless
     a caller that already holds it passes it in.  Maps derived from one
-    another by with_coefficients (every descent and projection step) share
-    one anchor Gram matrix, so a fit builds it once.
+    another by with_params (every descent and projection step) share one
+    anchor Gram matrix, so a fit builds it once.
     """
 
     coefficients: np.ndarray
@@ -81,17 +140,16 @@ class KernelMap:
     lambda_cap: float
     anchor_gram: GramMatrix | None = field(default=None, repr=False, compare=False, kw_only=True)
 
+    mode = "kernel"
+
     def __post_init__(self):
-        arr = _as_matrix(self.coefficients, "coefficient matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("coefficient matrix contains non-finite entries")
+        arr = _trainable(self.coefficients, "coefficient matrix")
         if arr.shape[1] != self.anchors.m:
             raise ValidationError(
                 f"coefficient matrix has {arr.shape[1]} columns for {self.anchors.m} anchors"
             )
-        if self.lambda_cap < 0.0:
-            raise ValidationError("lambda_cap must be nonnegative")
-        object.__setattr__(self, "coefficients", _freeze(arr))
+        _check_budget(self.lambda_cap)
+        object.__setattr__(self, "coefficients", arr)
         if self.anchor_gram is None:
             object.__setattr__(self, "anchor_gram", gram(self.kernel, self.anchors))
         elif self.anchor_gram.size != self.anchors.m:
@@ -100,8 +158,56 @@ class KernelMap:
             )
 
     @property
-    def output_dim(self) -> int:
-        return self.coefficients.shape[0]
+    def params(self) -> np.ndarray:
+        return self.coefficients
+
+    def with_params(self, coefficients) -> KernelMap:
+        """New coefficients over the same anchors, sharing the held Gram matrix."""
+        return KernelMap(
+            coefficients, self.anchors, self.kernel, self.lambda_cap, anchor_gram=self.anchor_gram
+        )
+
+    def features(self, points) -> np.ndarray:
+        """Kernel columns of the points against the anchors, one row per point;
+        the held Gram matrix when the points are the anchors."""
+        pts = _as_matrix(points, "point matrix")
+        if np.array_equal(pts, self.anchors.values):
+            return self.anchor_gram.values
+        return kernel_columns(self.kernel, self.anchors.values, pts).T
+
+    def norm(self) -> float:
+        a = self.coefficients
+        sq = float(np.sum((a @ self.anchor_gram.values) * a))
+        return float(np.sqrt(max(sq, 0.0)))
+
+    def shrink(self, nrm: float) -> KernelMap:
+        return self.with_params(self.coefficients * (self.lambda_cap / nrm))
+
+    def norm_subgradient(self) -> np.ndarray:
+        """A K / norm; zero at the zero map."""
+        nrm = self.norm()
+        if nrm == 0.0:
+            return np.zeros_like(self.coefficients)
+        return (self.coefficients @ self.anchor_gram.values) / nrm
+
+    def feature_radius(self, sample: SampleMatrix) -> float:
+        """q = max_i sqrt(K(x_i, x_i)) over the sample."""
+        same = np.array_equal(sample.values, self.anchors.values)
+        return feature_space_radius(self.anchor_gram if same else gram(self.kernel, sample))
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self.mode,
+            "lambda_cap": float(self.lambda_cap),
+            "A": self.coefficients.tolist(),
+            "anchors": self.anchors.values.tolist(),
+            "kernel": self.kernel.to_dict(),
+        }
+
+
+def _zero_params(k: int | None, sample: SampleMatrix, width: int) -> np.ndarray:
+    """k x width zeros; k defaults to min(n_features, m)."""
+    return np.zeros((k if k is not None else min(sample.n_features, sample.m), width))
 
 
 @dataclass(frozen=True)
@@ -112,10 +218,11 @@ class LinearClass:
     k: int | None = None
 
     def __post_init__(self):
-        if self.lambda_cap < 0.0:
-            raise ValidationError("lambda_cap must be nonnegative")
-        if self.k is not None and self.k < 1:
-            raise ValidationError("output dimension k must be >= 1")
+        _check_budget(self.lambda_cap, self.k)
+
+    def zero_map(self, sample: SampleMatrix) -> LinearMap:
+        """The zero map of the class on the sample's features."""
+        return LinearMap(_zero_params(self.k, sample, sample.n_features), self.lambda_cap)
 
 
 @dataclass(frozen=True)
@@ -127,56 +234,26 @@ class KernelClass:
     k: int | None = None
 
     def __post_init__(self):
-        if self.lambda_cap < 0.0:
-            raise ValidationError("lambda_cap must be nonnegative")
-        if self.k is not None and self.k < 1:
-            raise ValidationError("output dimension k must be >= 1")
+        _check_budget(self.lambda_cap, self.k)
 
-
-def linear_forward(model: LinearMap, x) -> np.ndarray:
-    """Evaluate W x for one feature vector."""
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.shape[0] != model.input_dim:
-        raise ValidationError(
-            f"dimension mismatch: map expects {model.input_dim} features, got {xv.shape[0]}"
-        )
-    return model.weights @ xv
-
-
-def kernel_forward(model: KernelMap, x) -> np.ndarray:
-    """Evaluate A k_S(x) for one feature vector."""
-    xv = np.asarray(x, dtype=float).ravel()
-    cols = kernel_columns(model.kernel, model.anchors.values, xv[None, :])
-    return model.coefficients @ cols[:, 0]
-
-
-def with_coefficients(model: KernelMap, coefficients) -> KernelMap:
-    """The same kernel map with new coefficients, sharing its anchor Gram matrix.
-
-    Only the anchors, kernel and cap of ``model`` are kept, so the held Gram
-    matrix always belongs to the anchors it is used with.
-    """
-    return KernelMap(
-        coefficients, model.anchors, model.kernel, model.lambda_cap, anchor_gram=model.anchor_gram
-    )
+    def zero_map(self, sample: SampleMatrix) -> KernelMap:
+        """The zero map of the class with the sample as anchors, whose Gram
+        matrix must pass the PSD check."""
+        anchor_gram = gram(self.kernel, sample)
+        # looked up on its module: bench/tracer.py wraps psd_check only there
+        check = kernels.psd_check(anchor_gram)
+        if not check.passed:
+            raise ValidationError(
+                f"anchor Gram matrix fails the PSD check "
+                f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
+            )
+        zeros = _zero_params(self.k, sample, sample.m)
+        return KernelMap(zeros, sample, self.kernel, self.lambda_cap, anchor_gram=anchor_gram)
 
 
 def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
     """Map the rows of an (n x N) feature array into the embedding space."""
-    pts = _as_matrix(points, "point matrix")
-    if isinstance(model, LinearMap):
-        if pts.shape[1] != model.input_dim:
-            raise ValidationError(
-                f"dimension mismatch: map expects {model.input_dim} features, got {pts.shape[1]}"
-            )
-        return pts @ model.weights.T
-    if isinstance(model, KernelMap):
-        if np.array_equal(pts, model.anchors.values):
-            cols = model.anchor_gram.values
-        else:
-            cols = kernel_columns(model.kernel, model.anchors.values, pts)
-        return (model.coefficients @ cols).T
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.features(points) @ model.params.T
 
 
 def gram_form_squared_distances(
@@ -203,82 +280,56 @@ def gram_form_squared_distances(
 
 
 def embedding_distance_matrix(model: LinearMap | KernelMap, sample: SampleMatrix) -> np.ndarray:
-    """Pairwise Euclidean distances between embedded sample points.
-
-    Linear maps use pairwise_distances, bitwise equal to the direct
-    difference form.  Kernel maps go through the inner-product (Gram-side)
-    form of gram_form_squared_distances.
-    """
-    y = embed(model, sample.values)
-    if isinstance(model, LinearMap):
-        return pairwise_distances(y)
-    return np.sqrt(gram_form_squared_distances(y))
+    """Pairwise Euclidean distances between embedded sample points, in the
+    direct difference form of pairwise_distances."""
+    return pairwise_distances(embed(model, sample.values))
 
 
 def model_norm(model: LinearMap | KernelMap) -> float:
     """Certified size of the hypothesis: spectral norm of W for linear maps,
     RKHS norm sqrt(trace(A K A^T)) for kernel maps."""
-    if isinstance(model, LinearMap):
-        if model.weights.size == 0:
-            return 0.0
-        return float(np.linalg.svd(model.weights, compute_uv=False)[0])
-    if isinstance(model, KernelMap):
-        a = model.coefficients
-        k = model.anchor_gram.values
-        sq = float(np.sum((a @ k) * a))
-        return float(np.sqrt(max(sq, 0.0)))
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.norm()
 
 
 def project_norm_ball(model: LinearMap | KernelMap):
     """Project onto the norm ball of radius lambda_cap.
 
-    Linear maps have their singular values clipped at the cap; kernel maps
-    are rescaled, their RKHS norm being 1-homogeneous in the coefficients.
-    A map already inside the ball is returned unchanged.
+    A map already inside the ball is returned unchanged (the same object).
     """
     nrm = model_norm(model)
     if nrm <= model.lambda_cap:
         return model
-    if isinstance(model, LinearMap):
-        u, s, vt = np.linalg.svd(model.weights, full_matrices=False)
-        clipped = np.minimum(s, model.lambda_cap)
-        return LinearMap(u @ (clipped[:, None] * vt), model.lambda_cap)
-    scale = model.lambda_cap / nrm
-    return with_coefficients(model, model.coefficients * scale)
+    return model.shrink(nrm)
 
 
 def model_to_dict(model: LinearMap | KernelMap) -> dict:
     """Serialize a hypothesis to the JSON model format."""
-    if isinstance(model, LinearMap):
-        return {
-            "type": "linear",
-            "lambda_cap": float(model.lambda_cap),
-            "W": model.weights.tolist(),
-        }
-    if isinstance(model, KernelMap):
-        return {
-            "type": "kernel",
-            "lambda_cap": float(model.lambda_cap),
-            "A": model.coefficients.tolist(),
-            "anchors": model.anchors.values.tolist(),
-            "kernel": model.kernel.to_dict(),
-        }
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.to_dict()
 
 
-def model_from_dict(payload: dict) -> LinearMap | KernelMap:
-    """Rebuild a hypothesis from its JSON model format."""
+def model_from_dict(payload) -> LinearMap | KernelMap:
+    """Rebuild a hypothesis from its JSON model format.
+
+    A payload that is not a JSON object, or whose fields have the wrong
+    types, raises ValidationError; a missing field raises KeyError.
+    """
+    if not isinstance(payload, dict):
+        raise ValidationError(f"model must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("type")
-    if kind == "linear":
-        return LinearMap(np.asarray(payload["W"], dtype=float), float(payload["lambda_cap"]))
-    if kind == "kernel":
-        return KernelMap(
-            np.asarray(payload["A"], dtype=float),
-            SampleMatrix(np.asarray(payload["anchors"], dtype=float)),
-            KernelSpec.from_dict(payload["kernel"]),
-            float(payload["lambda_cap"]),
-        )
+    try:
+        if kind == "linear":
+            return LinearMap(np.asarray(payload["W"], dtype=float), float(payload["lambda_cap"]))
+        if kind == "kernel":
+            return KernelMap(
+                np.asarray(payload["A"], dtype=float),
+                SampleMatrix(np.asarray(payload["anchors"], dtype=float)),
+                KernelSpec.from_dict(payload["kernel"]),
+                float(payload["lambda_cap"]),
+            )
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} model: {exc}") from exc
     raise ValidationError(f"unknown model type {kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""Stress-loss gradients and projected gradient descent.
+"""Stress-loss gradients and the projected (sub)gradient loop.
 
 Two objectives are covered: the plain mean squared distance error over a
 norm ball (constrained mode, projection after every step) and the same
@@ -6,21 +6,35 @@ risk plus penalty_lambda * model_norm (penalized mode; the penalty is on
 the norm itself, not its square).  Distances are optionally smoothed as
 d~ = sqrt(d^2 + eps^2) because the gradient factor (d - D)/d is singular
 where embedded points coincide; with eps = 0 coincident pairs follow the
-zero-subgradient convention.  One kernel, stress_state, computes the
-weighted stress value and its gradient together; descent here and the
-Monte-Carlo ascent in bounds both call it once per step.  It visits the
-m x m pairs in blocks of b rows and contracts the graph Laplacian through
-the m x k embedding, so a step costs O(m^2 k + k m N) flops (N the
-feature width, N = m for kernel maps) and O(b m) working memory.
+zero-subgradient convention.
+
+Everything here speaks to a map only through the protocol of hypotheses
+(params, with_params, features, norm_subgradient), so linear and kernel
+maps take one code path.  One kernel, stress_state, computes the weighted
+stress value and its gradient together; it visits the m x m pairs in
+blocks of b rows and contracts the graph Laplacian through the m x k
+embedding, so a step costs O(m^2 k + k m N) flops (N the feature width,
+N = m for kernel maps) and O(b m) working memory.  One loop,
+projected_path, takes the projected steps: train descends on the stress
+(sign -1) and the Monte-Carlo estimator in bounds ascends on the
+Rademacher-signed stress (sign +1), each calling stress_state once per
+visited map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _BLOCK_BYTES, DistanceMatrix, SampleMatrix, ValidationError, empirical_risk
+from .core import (
+    _BLOCK_BYTES,
+    DistanceMatrix,
+    SampleMatrix,
+    ValidationError,
+    _check_sizes,
+    empirical_risk,
+)
 from .hypotheses import (
     KernelClass,
     KernelMap,
@@ -30,9 +44,7 @@ from .hypotheses import (
     gram_form_squared_distances,
     model_norm,
     project_norm_ball,
-    with_coefficients,
 )
-from .kernels import gram, kernel_columns, psd_check
 
 __all__ = [
     "DIVERGENCE_RISK",
@@ -42,11 +54,11 @@ __all__ = [
     "weighted_stress_gradient",
     "weighted_stress_value",
     "smoothed_risk",
-    "objective",
     "norm_subgradient",
     "initialize_model",
     "parameters",
     "replace_parameters",
+    "projected_path",
     "train",
 ]
 
@@ -98,45 +110,17 @@ class TrainReport:
     risk_trace: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "final_risk": self.final_risk,
-            "iterations_used": self.iterations_used,
-            "final_model_norm": self.final_model_norm,
-            "converged": self.converged,
-            "risk_trace": list(self.risk_trace),
-        }
+        return asdict(self)
 
 
 def parameters(model: LinearMap | KernelMap) -> np.ndarray:
     """The trainable matrix of a hypothesis (W or A)."""
-    if isinstance(model, LinearMap):
-        return model.weights
-    if isinstance(model, KernelMap):
-        return model.coefficients
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.params
 
 
 def replace_parameters(model: LinearMap | KernelMap, param: np.ndarray):
     """Same hypothesis with a new trainable matrix."""
-    if isinstance(model, LinearMap):
-        return LinearMap(param, model.lambda_cap)
-    if isinstance(model, KernelMap):
-        return with_coefficients(model, param)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _pair_features(model: LinearMap | KernelMap, sample: SampleMatrix) -> np.ndarray:
-    """Row i is the vector the trainable matrix multiplies to embed x_i.
-
-    Linear maps act on the raw features; kernel maps act on the kernel
-    column of x_i against the anchors (the held Gram row when the sample
-    equals the anchor set, as in embed).
-    """
-    if isinstance(model, LinearMap):
-        return sample.values
-    if sample is model.anchors or np.array_equal(sample.values, model.anchors.values):
-        return model.anchor_gram.values
-    return kernel_columns(model.kernel, model.anchors.values, sample.values).T
+    return model.with_params(param)
 
 
 def stress_state(
@@ -170,14 +154,10 @@ def stress_state(
     finite and within DIVERGENCE_RISK in magnitude, so a diverged iterate
     is returned to the caller, which reports it, rather than raising.
     """
-    if distances.size != sample.m:
-        raise ValidationError(
-            f"size mismatch: {sample.m} sample points vs {distances.size} distance rows"
-        )
-    param = parameters(model)
-    feats = _pair_features(model, sample)
+    _check_sizes(sample, distances)
+    feats = model.features(sample.values)
     m = sample.m
-    y = feats @ param.T
+    y = feats @ model.params.T
     lap_y = np.empty_like(y)
     total = 0.0
     rows = max(1, _BLOCK_BYTES // (8 * m))
@@ -262,39 +242,13 @@ def smoothed_risk(
     return float(np.mean(resid * resid))
 
 
-def objective(
-    model: LinearMap | KernelMap,
-    sample: SampleMatrix,
-    distances: DistanceMatrix,
-    penalty_lambda: float,
-    eps: float,
-) -> float:
-    """Smoothed risk plus penalty_lambda times the model norm (not squared)."""
-    if penalty_lambda < 0.0:
-        raise ValidationError("penalty_lambda must be nonnegative")
-    value = smoothed_risk(model, sample, distances, eps)
-    if penalty_lambda > 0.0:
-        value += penalty_lambda * model_norm(model)
-    return value
-
-
 def norm_subgradient(model: LinearMap | KernelMap) -> np.ndarray:
     """A subgradient of the model norm in the trainable matrix.
 
     Spectral norm: outer product of the leading singular vectors.  RKHS
     norm: A K / norm.  Zero at the zero map, where the norm is non-smooth.
     """
-    if isinstance(model, LinearMap):
-        if np.all(model.weights == 0.0):
-            return np.zeros_like(model.weights)
-        u, s, vt = np.linalg.svd(model.weights, full_matrices=False)
-        if s[0] == 0.0:
-            return np.zeros_like(model.weights)
-        return np.outer(u[:, 0], vt[0])
-    nrm = model_norm(model)
-    if nrm == 0.0:
-        return np.zeros_like(model.coefficients)
-    return (model.coefficients @ model.anchor_gram.values) / nrm
+    return model.norm_subgradient()
 
 
 def initialize_model(
@@ -306,31 +260,47 @@ def initialize_model(
 
     For kernel classes the anchor Gram matrix must pass the PSD check.
     """
-    k = hypothesis_class.k if hypothesis_class.k is not None else min(
-        sample.n_features, sample.m
-    )
-    if isinstance(hypothesis_class, LinearClass):
-        param = rng.uniform(-0.01, 0.01, size=(k, sample.n_features))
-        model = LinearMap(param, hypothesis_class.lambda_cap)
-    elif isinstance(hypothesis_class, KernelClass):
-        anchor_gram = gram(hypothesis_class.kernel, sample)
-        check = psd_check(anchor_gram)
-        if not check.passed:
-            raise ValidationError(
-                f"anchor Gram matrix fails the PSD check "
-                f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
-            )
-        param = rng.uniform(-0.01, 0.01, size=(k, sample.m))
-        model = KernelMap(
-            param,
-            sample,
-            hypothesis_class.kernel,
-            hypothesis_class.lambda_cap,
-            anchor_gram=anchor_gram,
-        )
-    else:
-        raise TypeError(f"unsupported hypothesis class {type(hypothesis_class).__name__}")
-    return project_norm_ball(model)
+    zero = hypothesis_class.zero_map(sample)
+    return project_norm_ball(zero.with_params(rng.uniform(-0.01, 0.01, size=zero.params.shape)))
+
+
+def projected_path(
+    model: LinearMap | KernelMap,
+    sample: SampleMatrix,
+    distances: DistanceMatrix,
+    weights: np.ndarray | None,
+    config: TrainConfig,
+    sign: float,
+    penalty: float,
+) -> tuple[LinearMap | KernelMap, list[float], str]:
+    """Projected steps P <- proj(P + sign * step_size * g) from ``model``.
+
+    g is the eps-smoothed gradient of the weighted stress (see stress_state)
+    plus ``penalty`` times a norm subgradient; sign -1 descends, +1 ascends.
+    Each visited map costs one stress_state pass, which gives both its
+    unsmoothed value and the next step's gradient.  Returns the last map,
+    the values of every visited map (the start first) and why the loop
+    stopped: "converged" when |g|_F falls below grad_tol, "diverged" on a
+    non-finite step or a value that is non-finite or above DIVERGENCE_RISK,
+    "max_iters" after max_iters steps.  The last map always satisfies
+    model_norm <= lambda_cap up to round-off when the start does.
+    """
+    value, grad = stress_state(model, sample, distances, weights, config.smoothing_eps)
+    values = [value]
+    for _ in range(config.max_iters):
+        if penalty > 0.0:
+            grad = grad + penalty * norm_subgradient(model)
+        if float(np.linalg.norm(grad)) < config.grad_tol:
+            return model, values, "converged"
+        stepped = model.params + (sign * config.step_size) * grad
+        if not np.all(np.isfinite(stepped)):
+            return model, values, "diverged"
+        model = project_norm_ball(model.with_params(stepped))
+        value, grad = stress_state(model, sample, distances, weights, config.smoothing_eps)
+        values.append(value)
+        if not np.isfinite(value) or value > DIVERGENCE_RISK:
+            return model, values, "diverged"
+    return model, values, "max_iters"
 
 
 def train(
@@ -341,45 +311,22 @@ def train(
 ) -> tuple[LinearMap | KernelMap, TrainReport]:
     """Projected gradient descent on the (optionally penalized) stress loss.
 
-    Each iterate costs one stress_state pass, which gives both its risk
-    (the risk_trace entry) and the gradient of the next step.  Stops when
-    the gradient Frobenius norm falls below grad_tol (converged) or after
-    max_iters steps.  Divergence (risk above DIVERGENCE_RISK or a
-    non-finite iterate) is reported as non-convergence; the last usable
-    model is still returned and always satisfies model_norm <= lambda_cap
-    up to round-off.  final_risk is recomputed once, in direct form.
+    One projected_path with sign -1 and penalty penalty_lambda from a seeded
+    start.  Divergence (risk above DIVERGENCE_RISK or a non-finite iterate)
+    is reported as non-convergence; the last usable model is still returned
+    and always satisfies model_norm <= lambda_cap up to round-off.
+    final_risk is recomputed once, in direct form.
     """
-    if distances.size != sample.m:
-        raise ValidationError(
-            f"size mismatch: {sample.m} sample points vs {distances.size} distance rows"
-        )
-    rng = np.random.default_rng(config.seed)
-    model = initialize_model(hypothesis_class, sample, rng)
-
-    trace: list[float] = []
-    converged = False
-    _, grad = stress_state(model, sample, distances, None, config.smoothing_eps)
-    for _ in range(config.max_iters):
-        if config.penalty_lambda > 0.0:
-            grad = grad + config.penalty_lambda * norm_subgradient(model)
-        if float(np.linalg.norm(grad)) < config.grad_tol:
-            converged = True
-            break
-        stepped = parameters(model) - config.step_size * grad
-        if not np.all(np.isfinite(stepped)):
-            break
-        model = project_norm_ball(replace_parameters(model, stepped))
-        risk, grad = stress_state(model, sample, distances, None, config.smoothing_eps)
-        trace.append(risk)
-        if not np.isfinite(risk) or risk > DIVERGENCE_RISK:
-            break
-
-    final_risk = empirical_risk(embedding_distance_matrix(model, sample), distances)
+    _check_sizes(sample, distances)
+    model = initialize_model(hypothesis_class, sample, np.random.default_rng(config.seed))
+    model, values, reason = projected_path(
+        model, sample, distances, None, config, -1.0, config.penalty_lambda
+    )
     report = TrainReport(
-        final_risk=final_risk,
-        iterations_used=len(trace),
+        final_risk=empirical_risk(embedding_distance_matrix(model, sample), distances),
+        iterations_used=len(values) - 1,
         final_model_norm=model_norm(model),
-        converged=converged,
-        risk_trace=tuple(trace),
+        converged=reason == "converged",
+        risk_trace=tuple(values[1:]),
     )
     return model, report

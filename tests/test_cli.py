@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from simcert import (
     LinearClass,
@@ -233,6 +234,53 @@ class TestCertify:
             ]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        "x",
+        {"type": "linear", "lambda_cap": "big", "W": [[1.0, 0.0], [0.0, 1.0]]},
+        {"type": "linear", "lambda_cap": 1.0, "W": [[1.0, "zero"], [0.0, 1.0]]},
+        {"type": "kernel", "lambda_cap": 1.0, "A": [[1.0, 0.0]],
+         "anchors": [[0.0, 0.0], [1.0, 0.0]], "kernel": "rbf"},
+    ],
+    ids=["list", "string", "text_cap", "text_entry", "string_kernel"],
+)
+def test_malformed_model_is_validation_error(tmp_path, payload):
+    _identity_fixture(tmp_path)
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    code = main(
+        [
+            "certify",
+            "--model", str(tmp_path / "model.json"),
+            "--features", str(tmp_path / "features.csv"),
+            "--distances", str(tmp_path / "distances.csv"),
+            "--out", str(tmp_path / "cert"),
+        ]
+    )
+    assert code == 4
+
+
+@pytest.mark.parametrize("command", ["train", "certify"])
+@pytest.mark.parametrize(
+    "text", ["1.0,0.0\n0.5,abc\n", "1.0,0.0\n0.5\n"], ids=["non_numeric", "ragged"]
+)
+def test_malformed_csv_is_validation_error(tmp_path, command, text):
+    _identity_fixture(tmp_path)
+    (tmp_path / "features.csv").write_text(text)
+    model = ["--model", str(tmp_path / "model.json")] if command == "certify" else []
+    code = main(
+        [
+            command,
+            *model,
+            "--features", str(tmp_path / "features.csv"),
+            "--distances", str(tmp_path / "distances.csv"),
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 4
 
 
 class TestVerify:

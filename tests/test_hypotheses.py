@@ -1,7 +1,9 @@
-"""Hypothesis classes: forwards, embedding distances, norms, projection."""
+"""Hypothesis classes: forward maps, embedding distances, norms, projection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simcert import (
     KernelMap,
@@ -10,8 +12,7 @@ from simcert import (
     SampleMatrix,
     ValidationError,
     embedding_distance_matrix,
-    kernel_forward,
-    linear_forward,
+    kernel_eval,
     load_model,
     model_norm,
     pairwise_distances,
@@ -34,42 +35,47 @@ def _single_anchor_map(anchor_value, coefficient, lambda_cap=100.0):
     return KernelMap(coeff, anchors, KernelSpec("linear"), lambda_cap)
 
 
+def _forward(h, x):
+    """embed on one feature vector."""
+    return embed(h, [x])[0]
+
+
 class TestLinearForward:
     def test_identity(self):
         h = LinearMap(np.eye(2), 1.0)
-        assert np.array_equal(linear_forward(h, [3.0, 4.0]), [3.0, 4.0])
+        assert np.array_equal(_forward(h, [3.0, 4.0]), [3.0, 4.0])
 
     def test_single_row(self):
         h = LinearMap([[2.0, 0.0]], 5.0)
-        assert np.array_equal(linear_forward(h, [1.0, 5.0]), [2.0])
+        assert np.array_equal(_forward(h, [1.0, 5.0]), [2.0])
 
     def test_zero_map(self):
         h = LinearMap(np.zeros((3, 2)), 1.0)
-        assert np.all(linear_forward(h, [7.0, -9.0]) == 0.0)
+        assert np.all(_forward(h, [7.0, -9.0]) == 0.0)
 
     def test_dimension_mismatch(self):
         h = LinearMap(np.eye(2), 1.0)
         with pytest.raises(ValidationError):
-            linear_forward(h, [1.0, 2.0, 3.0])
+            _forward(h, [1.0, 2.0, 3.0])
 
 
 class TestKernelForward:
     def test_linear_kernel_explicit_feature_map(self):
         # phi(x) = x for the linear kernel: h(x) = 3 * K(2, x) = 6 x
         h = _single_anchor_map(anchor_value=2.0, coefficient=3.0)
-        assert kernel_forward(h, [1.0]) == pytest.approx(6.0, abs=1e-14)
-        assert kernel_forward(h, [2.5]) == pytest.approx(15.0, abs=1e-14)
+        assert _forward(h, [1.0]) == pytest.approx(6.0, abs=1e-14)
+        assert _forward(h, [2.5]) == pytest.approx(15.0, abs=1e-14)
 
     def test_zero_coefficients(self):
         anchors = SampleMatrix([[1.0, 0.0], [0.0, 1.0]])
         h = KernelMap(np.zeros((2, 2)), anchors, KernelSpec("rbf"), 1.0)
-        assert np.all(kernel_forward(h, [0.3, 0.4]) == 0.0)
+        assert np.all(_forward(h, [0.3, 0.4]) == 0.0)
 
     def test_rbf_column_entry_at_anchor_is_one(self):
         anchors = SampleMatrix([[1.0, 2.0], [3.0, -1.0]])
         h = KernelMap(np.array([[0.0, 1.0]]), anchors, KernelSpec("rbf", gamma=0.9), 1.0)
         # coefficient selects anchor 1's kernel column entry, K(x_1, x_1) = 1
-        assert kernel_forward(h, [3.0, -1.0]) == pytest.approx(1.0, abs=1e-15)
+        assert _forward(h, [3.0, -1.0]) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestEmbeddingDistanceMatrix:
@@ -117,7 +123,9 @@ class TestEmbeddingDistanceMatrix:
         h = KernelMap(rng.normal(size=(2, 5)), anchors, KernelSpec("rbf", gamma=0.4), 10.0)
         fresh = SampleMatrix(rng.normal(size=(4, 2)))
         d = embedding_distance_matrix(h, fresh)
-        expected = pairwise_distances(np.array([kernel_forward(h, x) for x in fresh.values]))
+        # h(x) = A k_S(x), with k_S(x) evaluated one pair at a time
+        columns = [[kernel_eval(h.kernel, a, x) for a in anchors.values] for x in fresh.values]
+        expected = pairwise_distances(np.array(columns) @ h.coefficients.T)
         np.testing.assert_allclose(d, expected, atol=1e-10)
 
 
@@ -219,6 +227,85 @@ class TestProjectNormBall:
             embedded = embedding_distance_matrix(h, s)
             raw = pairwise_distances(s.values)
             assert np.all(embedded <= cap * raw + 1e-9)
+
+
+# None stands for the linear class.
+PROPERTY_KERNELS = [
+    None,
+    KernelSpec("rbf", gamma=0.7),
+    KernelSpec("polynomial", degree=2, coef0=1.0),
+    KernelSpec("linear"),
+]
+
+
+@st.composite
+def capped_maps(draw):
+    """A linear or kernel map with cap and parameter scale each in [1e-3, 1e3]."""
+    kernel = draw(st.sampled_from(PROPERTY_KERNELS))
+    cap = 10.0 ** draw(st.floats(-3.0, 3.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    if kernel is None:
+        return LinearMap(scale * rng.normal(size=(k, n)), cap)
+    anchors = SampleMatrix(rng.normal(size=(m, n)))
+    return KernelMap(scale * rng.normal(size=(k, m)), anchors, kernel, cap)
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestShrinkAndNormProperties:
+    @PROPERTY_SETTINGS
+    @given(capped_maps())
+    def test_norm_matches_its_definition(self, h):
+        if isinstance(h, LinearMap):
+            assert h.norm() == float(np.linalg.norm(h.weights, 2))
+            return
+        # sqrt(trace(A K A^T)), to the round-off of a sum of m^2 k products
+        a, k = h.coefficients, h.anchor_gram.values
+        round_off = 1e-13 * np.sum(a * a) * np.abs(k).max() * k.shape[0]
+        assert abs(h.norm() ** 2 - np.trace(a @ k @ a.T)) <= round_off
+
+    @PROPERTY_SETTINGS
+    @given(capped_maps())
+    def test_projection_lands_in_the_ball(self, h):
+        assert model_norm(project_norm_ball(h)) <= h.lambda_cap * (1 + 1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(capped_maps())
+    def test_projection_is_idempotent(self, h):
+        once = project_norm_ball(h)
+        twice = project_norm_ball(once)
+        assert np.linalg.norm(twice.params - once.params) <= 1e-12 * np.linalg.norm(once.params)
+
+    @PROPERTY_SETTINGS
+    @given(capped_maps())
+    def test_map_inside_the_ball_is_returned_as_is(self, h):
+        nrm = model_norm(h)
+        inside = h.with_params(h.params * (0.5 * h.lambda_cap / nrm)) if nrm > 0.0 else h
+        assert project_norm_ball(inside) is inside
+
+    @PROPERTY_SETTINGS
+    @given(capped_maps())
+    def test_shrink_keeps_what_the_ball_allows(self, h):
+        # linear maps keep their singular vectors, kernel maps their direction
+        nrm = model_norm(h)
+        if nrm <= h.lambda_cap:
+            return
+        shrunk = h.shrink(nrm)
+        assert type(shrunk) is type(h) and shrunk.lambda_cap == h.lambda_cap
+        if isinstance(h, KernelMap):
+            assert shrunk.anchor_gram is h.anchor_gram
+            np.testing.assert_allclose(
+                shrunk.params, h.params * (h.lambda_cap / nrm), rtol=1e-15, atol=0.0
+            )
+        else:
+            s = np.linalg.svd(h.weights, compute_uv=False)
+            clipped = np.linalg.svd(shrunk.weights, compute_uv=False)
+            np.testing.assert_allclose(
+                clipped, np.minimum(s, h.lambda_cap), rtol=1e-12, atol=1e-12 * s[0]
+            )
 
 
 class TestModelSerialization:

@@ -20,7 +20,6 @@ from simcert import (
     embedding_distance_matrix,
     empirical_risk,
     model_norm,
-    objective,
     pairwise_distances,
     risk_gradient,
     smoothed_risk,
@@ -33,6 +32,7 @@ from simcert.optimizer import (
     initialize_model,
     norm_subgradient,
     parameters,
+    projected_path,
     replace_parameters,
     stress_state,
     weighted_stress_gradient,
@@ -298,28 +298,6 @@ class TestNormSubgradient:
         assert np.all(norm_subgradient(LinearMap(np.zeros((2, 2)), 1.0)) == 0.0)
 
 
-class TestObjective:
-    def test_zero_penalty_equals_smoothed_risk(self):
-        model, sample, distances = random_instance(7)
-        assert objective(model, sample, distances, 0.0, 1e-6) == smoothed_risk(
-            model, sample, distances, 1e-6
-        )
-
-    def test_zero_map_contributes_no_penalty(self):
-        _, sample, distances = random_instance(8)
-        model = LinearMap(np.zeros((2, sample.n_features)), 1.0)
-        assert objective(model, sample, distances, 1.0, 0.0) == smoothed_risk(
-            model, sample, distances, 0.0
-        )
-
-    def test_penalty_adds_norm(self):
-        # exact fit with unit-norm map: objective reduces to the penalty
-        sample = SampleMatrix([[0.0, 0.0], [3.0, 4.0]])
-        distances = DistanceMatrix(pairwise_distances(sample.values))
-        model = LinearMap(np.eye(2), 2.0)
-        assert objective(model, sample, distances, 0.5, 0.0) == pytest.approx(0.5, abs=1e-12)
-
-
 class TestTrain:
     def test_zero_iterations_returns_initialization(self):
         model, sample, distances = random_instance(2)
@@ -501,3 +479,42 @@ class TestWorkCounts:
         with pytest.raises(ValidationError):
             KernelMap(np.zeros((2, other.m)), other, model.kernel, 1.0,
                       anchor_gram=model.anchor_gram)
+
+
+class TestProjectedPath:
+    def test_values_start_with_the_start_and_each_stop_has_its_reason(self):
+        model, sample, distances = random_instance(3)
+        cfg = TrainConfig(max_iters=5)
+        start_value = stress_state(model, sample, distances, None, cfg.smoothing_eps)[0]
+        _, values, reason = projected_path(model, sample, distances, None, cfg, -1.0, 0.0)
+        assert (reason, len(values), values[0]) == ("max_iters", 6, start_value)
+        loose = TrainConfig(grad_tol=1e300)
+        last, values, reason = projected_path(model, sample, distances, None, loose, -1.0, 0.0)
+        assert (reason, values) == ("converged", [start_value]) and last is model
+        wild = TrainConfig(step_size=1e8, max_iters=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, values, reason = projected_path(
+                LinearMap(parameters(model), 1e200), sample, distances, None, wild, -1.0, 0.0
+            )
+        assert reason == "diverged" and not values[-1] <= 1e12
+
+    def test_train_is_one_descent_path(self):
+        _, sample, distances = random_instance(4)
+        hclass = KernelClass(FAMILIES["rbf"], lambda_cap=2.0, k=2)
+        cfg = TrainConfig(max_iters=30, seed=5, penalty_lambda=0.01)
+        trained, report = train(sample, distances, hclass, cfg)
+        start = initialize_model(hclass, sample, np.random.default_rng(5))
+        last, values, reason = projected_path(start, sample, distances, None, cfg, -1.0, 0.01)
+        assert np.array_equal(parameters(trained), parameters(last))
+        assert report.risk_trace == tuple(values[1:])
+        assert report.converged == (reason == "converged")
+
+    def test_ascent_climbs_the_signed_stress(self):
+        model, sample, distances = random_instance(5)
+        sigma = symmetric_signs(np.random.default_rng(0), sample.m)
+        cfg = TrainConfig(max_iters=20, step_size=0.05)
+        _, values, _ = projected_path(
+            replace_parameters(model, parameters(model) * 1e-3), sample, distances, sigma,
+            cfg, 1.0, 0.0,
+        )
+        assert max(values) > values[0]
