@@ -214,8 +214,9 @@ def empirical_rademacher_mc(
     For each sign draw, sigma_ij in {-1, +1} is sampled for i <= j and
     mirrored (diagonal signs multiply a zero term), then
     (1/m^2) sum_ij sigma_ij (dhat_ij - D_ij)^2 is maximized over the class
-    by projected gradient ascent within the inner budget (one projected_path
-    with sign +1 and no penalty), keeping the best visited value.  Returns
+    by accelerated projected gradient ascent with restart within the inner
+    budget (one projected_path with sign +1 and no penalty), keeping the
+    best value among the maps it evaluates, each of which is in the class.  Returns
     (mean, standard error) over draws.  Local ascent reaches only a lower
     bound on each supremum, so the estimate is a lower-biased diagnostic,
     not a certified quantity.

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .bounds import certify
+from .bounds import _check_delta, certify
 from .core import (
     SampleMatrix,
     ValidationError,
@@ -220,8 +220,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if not (0.0 < args.delta < 1.0):
-        return _fail(EXIT_USAGE, f"delta must lie in (0, 1), got {args.delta}")
+    try:
+        _check_delta(args.delta)
+    except ValidationError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     if args.tol < 0.0:
         return _fail(EXIT_USAGE, "tol must be nonnegative")
     try:
@@ -243,13 +245,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (0.0 < args.delta < 1.0):
-        return _fail(EXIT_USAGE, f"delta must lie in (0, 1), got {args.delta}")
     if args.trials < 1:
         return _fail(EXIT_USAGE, "trials must be >= 1")
     if args.n_holdout is not None and args.n_holdout < 2:
         return _fail(EXIT_USAGE, "n-holdout must be >= 2")
     try:
+        _check_delta(args.delta)
         spec = _spec_from_flags(args)
         hclass = _class_from_flags(args)
         config = _config_from_flags(args)

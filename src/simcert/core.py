@@ -282,7 +282,8 @@ def empirical_risk(predicted, target: DistanceMatrix) -> float:
             f"shape mismatch: predicted {pred.shape} vs target {target.values.shape}"
         )
     resid = pred - target.values
-    return float(np.mean(resid * resid))
+    resid *= resid
+    return float(np.mean(resid))
 
 
 def _check_sizes(sample: SampleMatrix, distances: DistanceMatrix) -> None:

@@ -139,8 +139,14 @@ def generate_synthetic(
 
     d = pairwise_distances(x @ w_true.T)
     if spec.noise_sigma > 0.0:
-        noise = np.triu(rng.standard_normal((spec.m, spec.m)) * spec.noise_sigma, 1)
-        d = np.maximum(d + noise + noise.T, 0.0)
+        # one m x m draw whose strict upper triangle is the noise, mirrored
+        noise = rng.standard_normal((spec.m, spec.m))
+        noise *= spec.noise_sigma
+        for i in range(spec.m):
+            noise[i, : i + 1] = 0.0
+        d += noise
+        d += noise.T
+        np.maximum(d, 0.0, out=d)
         np.fill_diagonal(d, 0.0)
     return SampleMatrix(x), DistanceMatrix(d), w_true
 

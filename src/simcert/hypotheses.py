@@ -5,20 +5,24 @@ matrix F, and share one protocol:
 
 - ``params`` is P and ``with_params(P)`` the same map with a new P;
 - ``features(points)`` is the n x N matrix F, so the embedding is F P^T;
-- ``norm()`` is the certified size, ``shrink(nrm)`` maps a map of norm
-  nrm > lambda_cap back onto the ball and ``norm_subgradient()`` is a
-  subgradient of the norm in P;
+- ``norm()`` is the certified size, ``project()`` the nearest map in the
+  ball of radius lambda_cap (the map itself when it is inside) and
+  ``norm_subgradient()`` a subgradient of the norm in P;
 - ``feature_radius(sample)`` is the radius of the sample in feature space;
 - ``to_dict()`` is the JSON model format and ``mode`` names the class.
 
 A linear map sends x to W x: P = W, F = X, and the norm is the spectral
 norm, the smallest constant with ||W x_i - W x_j|| <= ||W||_2 ||x_i - x_j||;
-shrinking clips the singular values.  A kernel map is kept in representer
+projection clips the singular values.  A kernel map is kept in representer
 form h(x) = A k_S(x), where k_S(x) is the vector of kernel evaluations
 against the training anchors: P = A, F holds the kernel columns, and the
 RKHS norm is sqrt(trace(A K A^T)) with K the anchor Gram matrix; being
-1-homogeneous in A, it is shrunk by rescaling.  Both carry a norm budget
+1-homogeneous in A, projection rescales.  Both carry a norm budget
 lambda_cap that projection re-establishes after every step.
+
+``with_params`` validates and copies its input.  Inside the projected loop,
+where every step is already checked finite, maps are derived with
+_derived instead, which takes the new P as it is.
 """
 
 from __future__ import annotations
@@ -66,6 +70,19 @@ def _trainable(values, name: str) -> np.ndarray:
     return _freeze(arr)
 
 
+def _derived(model, params: np.ndarray):
+    """``model`` with trainable matrix ``params``, skipping with_params' checks.
+
+    ``params`` must be a finite float array of the map's shape that no one
+    else writes to; it is made read-only and held without a copy.
+    """
+    params.setflags(write=False)
+    out = object.__new__(type(model))
+    out.__dict__.update(model.__dict__)
+    out.__dict__[model._params_field] = params
+    return out
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Linear hypothesis x -> W x with spectral-norm budget lambda_cap."""
@@ -74,6 +91,7 @@ class LinearMap:
     lambda_cap: float
 
     mode = "linear"
+    _params_field = "weights"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _trainable(self.weights, "weight matrix"))
@@ -100,10 +118,21 @@ class LinearMap:
             return 0.0
         return float(np.linalg.svd(self.weights, compute_uv=False)[0])
 
-    def shrink(self, nrm: float) -> LinearMap:
-        """Clip the singular values at lambda_cap (nrm, the largest, is not needed)."""
-        u, s, vt = np.linalg.svd(self.weights, full_matrices=False)
-        return self.with_params(u @ (np.minimum(s, self.lambda_cap)[:, None] * vt))
+    def project(self) -> LinearMap:
+        """Clip the singular values at lambda_cap.
+
+        The spectral norm is at most the Frobenius norm, so a map whose
+        Frobenius norm is below lambda_cap (1 - 1e-12), a margin far above
+        its round-off, is inside the ball without an SVD; otherwise one SVD
+        both decides and clips.
+        """
+        w = self.weights
+        if np.linalg.norm(w) <= self.lambda_cap * (1.0 - 1e-12):
+            return self
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        if s[0] <= self.lambda_cap:
+            return self
+        return _derived(self, u @ (np.minimum(s, self.lambda_cap)[:, None] * vt))
 
     def norm_subgradient(self) -> np.ndarray:
         """Outer product of the leading singular vectors; zero at the zero map."""
@@ -141,6 +170,7 @@ class KernelMap:
     anchor_gram: GramMatrix | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     mode = "kernel"
+    _params_field = "coefficients"
 
     def __post_init__(self):
         arr = _trainable(self.coefficients, "coefficient matrix")
@@ -180,8 +210,12 @@ class KernelMap:
         sq = float(np.sum((a @ self.anchor_gram.values) * a))
         return float(np.sqrt(max(sq, 0.0)))
 
-    def shrink(self, nrm: float) -> KernelMap:
-        return self.with_params(self.coefficients * (self.lambda_cap / nrm))
+    def project(self) -> KernelMap:
+        """Rescale onto the ball; the norm is 1-homogeneous in A."""
+        nrm = self.norm()
+        if nrm <= self.lambda_cap:
+            return self
+        return _derived(self, self.coefficients * (self.lambda_cap / nrm))
 
     def norm_subgradient(self) -> np.ndarray:
         """A K / norm; zero at the zero map."""
@@ -256,20 +290,27 @@ def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
     return model.features(points) @ model.params.T
 
 
+def _squared_row_norms(y: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each row of y."""
+    return np.einsum("ij,ij->i", y, y)
+
+
 def gram_form_squared_distances(
-    y: np.ndarray, start: int = 0, stop: int | None = None
+    y: np.ndarray, start: int = 0, stop: int | None = None, norms: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared distances from rows start:stop of y to every row of y.
 
     Entry (i, j) is n_i + n_j - 2 c_ij with n the squared row norms and
     c = y[start:stop] y^T, so a block of b rows costs O(b m k) flops and
-    O(b m) memory; the default range is the whole m x m matrix.  An entry
-    at or below the dot-product round-off bound 2 (k + 2) u (n_i + n_j),
-    u the unit round-off, cannot be told from zero in this form and is
-    set to zero.  This clamps round-off negatives and makes the distance
+    O(b m) memory; the default range is the whole m x m matrix.  A caller
+    visiting y block by block passes n as ``norms``, computed once with
+    _squared_row_norms.  An entry at or below the dot-product round-off
+    bound 2 (k + 2) u (n_i + n_j), u the unit round-off, cannot be told
+    from zero in this form and is set to zero.  This clamps round-off negatives and makes the distance
     between coincident rows, and so the diagonal, exactly zero for finite y.
     """
-    norms = np.einsum("ij,ij->i", y, y)
+    if norms is None:
+        norms = _squared_row_norms(y)
     sq = y[start:stop] @ y.T
     sq *= -2.0
     floor = norms[start:stop, None] + norms[None, :]
@@ -296,10 +337,7 @@ def project_norm_ball(model: LinearMap | KernelMap):
 
     A map already inside the ball is returned unchanged (the same object).
     """
-    nrm = model_norm(model)
-    if nrm <= model.lambda_cap:
-        return model
-    return model.shrink(nrm)
+    return model.project()
 
 
 def model_to_dict(model: LinearMap | KernelMap) -> dict:

@@ -9,20 +9,24 @@ where embedded points coincide; with eps = 0 coincident pairs follow the
 zero-subgradient convention.
 
 Everything here speaks to a map only through the protocol of hypotheses
-(params, with_params, features, norm_subgradient), so linear and kernel
-maps take one code path.  One kernel, stress_state, computes the weighted
-stress value and its gradient together; it visits the m x m pairs in
-blocks of b rows and contracts the graph Laplacian through the m x k
-embedding, so a step costs O(m^2 k + k m N) flops (N the feature width,
-N = m for kernel maps) and O(b m) working memory.  One loop,
-projected_path, takes the projected steps: train descends on the stress
+(params, with_params, features, project, norm_subgradient), so linear and
+kernel maps take one code path.  One kernel, stress_state, computes the
+weighted stress value and its gradient together; it visits the m x m
+pairs in blocks of b rows and contracts the graph Laplacian through the
+m x k embedding, so a step costs O(m^2 k + k m N) flops (N the feature
+width, N = m for kernel maps) and O(b m) working memory.  One loop,
+projected_path, runs accelerated projected gradient (FISTA, Beck &
+Teboulle 2009, in its single-projection form) with gradient-based
+adaptive restart (O'Donoghue & Candes 2015): train descends on the stress
 (sign -1) and the Monte-Carlo estimator in bounds ascends on the
-Rademacher-signed stress (sign +1), each calling stress_state once per
-visited map.
+Rademacher-signed stress (sign +1), each making one stress pass and at
+most one projection per step.  Every map the loop evaluates is a convex
+combination of maps in the norm ball, so it is in the ball too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,6 +44,8 @@ from .hypotheses import (
     KernelMap,
     LinearClass,
     LinearMap,
+    _derived,
+    _squared_row_norms,
     embedding_distance_matrix,
     gram_form_squared_distances,
     model_norm,
@@ -68,7 +74,11 @@ DIVERGENCE_RISK = 1e12
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Fixed-step projected-descent settings."""
+    """Settings of accelerated projected gradient descent with restart.
+
+    step_size is the base step: the first step, and every step after a
+    restart, is a plain projected gradient step of that length.
+    """
 
     step_size: float = 0.25
     max_iters: int = 2000
@@ -94,13 +104,15 @@ class TrainConfig:
 class TrainReport:
     """Outcome of one training run.
 
-    final_risk is the unsmoothed empirical risk of the returned model,
-    computed from the direct-form embedded distances as certify computes
-    it.  risk_trace holds the unsmoothed risk of each projected iterate,
-    one per descent step taken, from the Gram-form pass that also yields
-    the next step's gradient (see stress_state); the two forms agree to
-    round-off.  The trace is not guaranteed nonincreasing under a fixed
-    step.
+    Training is accelerated projected gradient descent with gradient-based
+    restart (see projected_path).  final_risk is the unsmoothed empirical
+    risk of the returned model, computed from the direct-form embedded
+    distances as certify computes it.  risk_trace holds the unsmoothed risk
+    of each map the descent evaluated, one per step taken, from the
+    Gram-form pass that also yields that map's gradient (see stress_state);
+    the returned model is the last of them, and the two forms agree to
+    round-off.  The trace is not monotone: momentum can raise the risk
+    until a restart.
     """
 
     final_risk: float
@@ -155,17 +167,31 @@ def stress_state(
     is returned to the caller, which reports it, rather than raising.
     """
     _check_sizes(sample, distances)
-    feats = model.features(sample.values)
-    m = sample.m
-    y = feats @ model.params.T
+    return _stress_pass(
+        model.features(sample.values), model.params, distances.values, weights, eps
+    )
+
+
+def _stress_pass(
+    feats: np.ndarray,
+    params: np.ndarray,
+    target_values: np.ndarray,
+    weights: np.ndarray | None,
+    eps: float,
+) -> tuple[float, np.ndarray]:
+    """stress_state for the map with trainable matrix ``params`` on features
+    ``feats``, which a caller visiting many maps computes once."""
+    m = feats.shape[0]
+    y = feats @ params.T
+    norms = _squared_row_norms(y)
     lap_y = np.empty_like(y)
     total = 0.0
     rows = max(1, _BLOCK_BYTES // (8 * m))
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        target = distances.values[start:stop]
+        target = target_values[start:stop]
         w = None if weights is None else weights[start:stop]
-        sq = gram_form_squared_distances(y, start, stop)
+        sq = gram_form_squared_distances(y, start, stop, norms)
         dt = sq + eps * eps
         np.sqrt(dt, out=dt)
 
@@ -273,34 +299,56 @@ def projected_path(
     sign: float,
     penalty: float,
 ) -> tuple[LinearMap | KernelMap, list[float], str]:
-    """Projected steps P <- proj(P + sign * step_size * g) from ``model``.
+    """Accelerated projected steps from ``model``; sign -1 descends, +1 ascends.
 
     g is the eps-smoothed gradient of the weighted stress (see stress_state)
-    plus ``penalty`` times a norm subgradient; sign -1 descends, +1 ascends.
-    Each visited map costs one stress_state pass, which gives both its
-    unsmoothed value and the next step's gradient.  Returns the last map,
-    the values of every visited map (the start first) and why the loop
-    stopped: "converged" when |g|_F falls below grad_tol, "diverged" on a
-    non-finite step or a value that is non-finite or above DIVERGENCE_RISK,
-    "max_iters" after max_iters steps.  The last map always satisfies
+    plus ``penalty`` times a norm subgradient, t = step_size.  With x = v =
+    the start and theta = 1, each step evaluates g at
+    y = (1 - theta) x + theta v, then sets v <- proj(v + sign (t / theta) g)
+    and x <- (1 - theta) x + theta v.  When sign <g, x_new - x> < 0 the
+    momentum points against the gradient and the loop restarts (theta = 1,
+    v = x); otherwise theta <- theta (sqrt(theta^2 + 4) - theta) / 2.  The
+    first step, and the first after a restart, is a plain projected step.
+
+    Each y costs one stress pass, which gives both its unsmoothed value and
+    its gradient.  Returns the last y, the values of every y (the start
+    first) and why the loop stopped: "converged" when |g|_F at y falls below
+    grad_tol, "diverged" on a non-finite step or a value that is non-finite
+    or above DIVERGENCE_RISK, "max_iters" after max_iters steps.  A loop
+    that stops before its first step returns ``model`` itself.  Every y is
+    a convex combination of maps in the ball, so the last map satisfies
     model_norm <= lambda_cap up to round-off when the start does.
     """
-    value, grad = stress_state(model, sample, distances, weights, config.smoothing_eps)
+    _check_sizes(sample, distances)
+    feats = model.features(sample.values)
+    eps = config.smoothing_eps
+
+    y = model
+    x = v = model.params
+    theta = 1.0
+    value, grad = _stress_pass(feats, x, distances.values, weights, eps)
     values = [value]
     for _ in range(config.max_iters):
         if penalty > 0.0:
-            grad = grad + penalty * norm_subgradient(model)
+            grad = grad + penalty * norm_subgradient(y)
         if float(np.linalg.norm(grad)) < config.grad_tol:
-            return model, values, "converged"
-        stepped = model.params + (sign * config.step_size) * grad
+            return y, values, "converged"
+        stepped = v + (sign * config.step_size / theta) * grad
         if not np.all(np.isfinite(stepped)):
-            return model, values, "diverged"
-        model = project_norm_ball(model.with_params(stepped))
-        value, grad = stress_state(model, sample, distances, weights, config.smoothing_eps)
+            return y, values, "diverged"
+        v = project_norm_ball(_derived(model, stepped)).params
+        x_new = (1.0 - theta) * x + theta * v
+        if sign * float(np.vdot(grad, x_new - x)) < 0.0:
+            theta, v = 1.0, x_new
+        else:
+            theta *= (math.sqrt(theta * theta + 4.0) - theta) / 2.0
+        x = x_new
+        y = _derived(model, (1.0 - theta) * x + theta * v)
+        value, grad = _stress_pass(feats, y.params, distances.values, weights, eps)
         values.append(value)
         if not np.isfinite(value) or value > DIVERGENCE_RISK:
-            return model, values, "diverged"
-    return model, values, "max_iters"
+            return y, values, "diverged"
+    return y, values, "max_iters"
 
 
 def train(
@@ -309,7 +357,8 @@ def train(
     hypothesis_class: LinearClass | KernelClass,
     config: TrainConfig,
 ) -> tuple[LinearMap | KernelMap, TrainReport]:
-    """Projected gradient descent on the (optionally penalized) stress loss.
+    """Accelerated projected gradient descent with restart on the
+    (optionally penalized) stress loss.
 
     One projected_path with sign -1 and penalty penalty_lambda from a seeded
     start.  Divergence (risk above DIVERGENCE_RISK or a non-finite iterate)

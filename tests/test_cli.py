@@ -1,5 +1,6 @@
 """End-to-end CLI contract: subcommands, exit codes, file outputs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -45,6 +46,13 @@ class TestGen:
         first = _read_bytes(out, names)
         assert main(["gen", "--m", "20", "--n", "2", "--seed", "7", "--out", str(out)]) == 0
         assert _read_bytes(out, names) == first
+
+    def test_noisy_targets_keep_their_recorded_bytes(self, tmp_path):
+        # the noise draw keeps its random stream, so the target bytes never move
+        args = ["gen", "--m", "300", "--n", "4", "--noise", "0.05", "--seed", "4"]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "distances.csv").read_bytes()).hexdigest()
+        assert digest == "ca7a4f36f73543486442aab86de532368093fc39335fb969f05b0da790031fc7"
 
     def test_m_below_two_is_usage_error(self, tmp_path):
         assert main(["gen", "--m", "1", "--out", str(tmp_path)]) == 2
@@ -235,6 +243,25 @@ class TestCertify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("delta,code", [("1", 0), ("0", 2)])
+    def test_delta_domain_is_the_library_one(self, tmp_path, delta, code):
+        # the library's (0, 1]: delta = 1 drops the log term; 1.5 is checked above
+        _identity_fixture(tmp_path)
+        out = tmp_path / "cert"
+        assert main(
+            [
+                "certify",
+                "--model", str(tmp_path / "model.json"),
+                "--features", str(tmp_path / "features.csv"),
+                "--distances", str(tmp_path / "distances.csv"),
+                "--delta", delta,
+                "--out", str(out),
+            ]
+        ) == code
+        if code == 0:
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["slack"] == cert["rademacher_term"]
+
 
 @pytest.mark.parametrize(
     "payload",
@@ -331,6 +358,11 @@ class TestVerify:
 
     def test_bad_delta_is_usage_error(self, tmp_path):
         assert self._run(tmp_path, "--delta", "1.5") == 2
+
+    @pytest.mark.parametrize("delta,code", [("1", 0), ("0", 2)])
+    def test_delta_domain_is_the_library_one(self, tmp_path, delta, code):
+        # the library's (0, 1]; 1.5 is checked above
+        assert self._run(tmp_path / "verify", "--delta", delta) == code
 
     def test_bad_trials_is_usage_error(self, tmp_path):
         assert main(["verify", "--trials", "0", "--out", str(tmp_path)]) == 2

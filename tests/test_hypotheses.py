@@ -12,12 +12,14 @@ from simcert import (
     SampleMatrix,
     ValidationError,
     embedding_distance_matrix,
+    empirical_risk,
     kernel_eval,
     load_model,
     model_norm,
     pairwise_distances,
     project_norm_ball,
     save_model,
+    validate_distance_matrix,
 )
 from simcert.hypotheses import (
     embed,
@@ -25,6 +27,7 @@ from simcert.hypotheses import (
     model_from_dict,
     model_to_dict,
 )
+from simcert.optimizer import stress_state
 
 
 def _single_anchor_map(anchor_value, coefficient, lambda_cap=100.0):
@@ -108,14 +111,21 @@ class TestEmbeddingDistanceMatrix:
             atol=1e-10,
         )
 
-    def test_gram_side_agrees_with_feature_side(self):
+    def test_gram_form_stress_matches_direct_form_risk(self):
+        # the training loop reads risks from Gram-form distances, certify from
+        # the direct form; unweighted and unsmoothed, the two must agree
         rng = np.random.default_rng(3)
-        s = SampleMatrix(rng.normal(size=(6, 3)))
-        coeff = rng.normal(size=(2, 6))
-        h = KernelMap(coeff, s, KernelSpec("linear"), 100.0)
-        # explicit feature side: embed then take direct pairwise distances
-        feature_side = pairwise_distances(embed(h, s.values))
-        np.testing.assert_allclose(embedding_distance_matrix(h, s), feature_side, atol=1e-9)
+        for kernel in (None, KernelSpec("rbf", gamma=0.7), KernelSpec("polynomial", degree=2)):
+            for m in (2, 9, 40):
+                s = SampleMatrix(rng.normal(size=(m, 3)))
+                d = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
+                if kernel is None:
+                    h = LinearMap(rng.normal(size=(2, 3)), 100.0)
+                else:
+                    h = KernelMap(rng.normal(size=(2, m)), s, kernel, 100.0)
+                direct = empirical_risk(embedding_distance_matrix(h, s), d)
+                gram_form = stress_state(h, s, d, None, 0.0)[0]
+                assert abs(gram_form - direct) <= 1e-12 * direct, (kernel, m)
 
     def test_kernel_map_on_fresh_points(self):
         rng = np.random.default_rng(4)
@@ -293,7 +303,7 @@ class TestShrinkAndNormProperties:
         nrm = model_norm(h)
         if nrm <= h.lambda_cap:
             return
-        shrunk = h.shrink(nrm)
+        shrunk = project_norm_ball(h)
         assert type(shrunk) is type(h) and shrunk.lambda_cap == h.lambda_cap
         if isinstance(h, KernelMap):
             assert shrunk.anchor_gram is h.anchor_gram

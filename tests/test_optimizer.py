@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simcert.optimizer as optimizer_module
 
@@ -15,10 +17,12 @@ from simcert import (
     LinearClass,
     LinearMap,
     SampleMatrix,
+    SyntheticSpec,
     TrainConfig,
     ValidationError,
     embedding_distance_matrix,
     empirical_risk,
+    generate_synthetic,
     model_norm,
     pairwise_distances,
     risk_gradient,
@@ -518,3 +522,86 @@ class TestProjectedPath:
             cfg, 1.0, 0.0,
         )
         assert max(values) > values[0]
+
+
+@st.composite
+def capped_paths(draw):
+    """A small linear or RBF problem, a start on or inside the ball, and a
+    path direction, with lambda_cap in [1e-3, 1e3]."""
+    rbf = draw(st.booleans())
+    cap = 10.0 ** draw(st.floats(-3.0, 3.0))
+    start_scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    step = 10.0 ** draw(st.floats(-2.0, 0.5))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 9))
+    sample = SampleMatrix(rng.normal(size=(m, 3)))
+    distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
+    if rbf:
+        hclass = KernelClass(KernelSpec("rbf", gamma=0.5), lambda_cap=cap, k=2)
+    else:
+        hclass = LinearClass(lambda_cap=cap, k=2)
+    model = initialize_model(hclass, sample, rng)
+    model = project_norm_ball(replace_parameters(model, parameters(model) * start_scale))
+    weights = symmetric_signs(rng, m) if sign > 0.0 else None
+    return model, sample, distances, weights, TrainConfig(step_size=step, max_iters=25), sign
+
+
+class TestAcceleratedPath:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(capped_paths())
+    def test_every_visited_map_is_in_the_ball(self, path):
+        model, sample, distances, weights, cfg, sign = path
+        visited = []
+        stress_pass = optimizer_module._stress_pass
+
+        def recording(feats, params, *args):
+            visited.append(params.copy())
+            return stress_pass(feats, params, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer_module, "_stress_pass", recording)
+            last, values, _ = projected_path(model, sample, distances, weights, cfg, sign, 0.0)
+        assert len(visited) == len(values)
+        assert np.array_equal(visited[-1], parameters(last))
+        cap = model.lambda_cap
+        for params in visited:
+            assert model_norm(replace_parameters(model, params)) <= cap * (1 + 1e-9)
+
+    def test_criterion_2_instance_converges_within_100_steps(self):
+        # the fixed-step loop took 207 steps on this instance
+        spec = SyntheticSpec(
+            m=20, n_features=2, k_true=2, radius=1.0, map_norm=1.0, noise_sigma=0.0, seed=0
+        )
+        sample, distances, _ = generate_synthetic(spec)
+        _, report = train(
+            sample, distances, LinearClass(lambda_cap=2.0, k=2), TrainConfig(max_iters=5000)
+        )
+        assert report.converged and report.iterations_used <= 100
+        assert report.final_risk < 1e-6
+
+    # final_risk of the coverage workload's training runs (m = 50, noise 0.05,
+    # linear, cap 2, default config) as the fixed-step loop found them
+    FIXED_STEP_RISKS = {
+        0: 0.002416250177677797,
+        2: 0.002313420113396265,
+        4: 0.002502840953149647,
+        6: 0.002327324916252347,
+        8: 0.0025659575651567133,
+        10: 0.0024358153281903204,
+        12: 0.002531733423074339,
+        14: 0.0025525582456741255,
+        16: 0.0024160102670435016,
+        18: 0.0024080479249761876,
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FIXED_STEP_RISKS))
+    def test_coverage_fits_reach_the_fixed_step_optimum(self, seed):
+        spec = SyntheticSpec(
+            m=50, n_features=2, k_true=2, radius=1.0, map_norm=1.0, noise_sigma=0.05, seed=seed
+        )
+        sample, distances, _ = generate_synthetic(spec)
+        _, report = train(sample, distances, LinearClass(lambda_cap=2.0, k=2), TrainConfig())
+        expected = self.FIXED_STEP_RISKS[seed]
+        assert report.converged
+        assert abs(report.final_risk - expected) <= 1e-12 * expected
