@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .core import SampleMatrix, ValidationError, _as_matrix, _freeze, pairwise_distances
-from .kernels import GramMatrix, KernelSpec, feature_space_radius, gram, kernel_columns
+from .kernels import GramMatrix, KernelSpec, gram, kernel_columns, kernel_diagonal
 
 __all__ = [
     "LinearMap",
@@ -225,9 +225,9 @@ class KernelMap:
         return (self.coefficients @ self.anchor_gram.values) / nrm
 
     def feature_radius(self, sample: SampleMatrix) -> float:
-        """q = max_i sqrt(K(x_i, x_i)) over the sample."""
-        same = np.array_equal(sample.values, self.anchors.values)
-        return feature_space_radius(self.anchor_gram if same else gram(self.kernel, sample))
+        """q = max_i sqrt(K(x_i, x_i)) over the sample, from the kernel
+        diagonal alone."""
+        return float(np.sqrt(kernel_diagonal(self.kernel, sample.values).max()))
 
     def to_dict(self) -> dict:
         return {
@@ -272,15 +272,22 @@ class KernelClass:
 
     def zero_map(self, sample: SampleMatrix) -> KernelMap:
         """The zero map of the class with the sample as anchors, whose Gram
-        matrix must pass the PSD check."""
+        matrix must pass the PSD check.
+
+        The Cholesky screen (kernels.psd_screen) accepts first; only a Gram
+        matrix it does not accept pays for the eigenvalues of psd_check,
+        which then decides and names the failure.  A passing screen implies
+        a passing check (see psd_screen), so the decision is psd_check's.
+        """
         anchor_gram = gram(self.kernel, sample)
         # looked up on its module: bench/tracer.py wraps psd_check only there
-        check = kernels.psd_check(anchor_gram)
-        if not check.passed:
-            raise ValidationError(
-                f"anchor Gram matrix fails the PSD check "
-                f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
-            )
+        if not kernels.psd_screen(anchor_gram):
+            check = kernels.psd_check(anchor_gram)
+            if not check.passed:
+                raise ValidationError(
+                    f"anchor Gram matrix fails the PSD check "
+                    f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
+                )
         zeros = _zero_params(self.k, sample, sample.m)
         return KernelMap(zeros, sample, self.kernel, self.lambda_cap, anchor_gram=anchor_gram)
 

@@ -3,7 +3,10 @@
 Three families are supported: linear (x . y), RBF (exp(-gamma ||x - y||^2),
 for which K(x, x) = 1 and hence q = 1), and polynomial ((x . y + coef0)^degree).
 Positive semidefiniteness is an assumption of the kernel certificates; it is
-checked empirically on the sampled Gram matrix via an eigenvalue threshold.
+checked empirically on the sampled Gram matrix against an eigenvalue
+threshold (psd_check).  psd_screen accepts most Gram matrices that pass that
+check with one Cholesky factorization, several times cheaper than the
+eigenvalues; a caller falls back to psd_check when the screen fails.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleMatrix, ValidationError, _as_matrix, _freeze
+from .core import _BLOCK_BYTES, SampleMatrix, ValidationError, _as_matrix, _freeze
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -24,6 +27,8 @@ __all__ = [
     "kernel_columns",
     "gram",
     "psd_check",
+    "psd_screen",
+    "kernel_diagonal",
     "feature_space_radius",
 ]
 
@@ -140,23 +145,50 @@ def kernel_columns(spec: KernelSpec, anchors, points) -> np.ndarray:
     if spec.family == "rbf":
         if a is p:
             # taking both norms from the inner-product diagonal keeps the
-            # self-distances exactly zero, so K(x, x) = 1 exactly
-            a_norms = p_norms = np.diag(inner)
+            # self-distances exactly zero, so K(x, x) = 1 exactly; a copy,
+            # since inner is scaled in place below
+            a_norms = p_norms = np.diag(inner).copy()
         else:
             a_norms = np.sum(a * a, axis=1)
             p_norms = np.sum(p * p, axis=1)
-        sq = a_norms[:, None] + p_norms[None, :] - 2.0 * inner
+        # in place after the one new array: the same arithmetic as
+        # exp(-gamma max(n_a + n_p - 2 inner, 0)) without its temporaries
+        sq = np.add(a_norms[:, None], p_norms[None, :])
+        inner *= 2.0
+        sq -= inner
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-spec.gamma * sq)
+        sq *= -spec.gamma
+        return np.exp(sq, out=sq)
     return (inner + spec.coef0) ** spec.degree
 
 
+def kernel_diagonal(spec: KernelSpec, points) -> np.ndarray:
+    """K(x_i, x_i) for each row x_i of ``points``, in O(m N) flops and O(m)
+    memory: 1 for RBF, ||x_i||^2 for linear, (||x_i||^2 + coef0)^degree for
+    polynomial kernels."""
+    p = _as_matrix(points, "point matrix")
+    if spec.family == "rbf":
+        return np.ones(p.shape[0])
+    sq = np.einsum("ij,ij->i", p, p)
+    if spec.family == "linear":
+        return sq
+    return (sq + spec.coef0) ** spec.degree
+
+
 def gram(spec: KernelSpec, sample: SampleMatrix) -> GramMatrix:
-    """Gram matrix of the sample; exact symmetry is enforced by mirroring
-    the upper triangle so each unordered pair is computed once."""
+    """Gram matrix of the sample; exact symmetry is enforced by copying the
+    strict upper triangle onto the lower one in place, a block of b rows at
+    a time, so the copy needs no m x m temporary."""
     k = kernel_columns(spec, sample.values, sample.values)
-    upper = np.triu(k)
-    return GramMatrix(upper + np.triu(k, 1).T)
+    m = k.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        diag = k[start:stop, start:stop]
+        lower = np.tril_indices(stop - start, -1)
+        diag[lower] = diag.T[lower]
+        k[stop:, start:stop] = k[start:stop, stop:].T
+    return GramMatrix(k)
 
 
 def psd_check(gram_matrix: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdCheck:
@@ -168,6 +200,35 @@ def psd_check(gram_matrix: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdCheck
     min_eig = float(eigs.min())
     threshold = -tol * max(float(np.max(np.abs(eigs))), 1.0)
     return PsdCheck(passed=min_eig >= threshold, min_eigenvalue=min_eig, threshold=threshold)
+
+
+def psd_screen(gram_matrix: GramMatrix) -> bool:
+    """True when K + tau I has a Cholesky factor, tau = (tol / 2) max(max_i K_ii, 1)
+    with tol = DEFAULT_PSD_TOL, the tolerance psd_check uses by default.
+
+    A True screen implies that psd_check(gram_matrix) passes: K + tau I
+    positive definite means lambda_min >= -tau, and the threshold of
+    psd_check is tol max(max |lambda|, 1) >= 2 tau, because
+    max |lambda| >= lambda_max >= max_i K_ii (K_ii = e_i^T K e_i).  The
+    factorization is exact for K + tau I + E with ||E||_2 at most about
+    m^2 u ||K||_2 (u the unit round-off) and ||K||_2 <= max |lambda|, so
+    the other half of the threshold covers E while m^2 eps <= tol / 2, m up
+    to about 4700 at the default tol; a larger matrix is not screened.  A
+    False screen decides nothing; the caller then runs psd_check.  One
+    shifted copy of K is factored, in m^3 / 3 flops against the several
+    times costlier symmetric eigenvalue solve.
+    """
+    k = gram_matrix.values
+    if k.shape[0] ** 2 * np.finfo(float).eps > DEFAULT_PSD_TOL / 2.0:
+        return False
+    diag = np.diag(k)
+    shifted = np.array(k)
+    np.fill_diagonal(shifted, diag + (DEFAULT_PSD_TOL / 2.0) * max(float(diag.max()), 1.0))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def feature_space_radius(gram_matrix: GramMatrix) -> float:

@@ -11,15 +11,16 @@ zero-subgradient convention.
 Everything here speaks to a map only through the protocol of hypotheses
 (params, with_params, features, project, norm_subgradient), so linear and
 kernel maps take one code path.  One kernel, stress_state, computes the
-weighted stress value and its gradient together; it visits the m x m
-pairs in blocks of b rows and contracts the graph Laplacian through the
-m x k embedding, so a step costs O(m^2 k + k m N) flops (N the feature
-width, N = m for kernel maps) and O(b m) working memory.  One loop,
-projected_path, runs accelerated projected gradient (FISTA, Beck &
-Teboulle 2009, in its single-projection form) with gradient-based
-adaptive restart (O'Donoghue & Candes 2015): train descends on the stress
-(sign -1) and the Monte-Carlo estimator in bounds ascends on the
-Rademacher-signed stress (sign +1), each making one stress pass and at
+weighted stress value and its gradient together; it visits each unordered
+pair once, in blocks of b rows that pair only with the columns up to the
+block's last row, and contracts the graph Laplacian through the m x k
+embedding, so a step costs O(m^2 k + k m N) flops (N the feature width,
+N = m for kernel maps), about m(m + b)/2 pair entries and O(b m) working
+memory.  One loop, projected_path, runs accelerated projected gradient
+(FISTA, Beck & Teboulle 2009, in its single-projection form) with
+gradient-based adaptive restart (O'Donoghue & Candes 2015): train descends
+on the stress (sign -1) and the Monte-Carlo estimator in bounds ascends on
+the Rademacher-signed stress (sign +1), each making one stress pass and at
 most one projection per step.  Every map the loop evaluates is a convex
 combination of maps in the norm ball, so it is in the ball too.
 """
@@ -147,8 +148,10 @@ def stress_state(
     Returns (value, grad) where value = (1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2
     with unsmoothed distances and grad is the gradient in the trainable
     matrix P of the same sum with d~ = sqrt(dhat^2 + eps^2) in place of dhat.
-    ``weights=None`` means all ones; otherwise ``weights`` must be symmetric
-    (Rademacher sign matrices are).
+    ``weights=None`` means all ones.  Since both distances are symmetric,
+    only the symmetric part (w + w^T) / 2 of the weights enters the sum and
+    its gradient; it is taken once, and is w itself for symmetric w
+    (Rademacher sign matrices are), so any m x m weights give the full sum.
 
     With F the m x N feature matrix (X, or the anchor Gram matrix) and
     Y = F P^T the m x k embedding, the graph-Laplacian identity
@@ -156,11 +159,17 @@ def stress_state(
     gives grad = (2/m^2) P F^T L F = (2/m^2) (L Y)^T F for symmetric
     a_ij = 2 w_ij (d~_ij - D_ij) / d~_ij.  Pairs with d~ = 0 (possible only
     when eps = 0) contribute zero.  The pairs are visited in blocks of b
-    rows: each block's Gram-form squared distances
-    (gram_form_squared_distances), a, rows of L Y and share of the value
-    are computed and dropped before the next, so a step costs
-    O(m^2 k + k m N) flops and O(b m) working memory, with b sized so that
-    a block temporary takes about _BLOCK_BYTES.
+    rows, and since the targets, the symmetrized weights and both distances
+    are symmetric each unordered pair is visited once: rows [s, e) pair only
+    with columns [0, e).  The diagonal sub-block [s, e) x [s, e) counts
+    once, the rest twice, and its coefficients feed L Y twice, on rows
+    [s, e) and, transposed, on rows [0, s).  Each block's Gram-form squared
+    distances (gram_form_squared_distances), a, share of L Y and share of
+    the value are computed and dropped before the next, so a step costs
+    about m(m + b)/2 pair entries, O(m^2 k + k m N) flops and O(b m)
+    working memory, with b sized so that a full-width block temporary
+    takes about _BLOCK_BYTES.  With m <= b there is one block, the whole
+    m x m matrix.
 
     A non-finite gradient raises ValidationError only while the value is
     finite and within DIVERGENCE_RISK in magnitude, so a diverged iterate
@@ -168,8 +177,23 @@ def stress_state(
     """
     _check_sizes(sample, distances)
     return _stress_pass(
-        model.features(sample.values), model.params, distances.values, weights, eps
+        model.features(sample.values),
+        model.params,
+        distances.values,
+        _symmetric_part(weights),
+        eps,
     )
+
+
+def _symmetric_part(weights: np.ndarray | None) -> np.ndarray | None:
+    """(w + w^T) / 2, the part of the weights the stress depends on; a
+    symmetric w is returned as it is, without an m x m copy."""
+    if weights is None:
+        return None
+    w = np.asarray(weights, dtype=float)
+    if np.array_equal(w, w.T):
+        return w
+    return 0.5 * (w + w.T)
 
 
 def _stress_pass(
@@ -180,7 +204,8 @@ def _stress_pass(
     eps: float,
 ) -> tuple[float, np.ndarray]:
     """stress_state for the map with trainable matrix ``params`` on features
-    ``feats``, which a caller visiting many maps computes once."""
+    ``feats``, which a caller visiting many maps computes once; ``weights``
+    must be symmetric (see _symmetric_part)."""
     m = feats.shape[0]
     y = feats @ params.T
     norms = _squared_row_norms(y)
@@ -189,9 +214,11 @@ def _stress_pass(
     rows = max(1, _BLOCK_BYTES // (8 * m))
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        target = target_values[start:stop]
-        w = None if weights is None else weights[start:stop]
-        sq = gram_form_squared_distances(y, start, stop, norms)
+        # the block pairs rows start:stop with columns 0:stop; columns
+        # 0:start hold pairs (i, j), j < i, that stand for (j, i) as well
+        target = target_values[start:stop, :stop]
+        w = None if weights is None else weights[start:stop, :stop]
+        sq = gram_form_squared_distances(y[:stop], start, stop, norms[:stop])
         dt = sq + eps * eps
         np.sqrt(dt, out=dt)
 
@@ -202,6 +229,8 @@ def _stress_pass(
         if w is not None:
             sq *= w
         total += sq.sum()
+        if start > 0:
+            total += sq[:, :start].sum()
 
         # coef holds a / 2; the factor 2 is exact and joins the final scale
         coef = np.subtract(dt, target, out=sq)
@@ -213,7 +242,11 @@ def _stress_pass(
             with np.errstate(divide="ignore", invalid="ignore"):
                 coef /= dt
             coef[dt == 0.0] = 0.0
-        lap_y[start:stop] = coef.sum(axis=1)[:, None] * y[start:stop] - coef @ y
+        lap_y[start:stop] = coef.sum(axis=1)[:, None] * y[start:stop] - coef @ y[:stop]
+        if start > 0:
+            # the mirrored pairs (j, i) feed rows 0:start of L Y
+            off = coef[:, :start]
+            lap_y[:start] += off.sum(axis=0)[:, None] * y[:start] - off.T @ y[start:stop]
     grad = (4.0 / (m * m)) * (lap_y.T @ feats)
     value = float(total) / (m * m)
     if abs(value) <= DIVERGENCE_RISK and not np.all(np.isfinite(grad)):
@@ -230,7 +263,7 @@ def weighted_stress_gradient(
 ) -> np.ndarray:
     """Gradient of (1/m^2) sum_ij w_ij (d~_ij - D_ij)^2 in the trainable matrix.
 
-    ``weights`` must be symmetric; see :func:`stress_state`.
+    Only the symmetric part of ``weights`` enters; see :func:`stress_state`.
     """
     return stress_state(model, sample, distances, weights, eps)[1]
 
@@ -251,7 +284,8 @@ def weighted_stress_value(
     distances: DistanceMatrix,
     weights: np.ndarray,
 ) -> float:
-    """(1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2 with unsmoothed distances."""
+    """(1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2 with unsmoothed distances, for
+    any m x m weights; see :func:`stress_state`."""
     return stress_state(model, sample, distances, weights, 0.0)[0]
 
 
@@ -321,6 +355,7 @@ def projected_path(
     """
     _check_sizes(sample, distances)
     feats = model.features(sample.values)
+    weights = _symmetric_part(weights)
     eps = config.smoothing_eps
 
     y = model

@@ -193,7 +193,7 @@ class TestRowBlockedStressState:
     def test_matches_the_full_matrix_formula(self, monkeypatch, family):
         rng = np.random.default_rng(sorted(FAMILIES).index(family))
         b = BLOCK_ROWS
-        for m in (2, b - 1, b, b + 1, 2 * b + 5):
+        for m in (2, b - 1, b, b + 1, 2 * b + 5, 4 * b + 3):
             block_rows(monkeypatch, m)
             sample = SampleMatrix(rng.normal(size=(m, 3)))
             distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
@@ -212,6 +212,26 @@ class TestRowBlockedStressState:
                     assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(
                         ref_grad
                     ), case
+
+    def test_each_unordered_pair_is_visited_once(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        b = BLOCK_ROWS
+        for m in (b + 1, 4 * b, 4 * b + 3, 10 * b + 1):
+            block_rows(monkeypatch, m)
+            shapes = []
+
+            def counted(y, start=0, stop=None, norms=None):
+                sq = gram_form_squared_distances(y, start, stop, norms)
+                shapes.append(sq.shape)
+                return sq
+
+            monkeypatch.setattr(optimizer_module, "gram_form_squared_distances", counted)
+            sample = SampleMatrix(rng.normal(size=(m, 3)))
+            distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
+            stress_state(LinearMap(rng.normal(size=(2, 3)), 1e6), sample, distances, None, 1e-9)
+            assert sum(rows for rows, _ in shapes) == m
+            assert max(rows for rows, _ in shapes) <= b
+            assert sum(rows * cols for rows, cols in shapes) <= m * (m + b) / 2, m
 
     @pytest.mark.parametrize("family", ["linear", "rbf"])
     def test_coincident_points_contribute_nothing_at_zero_eps(self, monkeypatch, family):
@@ -254,6 +274,33 @@ class TestRowBlockedStressState:
             assert np.linalg.norm(grad - ref_grad / (m * m)) <= 1e-12 * np.linalg.norm(
                 ref_grad / (m * m)
             )
+
+    @pytest.mark.parametrize("family", ["linear", "rbf"])
+    def test_asymmetric_weights_give_the_full_sum(self, monkeypatch, family):
+        rng = np.random.default_rng(34)
+        b = BLOCK_ROWS
+        for m in (b - 1, 2 * b + 5):
+            block_rows(monkeypatch, m)
+            sample = SampleMatrix(rng.normal(size=(m, 3)))
+            distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
+            if FAMILIES[family] is None:
+                model = LinearMap(rng.normal(size=(2, 3)), 1e6)
+            else:
+                model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
+            weights = rng.normal(size=(m, m))
+            feats = pair_features(model, sample)
+            y = feats @ parameters(model).T
+            diff = y[:, None, :] - y[None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=2))
+            resid = dist - distances.values
+            ref_value = np.sum(weights * resid * resid) / (m * m)
+            coef = 2.0 * weights * resid / np.where(dist > 0.0, dist, 1.0)
+            fdiff = feats[:, None, :] - feats[None, :, :]
+            ref_grad = np.einsum("ij,ijk,ijl->kl", coef, diff, fdiff) / (m * m)
+            value, grad = stress_state(model, sample, distances, weights, 0.0)
+            assert value == pytest.approx(ref_value, rel=1e-12), m
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad), m
+            assert weighted_stress_value(model, sample, distances, weights) == value
 
     def test_a_copy_of_the_anchors_uses_the_held_gram_matrix(self, count_calls):
         model, sample, distances = random_instance(32, kernel=KernelSpec("rbf", gamma=0.5))
