@@ -253,9 +253,11 @@ def certify(
 ) -> BoundCertificate:
     """Certificate for a trained model on its sample.
 
-    The certified budget is lam = max(lambda_cap, model_norm): the class the
-    certificate speaks about must contain the model even when penalized
-    training left it outside the nominal cap.
+    The certified budget is lam = max(lambda_cap, model_norm), so the class
+    the certificate speaks about contains the model.  A trained model is
+    inside its cap, penalized or not, because projected_path projects every
+    step; for it the max only absorbs round-off in the norm.  A model built
+    or loaded by hand may lie outside its cap, and then lam is its norm.
     """
     if mode is not None and mode != model.mode:
         raise ValidationError(f"mode {mode!r} does not match a {model.mode} model")

@@ -1,9 +1,14 @@
 """Command-line driver: gen | train | certify | verify.
 
 Exit codes: 0 success, 2 invalid flags, 3 I/O failure, 4 data validation
-failure, 5 coverage verification failed.  Matrices travel as headerless
-CSV, reports as JSON with the resolved configuration echoed for
-auditability; reruns with identical flags produce identical bytes.
+failure, 5 coverage verification failed.  Each command builds its objects
+from the flags, loads, runs and writes, and raises on failure; main alone
+maps an error to its exit code and a one-line message on stderr (argparse
+exits 2 on its own).  The checks are the library's: a flag value the
+library rejects is a usage error, rejected data a validation failure.
+Matrices travel as headerless CSV, reports as JSON with the resolved
+configuration echoed for auditability; reruns with identical flags
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from .core import (
     SampleMatrix,
     ValidationError,
     _check_sizes,
+    _check_tol,
     read_matrix_csv,
     validate_distance_matrix,
     write_matrix_csv,
 )
 from .harness import SyntheticSpec, generate_synthetic, run_coverage_experiment, write_trials_csv
+from .harness import _check_holdout, _check_trials
 from .hypotheses import KernelClass, LinearClass, load_model, save_model
 from .kernels import KernelSpec
 from .optimizer import TrainConfig, train
@@ -37,9 +44,42 @@ _CFG_DEFAULTS = TrainConfig()
 _KERNEL_CHOICES = {"linear": "linear", "rbf": "rbf", "poly": "polynomial"}
 
 
-def _fail(code: int, message: str) -> int:
+class _UsageError(Exception):
+    """A flag value the library rejects."""
+
+
+def _fail(code: int, message) -> int:
     print(f"simcert: error: {message}", file=sys.stderr)
     return code
+
+
+def _checked(convert, check):
+    """An argparse type: convert the text, then apply the library's check."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_TOL = _checked(float, _check_tol)
+_DELTA = _checked(float, _check_delta)
+_TRIALS = _checked(int, _check_trials)
+_HOLDOUT = _checked(int, _check_holdout)
+
+
+def _build(cls, **fields):
+    """cls(**fields) from flag values; a value the library rejects is a usage error."""
+    try:
+        return cls(**fields)
+    except ValidationError as exc:
+        raise _UsageError(exc) from exc
 
 
 def _write_json(path, payload: dict) -> None:
@@ -101,31 +141,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(tr)
     _add_train_flags(tr)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--tol", type=float, default=1e-9, help="distance validation tolerance")
+    tr.add_argument("--tol", type=_TOL, default=1e-9, help="distance validation tolerance")
     tr.add_argument("--out", default=".", help="output directory")
 
     ct = sub.add_parser("certify", help="assemble a generalization certificate")
     ct.add_argument("--model", required=True)
     ct.add_argument("--features", required=True)
     ct.add_argument("--distances", required=True)
-    ct.add_argument("--delta", type=float, default=0.05)
-    ct.add_argument("--tol", type=float, default=1e-9, help="distance validation tolerance")
+    ct.add_argument("--delta", type=_DELTA, default=0.05)
+    ct.add_argument("--tol", type=_TOL, default=1e-9, help="distance validation tolerance")
     ct.add_argument("--out", default=".", help="output directory")
 
     vf = sub.add_parser("verify", help="run the bound-coverage experiment")
     _add_spec_flags(vf)
     _add_class_flags(vf)
     _add_train_flags(vf)
-    vf.add_argument("--trials", type=int, default=200)
-    vf.add_argument("--delta", type=float, default=0.05)
-    vf.add_argument("--n-holdout", type=int, default=None, help="holdout size (default 10 m)")
+    vf.add_argument("--trials", type=_TRIALS, default=200)
+    vf.add_argument("--delta", type=_DELTA, default=0.05)
+    vf.add_argument("--n-holdout", type=_HOLDOUT, default=None, help="holdout size (default 10 m)")
     vf.add_argument("--out", default=".", help="output directory")
 
     return parser
 
 
 def _spec_from_flags(args) -> SyntheticSpec:
-    return SyntheticSpec(
+    return _build(
+        SyntheticSpec,
         m=args.m,
         n_features=args.n,
         k_true=args.k_true,
@@ -138,18 +179,20 @@ def _spec_from_flags(args) -> SyntheticSpec:
 
 def _class_from_flags(args) -> LinearClass | KernelClass:
     if args.hclass == "linear":
-        return LinearClass(lambda_cap=args.lambda_cap, k=args.k)
-    spec = KernelSpec(
+        return _build(LinearClass, lambda_cap=args.lambda_cap, k=args.k)
+    spec = _build(
+        KernelSpec,
         family=_KERNEL_CHOICES[args.kernel],
         gamma=args.gamma,
         degree=args.degree,
         coef0=args.coef0,
     )
-    return KernelClass(kernel=spec, lambda_cap=args.lambda_cap, k=args.k)
+    return _build(KernelClass, kernel=spec, lambda_cap=args.lambda_cap, k=args.k)
 
 
 def _config_from_flags(args) -> TrainConfig:
-    return TrainConfig(
+    return _build(
+        TrainConfig,
         step_size=args.step_size,
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
@@ -159,28 +202,15 @@ def _config_from_flags(args) -> TrainConfig:
     )
 
 
-def _echo_flags(args, command: str) -> dict:
-    payload = {k: v for k, v in vars(args).items() if k != "command"}
-    payload["command"] = command
-    return payload
-
-
 def cmd_gen(args) -> int:
-    try:
-        spec = _spec_from_flags(args)
-    except ValidationError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    spec = _spec_from_flags(args)
     sample, distances, w_true = generate_synthetic(spec)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        write_matrix_csv(os.path.join(args.out, "features.csv"), sample.values)
-        write_matrix_csv(os.path.join(args.out, "distances.csv"), distances.values)
-        write_matrix_csv(os.path.join(args.out, "wtrue.csv"), w_true)
-        manifest = _echo_flags(args, "gen")
-        manifest["files"] = ["features.csv", "distances.csv", "wtrue.csv"]
-        _write_json(os.path.join(args.out, "manifest.json"), manifest)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+    os.makedirs(args.out, exist_ok=True)
+    write_matrix_csv(os.path.join(args.out, "features.csv"), sample.values)
+    write_matrix_csv(os.path.join(args.out, "distances.csv"), distances.values)
+    write_matrix_csv(os.path.join(args.out, "wtrue.csv"), w_true)
+    manifest = {**vars(args), "files": ["features.csv", "distances.csv", "wtrue.csv"]}
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
     return EXIT_OK
 
 
@@ -194,82 +224,39 @@ def _load_problem(args):
 
 
 def cmd_train(args) -> int:
-    try:
-        hclass = _class_from_flags(args)
-        config = _config_from_flags(args)
-        if args.tol < 0.0:
-            raise ValidationError("tol must be nonnegative")
-    except ValidationError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        sample, distances = _load_problem(args)
-        model, report = train(sample, distances, hclass, config)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except ValidationError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        save_model(model, os.path.join(args.out, "model.json"))
-        payload = report.to_dict()
-        payload["config"] = _echo_flags(args, "train")
-        _write_json(os.path.join(args.out, "train_report.json"), payload)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+    hclass = _class_from_flags(args)
+    config = _config_from_flags(args)
+    sample, distances = _load_problem(args)
+    model, report = train(sample, distances, hclass, config)
+    os.makedirs(args.out, exist_ok=True)
+    save_model(model, os.path.join(args.out, "model.json"))
+    payload = report.to_dict()
+    payload["config"] = vars(args)
+    _write_json(os.path.join(args.out, "train_report.json"), payload)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    try:
-        _check_delta(args.delta)
-    except ValidationError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    if args.tol < 0.0:
-        return _fail(EXIT_USAGE, "tol must be nonnegative")
-    try:
-        model = load_model(args.model)
-        sample, distances = _load_problem(args)
-        certificate = certify(model, sample, distances, args.delta)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except (ValidationError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        payload = certificate.to_dict()
-        payload["config"] = _echo_flags(args, "certify")
-        _write_json(os.path.join(args.out, "certificate.json"), payload)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+    model = load_model(args.model)
+    sample, distances = _load_problem(args)
+    certificate = certify(model, sample, distances, args.delta)
+    os.makedirs(args.out, exist_ok=True)
+    payload = certificate.to_dict()
+    payload["config"] = vars(args)
+    _write_json(os.path.join(args.out, "certificate.json"), payload)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        return _fail(EXIT_USAGE, "trials must be >= 1")
-    if args.n_holdout is not None and args.n_holdout < 2:
-        return _fail(EXIT_USAGE, "n-holdout must be >= 2")
-    try:
-        _check_delta(args.delta)
-        spec = _spec_from_flags(args)
-        hclass = _class_from_flags(args)
-        config = _config_from_flags(args)
-    except ValidationError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        report = run_coverage_experiment(
-            spec, hclass, config, args.delta, args.trials, args.n_holdout
-        )
-    except ValidationError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        payload = report.to_dict()
-        payload["config"] = _echo_flags(args, "verify")
-        _write_json(os.path.join(args.out, "report.json"), payload)
-        write_trials_csv(os.path.join(args.out, "trials.csv"), report)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+    spec = _spec_from_flags(args)
+    hclass = _class_from_flags(args)
+    config = _config_from_flags(args)
+    report = run_coverage_experiment(spec, hclass, config, args.delta, args.trials, args.n_holdout)
+    os.makedirs(args.out, exist_ok=True)
+    payload = report.to_dict()
+    payload["config"] = vars(args)
+    _write_json(os.path.join(args.out, "report.json"), payload)
+    write_trials_csv(os.path.join(args.out, "trials.csv"), report)
     if not report.passed:
         return _fail(
             EXIT_COVERAGE_FAILED,
@@ -292,7 +279,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        return _fail(EXIT_USAGE, exc)
+    except OSError as exc:
+        return _fail(EXIT_IO, exc)
+    except ValidationError as exc:
+        return _fail(EXIT_VALIDATION, exc)
 
 
 if __name__ == "__main__":

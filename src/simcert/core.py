@@ -145,6 +145,12 @@ class DataRadii:
             raise ValidationError("radii must be nonnegative")
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a repair tolerance that is negative, infinite or NaN."""
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError("tol must be finite and nonnegative")
+
+
 def validate_distance_matrix(mat, tol: float = 0.0) -> DistanceMatrix:
     """Validate a raw matrix as target distances, repairing within ``tol``.
 
@@ -153,8 +159,7 @@ def validate_distance_matrix(mat, tol: float = 0.0) -> DistanceMatrix:
     zero are zeroed; entries in [-tol, 0) are clamped to zero.  Anything
     beyond tolerance is rejected.
     """
-    if tol < 0.0:
-        raise ValidationError("tol must be nonnegative")
+    _check_tol(tol)
     arr = _as_matrix(mat, "distance matrix")
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"distance matrix must be square, got {arr.shape}")

@@ -62,12 +62,14 @@ class SyntheticSpec:
             raise ValidationError("m must be >= 2")
         if self.n_features < 1 or self.k_true < 1:
             raise ValidationError("n_features and k_true must be >= 1")
-        if not self.radius > 0.0:
-            raise ValidationError("radius must be positive")
-        if not self.map_norm > 0.0:
-            raise ValidationError("map_norm must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValidationError("noise_sigma must be nonnegative")
+        if not 0.0 < self.radius < np.inf:
+            raise ValidationError("radius must be positive and finite")
+        if not 0.0 < self.map_norm < np.inf:
+            raise ValidationError("map_norm must be positive and finite")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValidationError("noise_sigma must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -106,6 +108,16 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "passed": self.passed}
+
+
+def _check_trials(n_trials: int) -> None:
+    if n_trials < 1:
+        raise ValidationError("n_trials must be >= 1")
+
+
+def _check_holdout(n_holdout: int) -> None:
+    if n_holdout < 2:
+        raise ValidationError("n_holdout must be >= 2")
 
 
 def hidden_map(spec: SyntheticSpec) -> np.ndarray:
@@ -161,8 +173,7 @@ def holdout_risk(
     ``spec`` should match the training spec except for an independent seed;
     n_holdout fresh points with fresh noise are drawn from the same law.
     """
-    if n_holdout < 2:
-        raise ValidationError("n_holdout must be >= 2")
+    _check_holdout(n_holdout)
     sample, distances, _ = generate_synthetic(dataclasses.replace(spec, m=n_holdout))
     return empirical_risk(embedding_distance_matrix(model, sample), distances)
 
@@ -182,8 +193,7 @@ def run_coverage_experiment(
     trials are flagged in their TrialResult and still counted.  The
     experiment passes when the observed coverage rate is at least 1 - delta.
     """
-    if n_trials < 1:
-        raise ValidationError("n_trials must be >= 1")
+    _check_trials(n_trials)
     _check_delta(delta)
     if n_holdout is None:
         n_holdout = 10 * spec.m

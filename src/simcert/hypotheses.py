@@ -57,8 +57,8 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 def _check_budget(lambda_cap: float, k: int | None = None) -> None:
-    if lambda_cap < 0.0:
-        raise ValidationError("lambda_cap must be nonnegative")
+    if not 0.0 <= lambda_cap < np.inf:
+        raise ValidationError("lambda_cap must be finite and nonnegative")
     if k is not None and k < 1:
         raise ValidationError("output dimension k must be >= 1")
 
@@ -355,8 +355,9 @@ def model_to_dict(model: LinearMap | KernelMap) -> dict:
 def model_from_dict(payload) -> LinearMap | KernelMap:
     """Rebuild a hypothesis from its JSON model format.
 
-    A payload that is not a JSON object, or whose fields have the wrong
-    types, raises ValidationError; a missing field raises KeyError.
+    A payload that is not a JSON object, lacks a field, or whose fields
+    have the wrong types or values raises ValidationError, naming a missing
+    field.
     """
     if not isinstance(payload, dict):
         raise ValidationError(f"model must be a JSON object, got {type(payload).__name__}")
@@ -373,9 +374,11 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
             )
     except ValidationError:
         raise
-    except (TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValidationError(f"malformed {kind} model: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind} model: {exc}") from exc
-    raise ValidationError(f"unknown model type {kind!r}")
+    raise ValidationError(f"field 'type' must be 'linear' or 'kernel', got {kind!r}")
 
 
 def save_model(model: LinearMap | KernelMap, path) -> None:
@@ -385,5 +388,15 @@ def save_model(model: LinearMap | KernelMap, path) -> None:
 
 
 def load_model(path) -> LinearMap | KernelMap:
+    """Read a model file written by :func:`save_model`.
+
+    A file that cannot be opened or read raises OSError.  Bytes that are
+    not UTF-8 or not JSON (nesting too deep for the parser included), and
+    every error of :func:`model_from_dict`, raise ValidationError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path}: not a JSON model file: {exc}") from exc
+    return model_from_dict(payload)

@@ -56,12 +56,12 @@ class KernelSpec:
             raise ValidationError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
-        if not self.gamma > 0.0:
-            raise ValidationError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValidationError("gamma must be positive and finite")
         if int(self.degree) != self.degree or self.degree < 1:
             raise ValidationError("degree must be an integer >= 1")
-        if self.coef0 < 0.0:
-            raise ValidationError("coef0 must be nonnegative")
+        if not 0.0 <= self.coef0 < np.inf:
+            raise ValidationError("coef0 must be finite and nonnegative")
 
     def to_dict(self) -> dict:
         return {

@@ -63,8 +63,6 @@ __all__ = [
     "smoothed_risk",
     "norm_subgradient",
     "initialize_model",
-    "parameters",
-    "replace_parameters",
     "projected_path",
     "train",
 ]
@@ -89,16 +87,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.step_size > 0.0:
-            raise ValidationError("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValidationError("step_size must be positive and finite")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be nonnegative")
-        if not self.grad_tol > 0.0:
-            raise ValidationError("grad_tol must be positive")
-        if self.penalty_lambda < 0.0:
-            raise ValidationError("penalty_lambda must be nonnegative")
-        if self.smoothing_eps < 0.0:
-            raise ValidationError("smoothing_eps must be nonnegative")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ValidationError("grad_tol must be positive and finite")
+        if not 0.0 <= self.penalty_lambda < np.inf:
+            raise ValidationError("penalty_lambda must be finite and nonnegative")
+        if not 0.0 <= self.smoothing_eps < np.inf:
+            raise ValidationError("smoothing_eps must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,6 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def parameters(model: LinearMap | KernelMap) -> np.ndarray:
-    """The trainable matrix of a hypothesis (W or A)."""
-    return model.params
-
-
-def replace_parameters(model: LinearMap | KernelMap, param: np.ndarray):
-    """Same hypothesis with a new trainable matrix."""
-    return model.with_params(param)
 
 
 def stress_state(

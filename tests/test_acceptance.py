@@ -35,7 +35,7 @@ from simcert import (
     train,
     validate_distance_matrix,
 )
-from simcert.optimizer import parameters, replace_parameters, smoothed_risk
+from simcert.optimizer import smoothed_risk
 
 FROZEN_SLACK = 0.5695493661361632  # 0.08 + 2 sqrt(2 ln 20 / 100)
 
@@ -48,14 +48,14 @@ def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
 
 
 def _finite_difference(model, sample, distances, eps, step=1e-5):
-    base = parameters(model)
+    base = model.params
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         bumped = base.copy()
         bumped[idx] += step
-        up = smoothed_risk(replace_parameters(model, bumped), sample, distances, eps)
+        up = smoothed_risk(model.with_params(bumped), sample, distances, eps)
         bumped[idx] -= 2 * step
-        down = smoothed_risk(replace_parameters(model, bumped), sample, distances, eps)
+        down = smoothed_risk(model.with_params(bumped), sample, distances, eps)
         grad[idx] = (up - down) / (2 * step)
     return grad
 
@@ -247,7 +247,7 @@ def test_criterion_9_projection_contract():
         once = project_norm_ball(model)
         twice = project_norm_ball(once)
         idempotent_ok = idempotent_ok and (
-            np.max(np.abs(parameters(twice) - parameters(once))) <= 1e-12
+            np.max(np.abs(twice.params - once.params)) <= 1e-12
         )
     rng = np.random.default_rng(3)
     for _ in range(10):

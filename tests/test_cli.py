@@ -263,21 +263,37 @@ class TestCertify:
             assert cert["slack"] == cert["rademacher_term"]
 
 
+_KERNEL_MODEL = b'"A": [[1.0, 0.0]], "anchors": [[0.0, 0.0], [1.0, 0.0]], "lambda_cap": 1.0'
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload,named",
     [
-        [1, 2],
-        "x",
-        {"type": "linear", "lambda_cap": "big", "W": [[1.0, 0.0], [0.0, 1.0]]},
-        {"type": "linear", "lambda_cap": 1.0, "W": [[1.0, "zero"], [0.0, 1.0]]},
-        {"type": "kernel", "lambda_cap": 1.0, "A": [[1.0, 0.0]],
-         "anchors": [[0.0, 0.0], [1.0, 0.0]], "kernel": "rbf"},
+        ([1, 2], None),
+        ("x", None),
+        ({"type": "linear", "lambda_cap": "big", "W": [[1.0, 0.0], [0.0, 1.0]]}, None),
+        ({"type": "linear", "lambda_cap": 1.0, "W": [[1.0, "zero"], [0.0, 1.0]]}, None),
+        ({"type": "kernel", "lambda_cap": 1.0, "A": [[1.0, 0.0]],
+          "anchors": [[0.0, 0.0], [1.0, 0.0]], "kernel": "rbf"}, None),
+        (b'{"type": "linear", "lambda_cap": 1.0, "W": [[1.0, 0.0], [0.0, 1.0]], "x": "\xff"}',
+         "model.json"),
+        (b'{"type": "linear", "lambda_cap": 1.0, "W": [[1.0, 0.0], [0.0', "model.json"),
+        (b'{"type": "linear", "lambda_cap": 1.0}', "missing field 'W'"),
+        (b'{"type": "kernel", ' + _KERNEL_MODEL + b', "kernel": {"gamma": 1.0}}',
+         "missing field 'family'"),
+        (b'{"type": "linear", "lambda_cap": NaN, "W": [[1.0, 0.0], [0.0, 1.0]]}', "lambda_cap"),
+        (b'{"type": "kernel", ' + _KERNEL_MODEL
+         + b', "kernel": {"family": "polynomial", "degree": 1e999}}', "malformed kernel model"),
+        (b"[" * 100_000, "model.json"),
     ],
-    ids=["list", "string", "text_cap", "text_entry", "string_kernel"],
+    ids=["list", "string", "text_cap", "text_entry", "string_kernel", "not_utf8", "truncated",
+         "linear_without_W", "kernel_without_family", "nan_cap", "infinite_degree",
+         "deep_nesting"],
 )
-def test_malformed_model_is_validation_error(tmp_path, payload):
+def test_malformed_model_is_validation_error(tmp_path, capsys, payload, named):
     _identity_fixture(tmp_path)
-    (tmp_path / "model.json").write_text(json.dumps(payload))
+    raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    (tmp_path / "model.json").write_bytes(raw)
     code = main(
         [
             "certify",
@@ -288,6 +304,8 @@ def test_malformed_model_is_validation_error(tmp_path, payload):
         ]
     )
     assert code == 4
+    if named is not None:
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "certify"])
@@ -308,6 +326,48 @@ def test_malformed_csv_is_validation_error(tmp_path, command, text):
         ]
     )
     assert code == 4
+
+
+_REJECTED_FLAGS = [
+    ("train", ["--tol", "nan"], "tol"),
+    ("certify", ["--tol", "nan"], "tol"),
+    ("certify", ["--tol", "inf"], "tol"),
+    ("train", ["--penalty", "nan"], "penalty_lambda"),
+    ("train", ["--step-size", "inf"], "step_size"),
+    ("train", ["--grad-tol", "inf"], "grad_tol"),
+    ("train", ["--eps", "nan"], "smoothing_eps"),
+    ("train", ["--lambda-cap", "nan"], "lambda_cap"),
+    ("train", ["--lambda-cap", "inf"], "lambda_cap"),
+    ("train", ["--class", "kernel", "--gamma", "inf"], "gamma"),
+    ("train", ["--class", "kernel", "--kernel", "poly", "--coef0", "nan"], "coef0"),
+    ("gen", ["--noise", "nan"], "noise_sigma"),
+    ("gen", ["--noise", "inf"], "noise_sigma"),
+    ("gen", ["--radius", "inf"], "radius"),
+    ("gen", ["--map-norm", "inf"], "map_norm"),
+    ("gen", ["--seed", "-1"], "seed"),
+    ("train", ["--seed", "-1"], "seed"),
+    ("verify", ["--seed", "-1"], "seed"),
+    ("verify", ["--n-holdout", "1"], "n_holdout"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flags,named", _REJECTED_FLAGS, ids=[" ".join([c, *f]) for c, f, _ in _REJECTED_FLAGS]
+)
+def test_rejected_flag_value_is_usage_error(tmp_path, capsys, command, flags, named):
+    # NaN fails every x < 0 test, so each check must be written to reject it
+    _identity_fixture(tmp_path)
+    inputs = {
+        "gen": [],
+        "train": ["--max-iters", "5"],
+        "certify": ["--model", str(tmp_path / "model.json")],
+        "verify": ["--m", "12", "--trials", "1", "--max-iters", "5"],
+    }[command]
+    if command in ("train", "certify"):
+        inputs += ["--features", str(tmp_path / "features.csv"),
+                   "--distances", str(tmp_path / "distances.csv")]
+    assert main([command, *inputs, *flags, "--out", str(tmp_path / "run")]) == 2
+    assert named in capsys.readouterr().err
 
 
 class TestVerify:

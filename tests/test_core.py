@@ -86,6 +86,16 @@ class TestValidateDistanceMatrix:
         with pytest.raises(ValidationError):
             validate_distance_matrix([[0.0]], tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        # with tol = NaN every "exceeds tolerance" test is false and any matrix passes
+        with pytest.raises(ValidationError, match="tol"):
+            validate_distance_matrix([[0.0, 5.0], [-3.0, 7.0]], tol=np.nan)
+
+    def test_infinite_tol_rejected(self):
+        # an infinite tol would "repair" any matrix just as NaN does
+        with pytest.raises(ValidationError, match="tol"):
+            validate_distance_matrix([[0.0, 5.0], [-3.0, 7.0]], tol=np.inf)
+
 
 class TestDistanceMatrixInvariants:
     def test_rejects_asymmetric(self):

@@ -77,6 +77,8 @@ class TestGenerateSynthetic:
             _spec(radius=0.0)
         with pytest.raises(ValidationError):
             _spec(noise_sigma=-0.1)
+        with pytest.raises(ValidationError, match="seed"):
+            _spec(seed=-1)
 
 
 class TestHoldoutRisk:

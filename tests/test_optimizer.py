@@ -35,9 +35,7 @@ from simcert.kernels import gram, kernel_columns
 from simcert.optimizer import (
     initialize_model,
     norm_subgradient,
-    parameters,
     projected_path,
-    replace_parameters,
     stress_state,
     weighted_stress_gradient,
     weighted_stress_value,
@@ -46,14 +44,14 @@ from simcert.optimizer import (
 
 def finite_difference_gradient(model, sample, distances, eps, step=1e-5):
     """Central finite differences of the smoothed risk, entry by entry."""
-    base = parameters(model)
+    base = model.params
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         bumped = base.copy()
         bumped[idx] += step
-        up = smoothed_risk(replace_parameters(model, bumped), sample, distances, eps)
+        up = smoothed_risk(model.with_params(bumped), sample, distances, eps)
         bumped[idx] -= 2 * step
-        down = smoothed_risk(replace_parameters(model, bumped), sample, distances, eps)
+        down = smoothed_risk(model.with_params(bumped), sample, distances, eps)
         grad[idx] = (up - down) / (2 * step)
     return grad
 
@@ -171,7 +169,7 @@ def full_matrix_state(model, sample, distances, weights, eps):
     The formula stress_state used before it was row-blocked and regrouped
     through the embedding, kept here as the reference.
     """
-    param = parameters(model)
+    param = model.params
     feats = pair_features(model, sample)
     m = sample.m
     y = feats @ param.T
@@ -250,7 +248,7 @@ class TestRowBlockedStressState:
         else:
             model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
         feats = pair_features(model, sample)
-        y = feats @ parameters(model).T
+        y = feats @ model.params.T
         same = np.all(x[:, None, :] == x[None, :, :], axis=2)
         blocks = np.vstack([gram_form_squared_distances(y, s, s + b) for s in range(0, m, b)])
         assert np.all(blocks[same] == 0.0)
@@ -258,7 +256,7 @@ class TestRowBlockedStressState:
 
         for weights in (None, symmetric_signs(rng, m)):
             w = np.ones((m, m)) if weights is None else weights
-            ref_value, ref_grad = 0.0, np.zeros_like(parameters(model))
+            ref_value, ref_grad = 0.0, np.zeros_like(model.params)
             for i in range(m):
                 for j in range(m):
                     diff = y[i] - y[j]
@@ -289,7 +287,7 @@ class TestRowBlockedStressState:
                 model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
             weights = rng.normal(size=(m, m))
             feats = pair_features(model, sample)
-            y = feats @ parameters(model).T
+            y = feats @ model.params.T
             diff = y[:, None, :] - y[None, :, :]
             dist = np.sqrt(np.sum(diff * diff, axis=2))
             resid = dist - distances.values
@@ -481,6 +479,8 @@ class TestTrainConfig:
             TrainConfig(penalty_lambda=-0.1)
         with pytest.raises(ValidationError):
             TrainConfig(smoothing_eps=-1e-9)
+        with pytest.raises(ValidationError, match="seed"):
+            TrainConfig(seed=-1)
 
 
 class TestWorkCounts:
@@ -511,16 +511,16 @@ class TestWorkCounts:
         hclass = KernelClass(KernelSpec("rbf", gamma=0.5), lambda_cap=0.01, k=2)
         model = initialize_model(hclass, sample, np.random.default_rng(0))
         calls = count_calls(gram)
-        derived = project_norm_ball(replace_parameters(model, parameters(model) * 100.0))
+        derived = project_norm_ball(model.with_params(model.params * 100.0))
         assert derived is not model
         assert derived.anchor_gram is model.anchor_gram
         assert calls == []
         copied = SampleMatrix(sample.values.copy())
-        fresh = KernelMap(parameters(model), copied, model.kernel, model.lambda_cap)
+        fresh = KernelMap(model.params, copied, model.kernel, model.lambda_cap)
         assert len(calls) == 1
         assert fresh.anchor_gram is not model.anchor_gram
         assert np.array_equal(fresh.anchor_gram.values, model.anchor_gram.values)
-        rebuilt = replace_parameters(fresh, parameters(fresh))
+        rebuilt = fresh.with_params(fresh.params)
         assert rebuilt.anchors is copied
         assert rebuilt.anchor_gram is fresh.anchor_gram
 
@@ -545,7 +545,7 @@ class TestProjectedPath:
         wild = TrainConfig(step_size=1e8, max_iters=50)
         with np.errstate(over="ignore", invalid="ignore"):
             _, values, reason = projected_path(
-                LinearMap(parameters(model), 1e200), sample, distances, None, wild, -1.0, 0.0
+                LinearMap(model.params, 1e200), sample, distances, None, wild, -1.0, 0.0
             )
         assert reason == "diverged" and not values[-1] <= 1e12
 
@@ -556,7 +556,7 @@ class TestProjectedPath:
         trained, report = train(sample, distances, hclass, cfg)
         start = initialize_model(hclass, sample, np.random.default_rng(5))
         last, values, reason = projected_path(start, sample, distances, None, cfg, -1.0, 0.01)
-        assert np.array_equal(parameters(trained), parameters(last))
+        assert np.array_equal(trained.params, last.params)
         assert report.risk_trace == tuple(values[1:])
         assert report.converged == (reason == "converged")
 
@@ -565,7 +565,7 @@ class TestProjectedPath:
         sigma = symmetric_signs(np.random.default_rng(0), sample.m)
         cfg = TrainConfig(max_iters=20, step_size=0.05)
         _, values, _ = projected_path(
-            replace_parameters(model, parameters(model) * 1e-3), sample, distances, sigma,
+            model.with_params(model.params * 1e-3), sample, distances, sigma,
             cfg, 1.0, 0.0,
         )
         assert max(values) > values[0]
@@ -589,7 +589,7 @@ def capped_paths(draw):
     else:
         hclass = LinearClass(lambda_cap=cap, k=2)
     model = initialize_model(hclass, sample, rng)
-    model = project_norm_ball(replace_parameters(model, parameters(model) * start_scale))
+    model = project_norm_ball(model.with_params(model.params * start_scale))
     weights = symmetric_signs(rng, m) if sign > 0.0 else None
     return model, sample, distances, weights, TrainConfig(step_size=step, max_iters=25), sign
 
@@ -610,10 +610,10 @@ class TestAcceleratedPath:
             mp.setattr(optimizer_module, "_stress_pass", recording)
             last, values, _ = projected_path(model, sample, distances, weights, cfg, sign, 0.0)
         assert len(visited) == len(values)
-        assert np.array_equal(visited[-1], parameters(last))
+        assert np.array_equal(visited[-1], last.params)
         cap = model.lambda_cap
         for params in visited:
-            assert model_norm(replace_parameters(model, params)) <= cap * (1 + 1e-9)
+            assert model_norm(model.with_params(params)) <= cap * (1 + 1e-9)
 
     def test_criterion_2_instance_converges_within_100_steps(self):
         # the fixed-step loop took 207 steps on this instance
