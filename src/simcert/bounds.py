@@ -46,7 +46,7 @@ from .hypotheses import (
     embedding_distance_matrix,
     model_norm,
 )
-from .optimizer import TrainConfig, initialize_model, projected_path
+from .optimizer import TrainConfig, _seeded_start, projected_path
 
 __all__ = [
     "CertificateInputs",
@@ -215,8 +215,10 @@ def empirical_rademacher_mc(
     mirrored (diagonal signs multiply a zero term), then
     (1/m^2) sum_ij sigma_ij (dhat_ij - D_ij)^2 is maximized over the class
     by accelerated projected gradient ascent with restart within the inner
-    budget (one projected_path with sign +1 and no penalty), keeping the
-    best value among the maps it evaluates, each of which is in the class.  Returns
+    budget (one projected_path with sign +1 and no penalty) from a seeded
+    start, keeping the best value among the maps it evaluates, each of
+    which is in the class.  The zero map of the class, with a kernel
+    class's Gram matrix, is built once and shared by every draw.  Returns
     (mean, standard error) over draws.  Local ascent reaches only a lower
     bound on each supremum, so the estimate is a lower-biased diagnostic,
     not a certified quantity.
@@ -227,6 +229,7 @@ def empirical_rademacher_mc(
     m = sample.m
     upper = np.triu_indices(m)
     values = np.empty(n_sigma)
+    zero = hypothesis_class.zero_map(sample)
     for draw in range(n_sigma):
         rng = np.random.default_rng([seed, draw])
         signs = rng.integers(0, 2, size=upper[0].size) * 2 - 1
@@ -234,7 +237,7 @@ def empirical_rademacher_mc(
         sigma[upper] = signs
         sigma = sigma + np.triu(sigma, 1).T
 
-        model = initialize_model(hypothesis_class, sample, rng)
+        model = _seeded_start(zero, rng)
         values[draw] = max(projected_path(model, sample, distances, sigma, inner_cfg, 1.0, 0.0)[1])
 
     estimate = float(values.mean())
@@ -249,7 +252,6 @@ def certify(
     sample: SampleMatrix,
     distances: DistanceMatrix,
     delta: float,
-    mode: str | None = None,
 ) -> BoundCertificate:
     """Certificate for a trained model on its sample.
 
@@ -259,8 +261,6 @@ def certify(
     step; for it the max only absorbs round-off in the norm.  A model built
     or loaded by hand may lie outside its cap, and then lam is its norm.
     """
-    if mode is not None and mode != model.mode:
-        raise ValidationError(f"mode {mode!r} does not match a {model.mode} model")
     _check_delta(delta)
 
     radii = data_radii(sample, distances)

@@ -22,7 +22,6 @@ from .bounds import _check_delta, certify
 from .core import (
     SampleMatrix,
     ValidationError,
-    _check_sizes,
     _check_tol,
     read_matrix_csv,
     validate_distance_matrix,
@@ -215,12 +214,11 @@ def cmd_gen(args) -> int:
 
 
 def _load_problem(args):
+    """Sample and targets from the CSV flags; train and certify check that
+    their sizes agree."""
     features = read_matrix_csv(args.features)
     raw_distances = read_matrix_csv(args.distances)
-    sample = SampleMatrix(features)
-    distances = validate_distance_matrix(raw_distances, tol=args.tol)
-    _check_sizes(sample, distances)
-    return sample, distances
+    return SampleMatrix(features), validate_distance_matrix(raw_distances, tol=args.tol)
 
 
 def cmd_train(args) -> int:

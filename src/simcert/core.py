@@ -10,6 +10,7 @@ and contribute exactly zero.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,30 @@ class ValidationError(ValueError):
     """Raised when input data violates a container invariant."""
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
+def _as_matrix(values, name: str, *checks) -> np.ndarray:
+    """``values`` as a 2-D float array that passes each of ``checks``
+    (_square, _finite, _symmetric), in order; the messages name the matrix."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
+    for check in checks:
+        check(arr, name)
     return arr
+
+
+def _square(arr: np.ndarray, name: str) -> None:
+    if arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name} must be square, got {arr.shape}")
+
+
+def _finite(arr: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains non-finite entries")
+
+
+def _symmetric(arr: np.ndarray, name: str) -> None:
+    if not np.array_equal(arr, arr.T):
+        raise ValidationError(f"{name} is not symmetric")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -54,9 +74,7 @@ class SampleMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.values, "sample matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("sample matrix contains non-finite entries")
+        arr = _as_matrix(self.values, "sample matrix", _finite)
         if arr.shape[0] < 2:
             raise ValidationError(f"need at least 2 sample points, got {arr.shape[0]}")
         if arr.shape[1] < 1:
@@ -84,13 +102,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.values, "distance matrix")
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"distance matrix must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("distance matrix contains non-finite entries")
-        if not np.array_equal(arr, arr.T):
-            raise ValidationError("distance matrix is not symmetric")
+        arr = _as_matrix(self.values, "distance matrix", _square, _finite, _symmetric)
         if np.any(np.diag(arr) != 0.0):
             raise ValidationError("distance matrix diagonal must be exactly zero")
         if np.any(arr < 0.0):
@@ -113,11 +125,7 @@ class ConfusionMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.values, "confusion matrix")
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"confusion matrix must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("confusion matrix contains non-finite entries")
+        arr = _as_matrix(self.values, "confusion matrix", _square, _finite)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValidationError("confusion matrix entries must lie in [0, 1]")
         if np.any(np.diag(arr) != 1.0):
@@ -160,11 +168,7 @@ def validate_distance_matrix(mat, tol: float = 0.0) -> DistanceMatrix:
     beyond tolerance is rejected.
     """
     _check_tol(tol)
-    arr = _as_matrix(mat, "distance matrix")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"distance matrix must be square, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("distance matrix contains non-finite entries")
+    arr = _as_matrix(mat, "distance matrix", _square, _finite)
 
     asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
     if asym > tol:
@@ -188,10 +192,8 @@ def validate_distance_matrix(mat, tol: float = 0.0) -> DistanceMatrix:
 
 def confusion_to_distance(confusion: ConfusionMatrix) -> DistanceMatrix:
     """Convert confusion rates to target distances, entrywise D = 1 - C."""
-    c = confusion.values
-    if not np.array_equal(c, c.T):
-        raise ValidationError("confusion matrix must be symmetric to induce distances")
-    return DistanceMatrix(1.0 - c)
+    _symmetric(confusion.values, "confusion matrix")
+    return DistanceMatrix(1.0 - confusion.values)
 
 
 # Target size in bytes of one (b x m) row-block temporary; pairwise_distances
@@ -257,9 +259,7 @@ def pairwise_distances(points) -> np.ndarray:
     column copy, the working memory is a few (b x m) planes: two below 8
     coordinates, about ten from 8 on.
     """
-    pts = _as_matrix(points, "point matrix")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("point matrix contains non-finite entries")
+    pts = _as_matrix(points, "point matrix", _finite)
     m = pts.shape[0]
     cols = np.ascontiguousarray(pts.T)
     out = np.empty((m, m))
@@ -319,9 +319,16 @@ def write_matrix_csv(path, mat) -> None:
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless CSV matrix written by :func:`write_matrix_csv`.
 
-    A non-numeric field or a ragged row raises ValidationError.
+    A non-numeric field, a ragged row or a file without rows raises
+    ValidationError.
     """
-    try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed CSV matrix: {exc}") from exc
+    with warnings.catch_warnings():
+        # an empty file is rejected below, by name, in place of numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed CSV matrix: {exc}") from exc
+    if arr.size == 0:
+        raise ValidationError(f"{path}: empty CSV matrix")
+    return arr

@@ -149,7 +149,9 @@ def generate_synthetic(
     radii = spec.radius * rng.random(spec.m) ** (1.0 / spec.n_features)
     x = direction * radii[:, None]
 
-    d = pairwise_distances(x @ w_true.T)
+    with np.errstate(over="ignore"):
+        # an overflow leaves a non-finite entry, which the containers reject
+        d = pairwise_distances(x @ w_true.T)
     if spec.noise_sigma > 0.0:
         # one m x m draw whose strict upper triangle is the noise, mirrored
         noise = rng.standard_normal((spec.m, spec.m))

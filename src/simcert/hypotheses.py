@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .core import SampleMatrix, ValidationError, _as_matrix, _freeze, pairwise_distances
+from .core import SampleMatrix, ValidationError, _as_matrix, _finite, _freeze, pairwise_distances
 from .kernels import GramMatrix, KernelSpec, gram, kernel_columns, kernel_diagonal
 
 __all__ = [
@@ -63,13 +63,6 @@ def _check_budget(lambda_cap: float, k: int | None = None) -> None:
         raise ValidationError("output dimension k must be >= 1")
 
 
-def _trainable(values, name: str) -> np.ndarray:
-    arr = _as_matrix(values, name)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return _freeze(arr)
-
-
 def _derived(model, params: np.ndarray):
     """``model`` with trainable matrix ``params``, skipping with_params' checks.
 
@@ -94,7 +87,8 @@ class LinearMap:
     _params_field = "weights"
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _trainable(self.weights, "weight matrix"))
+        weights = _as_matrix(self.weights, "weight matrix", _finite)
+        object.__setattr__(self, "weights", _freeze(weights))
         _check_budget(self.lambda_cap)
 
     @property
@@ -157,10 +151,12 @@ class LinearMap:
 class KernelMap:
     """Representer-form kernel hypothesis h(x) = A k_S(x) over fixed anchors.
 
-    anchor_gram is gram(kernel, anchors); it is built at construction unless
-    a caller that already holds it passes it in.  Maps derived from one
-    another by with_params (every descent and projection step) share one
-    anchor Gram matrix, so a fit builds it once.
+    anchor_gram is gram(kernel, anchors).  Unless a caller that already holds
+    it passes it in, it is built and accepted at construction: it must pass
+    the PSD check (see _accepted_gram), whether the map is a class's zero
+    map or loaded from a model file.  Maps derived from one another by
+    with_params (every descent and projection step) share one anchor Gram
+    matrix, so a fit builds and checks it once.
     """
 
     coefficients: np.ndarray
@@ -173,7 +169,7 @@ class KernelMap:
     _params_field = "coefficients"
 
     def __post_init__(self):
-        arr = _trainable(self.coefficients, "coefficient matrix")
+        arr = _freeze(_as_matrix(self.coefficients, "coefficient matrix", _finite))
         if arr.shape[1] != self.anchors.m:
             raise ValidationError(
                 f"coefficient matrix has {arr.shape[1]} columns for {self.anchors.m} anchors"
@@ -181,7 +177,7 @@ class KernelMap:
         _check_budget(self.lambda_cap)
         object.__setattr__(self, "coefficients", arr)
         if self.anchor_gram is None:
-            object.__setattr__(self, "anchor_gram", gram(self.kernel, self.anchors))
+            object.__setattr__(self, "anchor_gram", _accepted_gram(self.kernel, self.anchors))
         elif self.anchor_gram.size != self.anchors.m:
             raise ValidationError(
                 f"anchor Gram matrix has size {self.anchor_gram.size} for {self.anchors.m} anchors"
@@ -239,6 +235,26 @@ class KernelMap:
         }
 
 
+def _accepted_gram(kernel: KernelSpec, anchors: SampleMatrix) -> GramMatrix:
+    """gram(kernel, anchors), which must pass the PSD check.
+
+    The Cholesky screen (kernels.psd_screen) accepts first; only a Gram
+    matrix it does not accept pays for the eigenvalues of psd_check, which
+    then decides and names the failure.  A passing screen implies a passing
+    check (see psd_screen), so the decision is psd_check's.
+    """
+    anchor_gram = gram(kernel, anchors)
+    # looked up on its module: bench/tracer.py wraps psd_check only there
+    if not kernels.psd_screen(anchor_gram):
+        check = kernels.psd_check(anchor_gram)
+        if not check.passed:
+            raise ValidationError(
+                f"anchor Gram matrix fails the PSD check "
+                f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
+            )
+    return anchor_gram
+
+
 def _zero_params(k: int | None, sample: SampleMatrix, width: int) -> np.ndarray:
     """k x width zeros; k defaults to min(n_features, m)."""
     return np.zeros((k if k is not None else min(sample.n_features, sample.m), width))
@@ -272,24 +288,9 @@ class KernelClass:
 
     def zero_map(self, sample: SampleMatrix) -> KernelMap:
         """The zero map of the class with the sample as anchors, whose Gram
-        matrix must pass the PSD check.
-
-        The Cholesky screen (kernels.psd_screen) accepts first; only a Gram
-        matrix it does not accept pays for the eigenvalues of psd_check,
-        which then decides and names the failure.  A passing screen implies
-        a passing check (see psd_screen), so the decision is psd_check's.
-        """
-        anchor_gram = gram(self.kernel, sample)
-        # looked up on its module: bench/tracer.py wraps psd_check only there
-        if not kernels.psd_screen(anchor_gram):
-            check = kernels.psd_check(anchor_gram)
-            if not check.passed:
-                raise ValidationError(
-                    f"anchor Gram matrix fails the PSD check "
-                    f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
-                )
+        matrix KernelMap builds and accepts (it must pass the PSD check)."""
         zeros = _zero_params(self.k, sample, sample.m)
-        return KernelMap(zeros, sample, self.kernel, self.lambda_cap, anchor_gram=anchor_gram)
+        return KernelMap(zeros, sample, self.kernel, self.lambda_cap)
 
 
 def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
@@ -357,7 +358,8 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
 
     A payload that is not a JSON object, lacks a field, or whose fields
     have the wrong types or values raises ValidationError, naming a missing
-    field.
+    field; so does a kernel model whose anchor Gram matrix fails the PSD
+    check.
     """
     if not isinstance(payload, dict):
         raise ValidationError(f"model must be a JSON object, got {type(payload).__name__}")
@@ -372,8 +374,6 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
                 KernelSpec.from_dict(payload["kernel"]),
                 float(payload["lambda_cap"]),
             )
-    except ValidationError:
-        raise
     except KeyError as exc:
         raise ValidationError(f"malformed {kind} model: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -3,10 +3,13 @@
 Three families are supported: linear (x . y), RBF (exp(-gamma ||x - y||^2),
 for which K(x, x) = 1 and hence q = 1), and polynomial ((x . y + coef0)^degree).
 Positive semidefiniteness is an assumption of the kernel certificates; it is
-checked empirically on the sampled Gram matrix against an eigenvalue
-threshold (psd_check).  psd_screen accepts most Gram matrices that pass that
-check with one Cholesky factorization, several times cheaper than the
-eigenvalues; a caller falls back to psd_check when the screen fails.
+checked empirically on the sampled Gram matrix against one relative
+eigenvalue threshold, DEFAULT_PSD_TOL (psd_check).  psd_screen accepts most
+Gram matrices that pass that check with one Cholesky factorization, several
+times cheaper than the eigenvalues; psd_check decides only when the screen
+fails.  Both run in one place, when a KernelMap builds its anchor Gram matrix
+(hypotheses._accepted_gram), so a trained and a loaded kernel model are
+accepted alike.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _BLOCK_BYTES, SampleMatrix, ValidationError, _as_matrix, _freeze
+from .core import _finite, _square, _symmetric
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -34,7 +38,7 @@ __all__ = [
 
 KERNEL_FAMILIES = ("linear", "rbf", "polynomial")
 
-# Relative eigenvalue floor used when a caller does not pick its own.
+# Relative eigenvalue floor of the PSD check and of its Cholesky screen.
 DEFAULT_PSD_TOL = 1e-8
 
 
@@ -58,8 +62,9 @@ class KernelSpec:
             )
         if not 0.0 < self.gamma < np.inf:
             raise ValidationError("gamma must be positive and finite")
-        if int(self.degree) != self.degree or self.degree < 1:
+        if not (float(self.degree).is_integer() and self.degree >= 1):
             raise ValidationError("degree must be an integer >= 1")
+        object.__setattr__(self, "degree", int(self.degree))
         if not 0.0 <= self.coef0 < np.inf:
             raise ValidationError("coef0 must be finite and nonnegative")
 
@@ -67,7 +72,7 @@ class KernelSpec:
         return {
             "family": self.family,
             "gamma": float(self.gamma),
-            "degree": int(self.degree),
+            "degree": self.degree,
             "coef0": float(self.coef0),
         }
 
@@ -76,7 +81,7 @@ class KernelSpec:
         return KernelSpec(
             family=payload["family"],
             gamma=float(payload.get("gamma", 1.0)),
-            degree=int(payload.get("degree", 2)),
+            degree=payload.get("degree", 2),
             coef0=float(payload.get("coef0", 1.0)),
         )
 
@@ -88,13 +93,7 @@ class GramMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.values, "Gram matrix")
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"Gram matrix must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("Gram matrix contains non-finite entries")
-        if not np.array_equal(arr, arr.T):
-            raise ValidationError("Gram matrix is not symmetric")
+        arr = _as_matrix(self.values, "Gram matrix", _square, _finite, _symmetric)
         if np.any(np.diag(arr) < 0.0):
             raise ValidationError("Gram matrix has a negative diagonal entry")
         object.__setattr__(self, "values", _freeze(arr))
@@ -191,20 +190,18 @@ def gram(spec: KernelSpec, sample: SampleMatrix) -> GramMatrix:
     return GramMatrix(k)
 
 
-def psd_check(gram_matrix: GramMatrix, tol: float = DEFAULT_PSD_TOL) -> PsdCheck:
+def psd_check(gram_matrix: GramMatrix) -> PsdCheck:
     """Empirical PSD check: pass iff the minimum eigenvalue does not fall
-    below -tol * max(|eigenvalues|, 1)."""
-    if tol < 0.0:
-        raise ValidationError("tol must be nonnegative")
+    below -DEFAULT_PSD_TOL * max(|eigenvalues|, 1)."""
     eigs = np.linalg.eigvalsh(gram_matrix.values)
     min_eig = float(eigs.min())
-    threshold = -tol * max(float(np.max(np.abs(eigs))), 1.0)
+    threshold = -DEFAULT_PSD_TOL * max(float(np.max(np.abs(eigs))), 1.0)
     return PsdCheck(passed=min_eig >= threshold, min_eigenvalue=min_eig, threshold=threshold)
 
 
 def psd_screen(gram_matrix: GramMatrix) -> bool:
     """True when K + tau I has a Cholesky factor, tau = (tol / 2) max(max_i K_ii, 1)
-    with tol = DEFAULT_PSD_TOL, the tolerance psd_check uses by default.
+    with tol = DEFAULT_PSD_TOL, the tolerance of psd_check.
 
     A True screen implies that psd_check(gram_matrix) passes: K + tau I
     positive definite means lambda_min >= -tau, and the threshold of
@@ -213,7 +210,7 @@ def psd_screen(gram_matrix: GramMatrix) -> bool:
     factorization is exact for K + tau I + E with ||E||_2 at most about
     m^2 u ||K||_2 (u the unit round-off) and ||K||_2 <= max |lambda|, so
     the other half of the threshold covers E while m^2 eps <= tol / 2, m up
-    to about 4700 at the default tol; a larger matrix is not screened.  A
+    to about 4700 at tol = 1e-8; a larger matrix is not screened.  A
     False screen decides nothing; the caller then runs psd_check.  One
     shifted copy of K is factored, in m^3 / 3 flops against the several
     times costlier symmetric eigenvalue solve.
@@ -232,8 +229,6 @@ def psd_screen(gram_matrix: GramMatrix) -> bool:
 
 
 def feature_space_radius(gram_matrix: GramMatrix) -> float:
-    """Radius q = max_i sqrt(K_ii) of the sample in kernel feature space."""
-    diag = np.diag(gram_matrix.values)
-    if np.any(diag < 0.0):
-        raise ValidationError("Gram matrix has a negative diagonal entry")
-    return float(np.sqrt(diag.max()))
+    """Radius q = max_i sqrt(K_ii) of the sample in kernel feature space;
+    GramMatrix rules out a negative diagonal."""
+    return float(np.sqrt(np.diag(gram_matrix.values).max()))

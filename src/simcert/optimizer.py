@@ -306,11 +306,16 @@ def initialize_model(
     sample: SampleMatrix,
     rng: np.random.Generator,
 ) -> LinearMap | KernelMap:
-    """Seeded start: uniform entries in [-0.01, 0.01], projected into the ball.
+    """Seeded start of the class on the sample (see _seeded_start).
 
     For kernel classes the anchor Gram matrix must pass the PSD check.
     """
-    zero = hypothesis_class.zero_map(sample)
+    return _seeded_start(hypothesis_class.zero_map(sample), rng)
+
+
+def _seeded_start(zero: LinearMap | KernelMap, rng: np.random.Generator) -> LinearMap | KernelMap:
+    """Uniform entries in [-0.01, 0.01] in place of the params of ``zero``,
+    projected into the ball; a kernel start shares the Gram matrix of ``zero``."""
     return project_norm_ball(zero.with_params(rng.uniform(-0.01, 0.01, size=zero.params.shape)))
 
 

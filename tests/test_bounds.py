@@ -222,12 +222,6 @@ class TestCertify:
                 == certify(model, sample, distances, 0.05).to_dict()
             ), f"seed {seed}"
 
-    def test_mode_mismatch_rejected(self):
-        sample = _ball_sample(m=10, seed=5)
-        distances = DistanceMatrix(pairwise_distances(sample.values))
-        with pytest.raises(ValidationError):
-            certify(LinearMap(np.eye(2), 1.0), sample, distances, 0.05, mode="kernel")
-
     def test_monotone_in_radii_and_sample_size(self):
         base = dict(lam=1.0, r=1.0, beta=0.5, m=100, delta=0.05, r_hat=0.1)
 
@@ -299,6 +293,18 @@ class TestEmpiricalRademacherMc:
         q = feature_space_radius(gram(kernel, sample))
         beta = distances.max_distance
         assert estimate <= rademacher_bound_kernel(1.0, q, beta, sample.m) + 2 * std_error
+
+    def test_kernel_estimate_builds_one_gram_matrix(self, count_calls):
+        spec = SyntheticSpec(
+            m=8, n_features=2, k_true=2, radius=1.0, map_norm=1.0, noise_sigma=0.05, seed=2
+        )
+        sample, distances, _ = generate_synthetic(spec)
+        calls = count_calls(gram)
+        empirical_rademacher_mc(
+            sample, distances, KernelClass(KernelSpec("rbf", gamma=0.5), lambda_cap=1.0, k=2),
+            n_sigma=3, inner_cfg=TrainConfig(max_iters=5), seed=0,
+        )
+        assert len(calls) == 1
 
     def test_dominated_by_closed_form(self):
         for seed in range(5):

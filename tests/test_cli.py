@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import simcert.kernels as kernels_module
+
 from simcert import (
     LinearClass,
     SampleMatrix,
@@ -285,10 +287,12 @@ _KERNEL_MODEL = b'"A": [[1.0, 0.0]], "anchors": [[0.0, 0.0], [1.0, 0.0]], "lambd
         (b'{"type": "kernel", ' + _KERNEL_MODEL
          + b', "kernel": {"family": "polynomial", "degree": 1e999}}', "malformed kernel model"),
         (b"[" * 100_000, "model.json"),
+        (b'{"type": "kernel", ' + _KERNEL_MODEL
+         + b', "kernel": {"family": "polynomial", "degree": 2.7}}', "degree"),
     ],
     ids=["list", "string", "text_cap", "text_entry", "string_kernel", "not_utf8", "truncated",
          "linear_without_W", "kernel_without_family", "nan_cap", "infinite_degree",
-         "deep_nesting"],
+         "deep_nesting", "fractional_degree"],
 )
 def test_malformed_model_is_validation_error(tmp_path, capsys, payload, named):
     _identity_fixture(tmp_path)
@@ -308,11 +312,47 @@ def test_malformed_model_is_validation_error(tmp_path, capsys, payload, named):
         assert named in capsys.readouterr().err
 
 
+def test_loaded_kernel_model_failing_the_psd_check_is_validation_error(
+    tmp_path, capsys, monkeypatch
+):
+    _identity_fixture(tmp_path)
+    (tmp_path / "model.json").write_bytes(
+        b'{"type": "kernel", ' + _KERNEL_MODEL + b', "kernel": {"family": "rbf"}}'
+    )
+    args = [
+        "certify",
+        "--model", str(tmp_path / "model.json"),
+        "--features", str(tmp_path / "features.csv"),
+        "--distances", str(tmp_path / "distances.csv"),
+        "--out", str(tmp_path / "cert"),
+    ]
+    # a negative tolerance fails every Gram matrix whose eigenvalues differ
+    monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", -1.0)
+    assert main(args) == 4
+    assert "fails the PSD check" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(args) == 0
+
+
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("simcert: error:"), lines
+    return lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_radius_prints_one_error_line(tmp_path, capsys):
+    assert main(["gen", "--radius", "1e300", "--out", str(tmp_path)]) == 4
+    assert "non-finite" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["train", "certify"])
 @pytest.mark.parametrize(
-    "text", ["1.0,0.0\n0.5,abc\n", "1.0,0.0\n0.5\n"], ids=["non_numeric", "ragged"]
+    "text",
+    ["1.0,0.0\n0.5,abc\n", "1.0,0.0\n0.5\n", ""],
+    ids=["non_numeric", "ragged", "empty"],
 )
-def test_malformed_csv_is_validation_error(tmp_path, command, text):
+def test_malformed_csv_is_validation_error(tmp_path, capsys, command, text):
     _identity_fixture(tmp_path)
     (tmp_path / "features.csv").write_text(text)
     model = ["--model", str(tmp_path / "model.json")] if command == "certify" else []
@@ -326,6 +366,7 @@ def test_malformed_csv_is_validation_error(tmp_path, command, text):
         ]
     )
     assert code == 4
+    assert "features.csv" in _one_error_line(capsys)
 
 
 _REJECTED_FLAGS = [

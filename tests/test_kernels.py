@@ -53,6 +53,17 @@ class TestKernelSpec:
         spec = KernelSpec("polynomial", gamma=2.0, degree=3, coef0=0.5)
         assert KernelSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("degree", [2.7, np.inf, np.nan])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(ValidationError, match="degree"):
+            KernelSpec("polynomial", degree=degree)
+        with pytest.raises(ValidationError, match="degree"):
+            KernelSpec.from_dict({"family": "polynomial", "degree": degree})
+
+    def test_integral_degree_is_stored_as_int(self):
+        spec = KernelSpec.from_dict({"family": "polynomial", "degree": 3.0})
+        assert type(spec.degree) is int and spec == KernelSpec("polynomial", degree=3)
+
 
 class TestKernelEval:
     def test_rbf_self_evaluation_is_one(self):
@@ -134,14 +145,15 @@ class TestGram:
 
 
 class TestPsdCheck:
-    def test_identity_passes(self):
-        res = psd_check(GramMatrix(np.eye(2)), tol=0.0)
+    def test_identity_passes(self, monkeypatch):
+        monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", 0.0)
+        res = psd_check(GramMatrix(np.eye(2)))
         assert res.passed
         assert res.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
 
     def test_indefinite_matrix_fails(self):
         # eigenvalues 3 and -1
-        res = psd_check(GramMatrix([[1.0, 2.0], [2.0, 1.0]]), tol=1e-8)
+        res = psd_check(GramMatrix([[1.0, 2.0], [2.0, 1.0]]))
         assert not res.passed
         assert res.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
