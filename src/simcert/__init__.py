@@ -54,7 +54,6 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     PsdCheck,
-    feature_space_radius,
     gram,
     kernel_eval,
     psd_check,

@@ -126,8 +126,8 @@ class BoundCertificate:
 
 
 def _check_radii(lam: float, radius: float, beta: float) -> None:
-    if lam < 0.0 or radius < 0.0 or beta < 0.0:
-        raise ValidationError("norm budget and radii must be nonnegative")
+    if not all(0.0 <= x < np.inf for x in (lam, radius, beta)):
+        raise ValidationError("norm budget and radii must be finite and nonnegative")
 
 
 def _check_delta(delta: float) -> None:
@@ -164,8 +164,8 @@ def rademacher_bound_kernel(lam: float, q: float, beta: float, m: int) -> float:
 
 def mcdiarmid_term(loss_bound: float, m: int, delta: float) -> float:
     """High-probability slack M * sqrt(2 ln(1/delta) / m), natural log."""
-    if loss_bound < 0.0:
-        raise ValidationError("loss bound must be nonnegative")
+    if not 0.0 <= loss_bound < np.inf:
+        raise ValidationError("loss bound must be finite and nonnegative")
     if m < 1:
         raise ValidationError("m must be >= 1")
     _check_delta(delta)

@@ -1,4 +1,4 @@
-"""Data containers, validation, and the pairwise stress loss.
+"""Data containers, validation, pairwise distances and the stress loss.
 
 A problem instance is a sample of m feature vectors in R^N plus an m x m
 matrix of supervised target distances (symmetric, zero diagonal,
@@ -6,6 +6,21 @@ nonnegative; the triangle inequality is not assumed).  The loss compares a
 predicted pairwise-distance matrix against the targets with a 1/m^2
 normalization over all ordered pairs; diagonal pairs are kept in the sum
 and contribute exactly zero.
+
+Every pairwise-distance helper lives here, in two forms:
+
+- the direct form, pairwise_distances, sums (y_ic - y_jc)^2 over the
+  coordinates.  It has no cancellation at tiny distances, so it gives
+  every reported risk (train's final_risk, certify's R_hat, the holdout
+  risk) and the synthetic targets;
+- the Gram form, gram_form_squared_distances, takes n_i + n_j - 2 y_i . y_j
+  from one matrix product.  It runs at BLAS speed but loses relative
+  accuracy at distances far below the row norms, so it is used only in the
+  stress pass (optimizer), whose values and gradients feed the descent.
+
+pairwise_distances, the stress pass and kernels.gram visit an m x m matrix
+in blocks of b rows under one policy, _row_blocks: b = max(1, _BLOCK_BYTES
+// (8 m)), so a (b x m) float temporary takes about _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ __all__ = [
     "validate_distance_matrix",
     "confusion_to_distance",
     "pairwise_distances",
+    "gram_form_squared_distances",
     "empirical_risk",
     "data_radii",
     "read_matrix_csv",
@@ -88,6 +104,11 @@ class SampleMatrix:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def radius(self) -> float:
+        """r, the largest feature norm in the sample."""
+        return float(np.max(np.linalg.norm(self.values, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -196,83 +217,88 @@ def confusion_to_distance(confusion: ConfusionMatrix) -> DistanceMatrix:
     return DistanceMatrix(1.0 - confusion.values)
 
 
-# Target size in bytes of one (b x m) row-block temporary; pairwise_distances
-# and optimizer.stress_state size their row blocks from it.
+# Target size in bytes of one (b x m) row-block temporary; _row_blocks alone
+# reads it.
 _BLOCK_BYTES = 1 << 19
 
-
-def _squared_difference(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- (u_i - v_j)^2 for every i and j."""
-    np.subtract(u[:, None], v[None, :], out=out)
-    np.multiply(out, out, out=out)
-    return out
+# Unit round-off of float64: |fl(x) - x| <= u |x|.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
-def _sum_squared_differences(block, cols, acc, tmp) -> None:
-    """acc <- sum over coordinates c of the planes (block[c, i] - cols[c, j])^2,
-    added in the order of numpy's pairwise summation.
+def _row_blocks(m: int):
+    """(start, stop) of consecutive blocks of b rows covering rows 0:m, with
+    b = max(1, _BLOCK_BYTES // (8 m)) so that a (b x m) float plane takes
+    about _BLOCK_BYTES."""
+    rows = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
+    for start in range(0, m, rows):
+        yield start, min(start + rows, m)
 
-    That order (pairwise_sum in numpy's loops_utils) is sequential below 8
-    terms; from 8 to 128 terms it keeps eight partial sums r_j += x[i + j],
-    combines them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and
-    adds the remainder one term at a time; above 128 it splits at
-    n2 = n//2 - (n//2) % 8 and recurses.  tmp is a scratch plane.
-    """
-    n = len(cols)
-    if n == 0:
-        acc.fill(0.0)
-    elif n < 8:
-        _squared_difference(block[0], cols[0], acc)
-        for c in range(1, n):
-            acc += _squared_difference(block[c], cols[c], tmp)
-    elif n <= 128:
-        r = [acc] + [np.empty_like(acc) for _ in range(7)]
-        for j in range(8):
-            _squared_difference(block[j], cols[j], r[j])
-        end = n - n % 8
-        for c in range(8, end):
-            r[c % 8] += _squared_difference(block[c], cols[c], tmp)
-        for i, j in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            r[i] += r[j]
-        for c in range(end, n):
-            acc += _squared_difference(block[c], cols[c], tmp)
-    else:
-        n2 = n // 2 - (n // 2) % 8
-        _sum_squared_differences(block[:n2], cols[:n2], acc, tmp)
-        right = np.empty_like(acc)
-        _sum_squared_differences(block[n2:], cols[n2:], right, tmp)
-        acc += right
+
+def _squared_row_norms(y: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each row of y."""
+    return np.einsum("ij,ij->i", y, y)
 
 
 def pairwise_distances(points) -> np.ndarray:
-    """Euclidean distance matrix between the rows of an m x k array.
+    """Euclidean distance matrix between the rows of an m x k array, in the
+    direct form.
 
     Symmetric with an exactly zero diagonal by construction.  The squared
-    distances are accumulated one coordinate at a time, (x_ic - x_jc)^2
-    taken from a contiguous copy of the k columns, in row blocks of b rows
-    with b sized so that a (b x m) plane takes about _BLOCK_BYTES; no
-    (b x m x k) difference broadcast is formed.  The k planes are added in
-    numpy's own pairwise-summation order, the order of
-    np.sum(diff * diff, axis=2) over the full broadcast, so every entry
-    equals that direct difference form bit for bit: no Gram-form
-    cancellation at tiny distances.  Beyond the m x m output and the m x k
-    column copy, the working memory is a few (b x m) planes: two below 8
-    coordinates, about ten from 8 on.
+    distances are accumulated one coordinate at a time from a contiguous
+    copy of the k columns, block by block (_row_blocks): plane 0,
+    (x_i0 - x_j0)^2, is written into the output block and planes 1..k-1
+    are added to it in order through one scratch plane; no (b x m x k)
+    difference broadcast is formed.  Below 8 coordinates this is the order
+    of np.sum(diff * diff, axis=2) over the full broadcast, bit for bit.
+    Beyond the m x m output and the m x k column copy, the working memory
+    is one (b x m) plane.
     """
     pts = _as_matrix(points, "point matrix", _finite)
-    m = pts.shape[0]
+    m, k = pts.shape
+    if m == 0 or k == 0:
+        return np.zeros((m, m))
     cols = np.ascontiguousarray(pts.T)
     out = np.empty((m, m))
-    rows = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
-    tmp = np.empty((min(rows, m), m))
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        _sum_squared_differences(
-            cols[:, start:stop], cols, out[start:stop], tmp[: stop - start]
-        )
+    # one scratch plane, as tall as the first block, the tallest
+    scratch = np.empty_like(out[: next(_row_blocks(m))[1]])
+    for start, stop in _row_blocks(m):
+        block, plane = out[start:stop], scratch[: stop - start]
+        np.subtract(cols[0, start:stop, None], cols[0], out=block)
+        block *= block
+        for c in range(1, k):
+            np.subtract(cols[c, start:stop, None], cols[c], out=plane)
+            plane *= plane
+            block += plane
     np.sqrt(out, out=out)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def gram_form_squared_distances(
+    y: np.ndarray, start: int = 0, stop: int | None = None, norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances from rows start:stop of y to every row of y, in the
+    Gram form.
+
+    Entry (i, j) is n_i + n_j - 2 c_ij with n the squared row norms and
+    c = y[start:stop] y^T, so a block of b rows costs O(b m k) flops and
+    O(b m) memory; the default range is the whole m x m matrix.  A caller
+    visiting y block by block passes n as ``norms``, computed once with
+    _squared_row_norms.  An entry at or below the dot-product round-off
+    bound 2 (k + 2) u (n_i + n_j), u the unit round-off, cannot be told
+    from zero in this form and is set to zero.  This clamps round-off
+    negatives and makes the distance between coincident rows, and so the
+    diagonal, exactly zero for finite y.
+    """
+    if norms is None:
+        norms = _squared_row_norms(y)
+    sq = y[start:stop] @ y.T
+    sq *= -2.0
+    floor = norms[start:stop, None] + norms[None, :]
+    sq += floor
+    floor *= 2.0 * (y.shape[1] + 2) * _UNIT_ROUNDOFF
+    sq[sq <= floor] = 0.0
+    return sq
 
 
 def empirical_risk(predicted, target: DistanceMatrix) -> float:
@@ -302,8 +328,7 @@ def _check_sizes(sample: SampleMatrix, distances: DistanceMatrix) -> None:
 def data_radii(sample: SampleMatrix, distances: DistanceMatrix) -> DataRadii:
     """Largest feature norm r and largest target distance beta."""
     _check_sizes(sample, distances)
-    r = float(np.max(np.linalg.norm(sample.values, axis=1)))
-    return DataRadii(r=r, beta=distances.max_distance)
+    return DataRadii(r=sample.radius, beta=distances.max_distance)
 
 
 def write_matrix_csv(path, mat) -> None:

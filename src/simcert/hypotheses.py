@@ -20,6 +20,10 @@ RKHS norm is sqrt(trace(A K A^T)) with K the anchor Gram matrix; being
 1-homogeneous in A, projection rescales.  Both carry a norm budget
 lambda_cap that projection re-establishes after every step.
 
+The module holds maps only: the embedded distances come from
+core.pairwise_distances (direct form) and, in the stress pass, from
+core.gram_form_squared_distances.
+
 ``with_params`` validates and copies its input.  Inside the projected loop,
 where every step is already checked finite, maps are derived with
 _derived instead, which takes the new P as it is.
@@ -42,7 +46,6 @@ __all__ = [
     "LinearClass",
     "KernelClass",
     "embed",
-    "gram_form_squared_distances",
     "embedding_distance_matrix",
     "model_norm",
     "project_norm_ball",
@@ -51,10 +54,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-# Unit round-off of float64: |fl(x) - x| <= u |x|.
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
-
 
 def _check_budget(lambda_cap: float, k: int | None = None) -> None:
     if not 0.0 <= lambda_cap < np.inf:
@@ -137,7 +136,7 @@ class LinearMap:
 
     def feature_radius(self, sample: SampleMatrix) -> float:
         """r, the largest feature norm in the sample."""
-        return float(np.max(np.linalg.norm(sample.values, axis=1)))
+        return sample.radius
 
     def to_dict(self) -> dict:
         return {
@@ -195,11 +194,13 @@ class KernelMap:
 
     def features(self, points) -> np.ndarray:
         """Kernel columns of the points against the anchors, one row per point;
-        the held Gram matrix when the points are the anchors."""
+        the held Gram matrix when the points are the anchors.  An overflowing
+        kernel value raises ValidationError."""
         pts = _as_matrix(points, "point matrix")
         if np.array_equal(pts, self.anchors.values):
             return self.anchor_gram.values
-        return kernel_columns(self.kernel, self.anchors.values, pts).T
+        cols = kernel_columns(self.kernel, self.anchors.values, pts).T
+        return _as_matrix(cols, "kernel column matrix", _finite)
 
     def norm(self) -> float:
         a = self.coefficients
@@ -296,36 +297,6 @@ class KernelClass:
 def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
     """Map the rows of an (n x N) feature array into the embedding space."""
     return model.features(points) @ model.params.T
-
-
-def _squared_row_norms(y: np.ndarray) -> np.ndarray:
-    """The squared Euclidean norm of each row of y."""
-    return np.einsum("ij,ij->i", y, y)
-
-
-def gram_form_squared_distances(
-    y: np.ndarray, start: int = 0, stop: int | None = None, norms: np.ndarray | None = None
-) -> np.ndarray:
-    """Squared distances from rows start:stop of y to every row of y.
-
-    Entry (i, j) is n_i + n_j - 2 c_ij with n the squared row norms and
-    c = y[start:stop] y^T, so a block of b rows costs O(b m k) flops and
-    O(b m) memory; the default range is the whole m x m matrix.  A caller
-    visiting y block by block passes n as ``norms``, computed once with
-    _squared_row_norms.  An entry at or below the dot-product round-off
-    bound 2 (k + 2) u (n_i + n_j), u the unit round-off, cannot be told
-    from zero in this form and is set to zero.  This clamps round-off negatives and makes the distance
-    between coincident rows, and so the diagonal, exactly zero for finite y.
-    """
-    if norms is None:
-        norms = _squared_row_norms(y)
-    sq = y[start:stop] @ y.T
-    sq *= -2.0
-    floor = norms[start:stop, None] + norms[None, :]
-    sq += floor
-    floor *= 2.0 * (y.shape[1] + 2) * _UNIT_ROUNDOFF
-    sq[sq <= floor] = 0.0
-    return sq
 
 
 def embedding_distance_matrix(model: LinearMap | KernelMap, sample: SampleMatrix) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""PDS kernels, Gram matrices, and the feature-space radius q.
+"""PDS kernels, Gram matrices, and the kernel diagonal that gives the radius q.
 
 Three families are supported: linear (x . y), RBF (exp(-gamma ||x - y||^2),
 for which K(x, x) = 1 and hence q = 1), and polynomial ((x . y + coef0)^degree).
@@ -9,7 +9,12 @@ Gram matrices that pass that check with one Cholesky factorization, several
 times cheaper than the eigenvalues; psd_check decides only when the screen
 fails.  Both run in one place, when a KernelMap builds its anchor Gram matrix
 (hypotheses._accepted_gram), so a trained and a loaded kernel model are
-accepted alike.
+accepted alike.  The radius q that certify reads comes from the kernel
+diagonal alone (kernel_diagonal, via KernelMap.feature_radius), never from
+a Gram matrix.  gram mirrors its upper triangle in row blocks of the one
+policy of core._row_blocks.  A kernel value that overflows becomes inf
+without a numpy warning; the finite check of the matrix that holds it names
+the failure.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_BYTES, SampleMatrix, ValidationError, _as_matrix, _freeze
-from .core import _finite, _square, _symmetric
+from .core import SampleMatrix, ValidationError, _as_matrix, _freeze, _row_blocks
+from .core import _finite, _square, _squared_row_norms, _symmetric
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -33,7 +38,6 @@ __all__ = [
     "psd_check",
     "psd_screen",
     "kernel_diagonal",
-    "feature_space_radius",
 ]
 
 KERNEL_FAMILIES = ("linear", "rbf", "polynomial")
@@ -126,6 +130,10 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float((xv @ yv + spec.coef0) ** spec.degree)
 
 
+# An overflowing kernel value becomes inf (or NaN) without a numpy warning;
+# the finite check of GramMatrix, of KernelMap.features on fresh points or of
+# the certificate's radius q then names the failure once.
+@np.errstate(over="ignore", invalid="ignore")
 def kernel_columns(spec: KernelSpec, anchors, points) -> np.ndarray:
     """Kernel evaluations of each anchor against each point.
 
@@ -161,6 +169,7 @@ def kernel_columns(spec: KernelSpec, anchors, points) -> np.ndarray:
     return (inner + spec.coef0) ** spec.degree
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kernel_diagonal(spec: KernelSpec, points) -> np.ndarray:
     """K(x_i, x_i) for each row x_i of ``points``, in O(m N) flops and O(m)
     memory: 1 for RBF, ||x_i||^2 for linear, (||x_i||^2 + coef0)^degree for
@@ -168,7 +177,7 @@ def kernel_diagonal(spec: KernelSpec, points) -> np.ndarray:
     p = _as_matrix(points, "point matrix")
     if spec.family == "rbf":
         return np.ones(p.shape[0])
-    sq = np.einsum("ij,ij->i", p, p)
+    sq = _squared_row_norms(p)
     if spec.family == "linear":
         return sq
     return (sq + spec.coef0) ** spec.degree
@@ -179,10 +188,7 @@ def gram(spec: KernelSpec, sample: SampleMatrix) -> GramMatrix:
     strict upper triangle onto the lower one in place, a block of b rows at
     a time, so the copy needs no m x m temporary."""
     k = kernel_columns(spec, sample.values, sample.values)
-    m = k.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * m))
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
+    for start, stop in _row_blocks(k.shape[0]):
         diag = k[start:stop, start:stop]
         lower = np.tril_indices(stop - start, -1)
         diag[lower] = diag.T[lower]
@@ -226,9 +232,3 @@ def psd_screen(gram_matrix: GramMatrix) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def feature_space_radius(gram_matrix: GramMatrix) -> float:
-    """Radius q = max_i sqrt(K_ii) of the sample in kernel feature space;
-    GramMatrix rules out a negative diagonal."""
-    return float(np.sqrt(np.diag(gram_matrix.values).max()))

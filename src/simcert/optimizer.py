@@ -6,21 +6,24 @@ risk plus penalty_lambda * model_norm (penalized mode; the penalty is on
 the norm itself, not its square).  Distances are optionally smoothed as
 d~ = sqrt(d^2 + eps^2) because the gradient factor (d - D)/d is singular
 where embedded points coincide; with eps = 0 coincident pairs follow the
-zero-subgradient convention.
+zero-subgradient convention, and so does an eps whose square underflows
+to zero.
 
 Everything here speaks to a map only through the protocol of hypotheses
 (params, with_params, features, project, norm_subgradient), so linear and
 kernel maps take one code path.  One kernel, stress_state, computes the
-weighted stress value and its gradient together; it visits each unordered
-pair once, in blocks of b rows that pair only with the columns up to the
-block's last row, and contracts the graph Laplacian through the m x k
-embedding, so a step costs O(m^2 k + k m N) flops (N the feature width,
-N = m for kernel maps), about m(m + b)/2 pair entries and O(b m) working
-memory.  One loop, projected_path, runs accelerated projected gradient
-(FISTA, Beck & Teboulle 2009, in its single-projection form) with
-gradient-based adaptive restart (O'Donoghue & Candes 2015): train descends
-on the stress (sign -1) and the Monte-Carlo estimator in bounds ascends on
-the Rademacher-signed stress (sign +1), each making one stress pass and at
+weighted stress value and its gradient together from the Gram-form
+distances of core (the direct form stays with the reported risks); it
+visits each unordered pair once, in the row blocks of core._row_blocks,
+each paired only with the columns up to the block's last row, and
+contracts the graph Laplacian through the m x k embedding, so a step
+costs O(m^2 k + k m N) flops (N the feature width, N = m for kernel
+maps), about m(m + b)/2 pair entries and O(b m) working memory.  One
+loop, projected_path, runs accelerated projected gradient (FISTA, Beck &
+Teboulle 2009, in its single-projection form) with gradient-based
+adaptive restart (O'Donoghue & Candes 2015): train descends on the stress
+(sign -1) and the Monte-Carlo estimator in bounds ascends on the
+Rademacher-signed stress (sign +1), each making one stress pass and at
 most one projection per step.  Every map the loop evaluates is a convex
 combination of maps in the norm ball, so it is in the ball too.
 """
@@ -33,12 +36,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    _BLOCK_BYTES,
     DistanceMatrix,
     SampleMatrix,
     ValidationError,
     _check_sizes,
+    _row_blocks,
+    _squared_row_norms,
     empirical_risk,
+    gram_form_squared_distances,
 )
 from .hypotheses import (
     KernelClass,
@@ -46,9 +51,7 @@ from .hypotheses import (
     LinearClass,
     LinearMap,
     _derived,
-    _squared_row_norms,
     embedding_distance_matrix,
-    gram_form_squared_distances,
     model_norm,
     project_norm_ball,
 )
@@ -95,8 +98,9 @@ class TrainConfig:
             raise ValidationError("grad_tol must be positive and finite")
         if not 0.0 <= self.penalty_lambda < np.inf:
             raise ValidationError("penalty_lambda must be finite and nonnegative")
-        if not 0.0 <= self.smoothing_eps < np.inf:
-            raise ValidationError("smoothing_eps must be finite and nonnegative")
+        # eps enters the smoothing only as eps^2, which must be finite
+        if not (0.0 <= self.smoothing_eps and self.smoothing_eps * self.smoothing_eps < np.inf):
+            raise ValidationError("smoothing_eps must be nonnegative with a finite square")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -157,9 +161,8 @@ def stress_state(
     distances (gram_form_squared_distances), a, share of L Y and share of
     the value are computed and dropped before the next, so a step costs
     about m(m + b)/2 pair entries, O(m^2 k + k m N) flops and O(b m)
-    working memory, with b sized so that a full-width block temporary
-    takes about _BLOCK_BYTES.  With m <= b there is one block, the whole
-    m x m matrix.
+    working memory, with b from core._row_blocks.  With m <= b there is
+    one block, the whole m x m matrix.
 
     A non-finite gradient raises ValidationError only while the value is
     finite and within DIVERGENCE_RISK in magnitude, so a diverged iterate
@@ -201,9 +204,7 @@ def _stress_pass(
     norms = _squared_row_norms(y)
     lap_y = np.empty_like(y)
     total = 0.0
-    rows = max(1, _BLOCK_BYTES // (8 * m))
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
+    for start, stop in _row_blocks(m):
         # the block pairs rows start:stop with columns 0:stop; columns
         # 0:start hold pairs (i, j), j < i, that stand for (j, i) as well
         target = target_values[start:stop, :stop]
@@ -226,7 +227,8 @@ def _stress_pass(
         coef = np.subtract(dt, target, out=sq)
         if w is not None:
             coef *= w
-        if eps > 0.0:
+        # an eps whose square underflows to 0 smooths nothing, as eps = 0
+        if eps * eps > 0.0:
             coef /= dt
         else:
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,10 +20,8 @@ from simcert import (
     data_radii,
     embedding_distance_matrix,
     empirical_rademacher_mc,
-    feature_space_radius,
     generalization_bound,
     generate_synthetic,
-    gram,
     loss_bound_M,
     mcdiarmid_term,
     model_norm,
@@ -133,8 +131,8 @@ def test_criterion_4_rbf_radius_exactly_one():
         n = int(rng.integers(1, 6))
         sample = SampleMatrix(rng.normal(size=(m, n)) * rng.uniform(0.01, 100.0))
         spec = KernelSpec("rbf", gamma=float(rng.uniform(0.01, 10.0)))
-        ok = ok and feature_space_radius(gram(spec, sample)) == 1.0
-    _report(4, "feature-space radius of every RBF Gram equals 1 exactly", ok)
+        ok = ok and KernelClass(spec, 1.0).zero_map(sample).feature_radius(sample) == 1.0
+    _report(4, "feature-space radius of every RBF sample equals 1 exactly", ok)
 
 
 def test_criterion_5_coverage_experiment():

@@ -16,7 +16,6 @@ from simcert import (
     certify,
     data_radii,
     empirical_rademacher_mc,
-    feature_space_radius,
     generalization_bound,
     gram,
     loss_bound_M,
@@ -48,6 +47,23 @@ class TestLossBound:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValidationError):
             loss_bound_M(-1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["lam", "radius", "beta"])
+    def test_non_finite_inputs_rejected(self, bad, position):
+        args = [1.0, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(ValidationError):
+            loss_bound_M(*args)
+        with pytest.raises(ValidationError):
+            rademacher_bound_linear(*args, 10)
+        with pytest.raises(ValidationError):
+            rademacher_bound_kernel(*args, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_loss_bound_rejected_by_mcdiarmid_term(self, bad):
+        with pytest.raises(ValidationError):
+            mcdiarmid_term(bad, 10, 0.05)
 
 
 class TestRademacherBounds:
@@ -190,6 +206,18 @@ class TestCertify:
         assert cert.inputs.mode == "kernel"
         assert cert.inputs.q == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kernel_radius_is_rejected(self):
+        # the embedded distances stay finite while K(x, x) = ||x||^200 overflows
+        rng = np.random.default_rng(5)
+        anchors = SampleMatrix(rng.normal(size=(5, 2)) * 0.1)
+        spec = KernelSpec("polynomial", degree=100, coef0=0.0)
+        model = KernelMap(rng.normal(size=(2, 5)), anchors, spec, 1.0)
+        sample = SampleMatrix(rng.normal(size=(6, 2)) * 100.0)
+        distances = DistanceMatrix(pairwise_distances(sample.values))
+        with pytest.raises(ValidationError, match="finite"):
+            certify(model, sample, distances, 0.05)
+
     def test_loaded_kernel_model_builds_one_gram_matrix(self, tmp_path, count_calls):
         sample, distances, _ = generate_synthetic(
             SyntheticSpec(m=12, n_features=2, k_true=2, radius=1.0, map_norm=1.0,
@@ -290,7 +318,7 @@ class TestEmpiricalRademacherMc:
             inner_cfg=TrainConfig(max_iters=60),
             seed=3,
         )
-        q = feature_space_radius(gram(kernel, sample))
+        q = KernelClass(kernel, 1.0).zero_map(sample).feature_radius(sample)
         beta = distances.max_distance
         assert estimate <= rademacher_bound_kernel(1.0, q, beta, sample.m) + 2 * std_error
 

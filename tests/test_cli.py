@@ -346,6 +346,20 @@ def test_overflowing_radius_prints_one_error_line(tmp_path, capsys):
     assert "non-finite" in _one_error_line(capsys)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_kernel_prints_one_error_line(tmp_path, capsys):
+    _identity_fixture(tmp_path)
+    args = [
+        "train",
+        "--features", str(tmp_path / "features.csv"),
+        "--distances", str(tmp_path / "distances.csv"),
+        "--class", "kernel", "--kernel", "poly", "--degree", "1000000",
+        "--out", str(tmp_path / "run"),
+    ]
+    assert main(args) == 4
+    assert "non-finite" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["train", "certify"])
 @pytest.mark.parametrize(
     "text",
@@ -377,6 +391,7 @@ _REJECTED_FLAGS = [
     ("train", ["--step-size", "inf"], "step_size"),
     ("train", ["--grad-tol", "inf"], "grad_tol"),
     ("train", ["--eps", "nan"], "smoothing_eps"),
+    ("train", ["--eps", "1e160"], "smoothing_eps"),
     ("train", ["--lambda-cap", "nan"], "lambda_cap"),
     ("train", ["--lambda-cap", "inf"], "lambda_cap"),
     ("train", ["--class", "kernel", "--gamma", "inf"], "gamma"),

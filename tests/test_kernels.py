@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simcert.core as core_module
 import simcert.hypotheses as hypotheses_module
 import simcert.kernels as kernels_module
 
@@ -17,7 +18,6 @@ from simcert import (
     SampleMatrix,
     ValidationError,
     data_radii,
-    feature_space_radius,
     gram,
     kernel_eval,
     psd_check,
@@ -115,7 +115,7 @@ class TestGram:
         spec = KernelSpec(family, gamma=0.5, degree=3, coef0=0.5)
         for m in (2, 7, 65, 300):
             if block_rows is not None:
-                monkeypatch.setattr(kernels_module, "_BLOCK_BYTES", 8 * m * block_rows)
+                monkeypatch.setattr(core_module, "_BLOCK_BYTES", 8 * m * block_rows)
             s = _random_sample(rng, m=m, n=4)
             k = kernel_columns(spec, s.values, s.values)
             expected = np.triu(k) + np.triu(k, 1).T
@@ -171,29 +171,34 @@ class TestPsdCheck:
             assert sq.min() >= -1e-9
 
 
+def _kernel_radius(spec, sample):
+    """q of the sample as certify reads it, from a map of the class."""
+    return KernelClass(spec, 1.0).zero_map(sample).feature_radius(sample)
+
+
 class TestFeatureSpaceRadius:
     def test_rbf_radius_is_exactly_one(self):
         rng = np.random.default_rng(7)
         for seed in range(5):
             s = _random_sample(np.random.default_rng(seed), m=6, n=4, scale=50.0)
-            q = feature_space_radius(gram(KernelSpec("rbf", gamma=2.0), s))
+            q = _kernel_radius(KernelSpec("rbf", gamma=2.0), s)
             assert q == 1.0
 
     def test_linear_radius_is_max_feature_norm(self):
         # K(x, x) = ||x||^2, so q = max norm = 5 for the 3-4-5 point
         s = SampleMatrix([[3.0, 4.0], [0.0, 1.0]])
-        assert feature_space_radius(gram(KernelSpec("linear"), s)) == 5.0
+        assert _kernel_radius(KernelSpec("linear"), s) == 5.0
 
     def test_all_zero_sample_linear_radius_zero(self):
         s = SampleMatrix(np.zeros((3, 2)))
-        assert feature_space_radius(gram(KernelSpec("linear"), s)) == 0.0
+        assert _kernel_radius(KernelSpec("linear"), s) == 0.0
 
     def test_linear_radius_matches_data_radii(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             s = _random_sample(rng, m=6, n=3, scale=rng.uniform(0.1, 10.0))
             d = DistanceMatrix(np.zeros((6, 6)))
-            q = feature_space_radius(gram(KernelSpec("linear"), s))
+            q = _kernel_radius(KernelSpec("linear"), s)
             assert q == pytest.approx(data_radii(s, d).r, abs=1e-12)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simcert.core as core_module
 import simcert.optimizer as optimizer_module
 
 from simcert import (
@@ -30,7 +31,8 @@ from simcert import (
     train,
     validate_distance_matrix,
 )
-from simcert.hypotheses import gram_form_squared_distances, project_norm_ball
+from simcert.core import gram_form_squared_distances
+from simcert.hypotheses import project_norm_ball
 from simcert.kernels import gram, kernel_columns
 from simcert.optimizer import (
     initialize_model,
@@ -151,7 +153,7 @@ FAMILIES = {
 
 def block_rows(monkeypatch, m, rows=BLOCK_ROWS):
     """Make stress_state visit an m-point sample in blocks of ``rows`` rows."""
-    monkeypatch.setattr(optimizer_module, "_BLOCK_BYTES", 8 * m * rows)
+    monkeypatch.setattr(core_module, "_BLOCK_BYTES", 8 * m * rows)
 
 
 def pair_features(model, sample):
@@ -459,6 +461,20 @@ class TestTrain:
         )
         assert penalized.final_model_norm < plain.final_model_norm
 
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", gamma=0.5)], ids=["linear", "rbf"])
+    def test_eps_whose_square_underflows_trains_as_eps_zero(self, kernel):
+        # (1e-170)^2 is 0 in float64: the smoothing is exactly off
+        _, sample, distances = random_instance(17)
+        hclass = LinearClass(2.0, k=2) if kernel is None else KernelClass(kernel, 2.0, k=2)
+        tiny, tiny_report = train(
+            sample, distances, hclass, TrainConfig(max_iters=30, smoothing_eps=1e-170)
+        )
+        zero, zero_report = train(
+            sample, distances, hclass, TrainConfig(max_iters=30, smoothing_eps=0.0)
+        )
+        assert np.array_equal(tiny.params, zero.params)
+        assert tiny_report == zero_report
+
     def test_size_mismatch_rejected(self):
         rng = np.random.default_rng(14)
         sample = SampleMatrix(rng.normal(size=(4, 2)))
@@ -479,6 +495,8 @@ class TestTrainConfig:
             TrainConfig(penalty_lambda=-0.1)
         with pytest.raises(ValidationError):
             TrainConfig(smoothing_eps=-1e-9)
+        with pytest.raises(ValidationError, match="smoothing_eps"):
+            TrainConfig(smoothing_eps=1e160)  # its square overflows
         with pytest.raises(ValidationError, match="seed"):
             TrainConfig(seed=-1)
 
