@@ -36,14 +36,13 @@ from .core import (
     ValidationError,
     _check_sizes,
     data_radii,
-    empirical_risk,
 )
 from .hypotheses import (
     KernelClass,
     KernelMap,
     LinearClass,
     LinearMap,
-    embedding_distance_matrix,
+    embedded_risk,
     model_norm,
 )
 from .optimizer import TrainConfig, _seeded_start, projected_path
@@ -146,12 +145,21 @@ def loss_bound_M(lam: float, radius: float, beta: float) -> float:
     return lam * max(2.0 * radius, beta)
 
 
+def _squared_product(lam: float, scale: float) -> float:
+    """lam**2 * scale**2, or inf where a power overflows (a float power
+    raises OverflowError there); the certificate rejects a non-finite term."""
+    try:
+        return lam**2 * scale**2
+    except OverflowError:
+        return math.inf
+
+
 def rademacher_bound_linear(lam: float, r: float, beta: float, m: int) -> float:
     """Closed-form upper bound lam^2 * max(2 r, beta)^2 / m for the linear class."""
     _check_radii(lam, r, beta)
     if m < 1:
         raise ValidationError("m must be >= 1")
-    return lam**2 * max(2.0 * r, beta) ** 2 / m
+    return _squared_product(lam, max(2.0 * r, beta)) / m
 
 
 def rademacher_bound_kernel(lam: float, q: float, beta: float, m: int) -> float:
@@ -159,7 +167,7 @@ def rademacher_bound_kernel(lam: float, q: float, beta: float, m: int) -> float:
     _check_radii(lam, q, beta)
     if m < 1:
         raise ValidationError("m must be >= 1")
-    return lam**2 * max(math.sqrt(2.0) * q, beta) ** 2 / m
+    return _squared_product(lam, max(math.sqrt(2.0) * q, beta)) / m
 
 
 def mcdiarmid_term(loss_bound: float, m: int, delta: float) -> float:
@@ -260,12 +268,14 @@ def certify(
     inside its cap, penalized or not, because projected_path projects every
     step; for it the max only absorbs round-off in the norm.  A model built
     or loaded by hand may lie outside its cap, and then lam is its norm.
+    R_hat is summed by core.streamed_risk, the one reduction behind every
+    reported risk, from the rows of the stored targets.
     """
     _check_delta(delta)
 
     radii = data_radii(sample, distances)
     lam = max(model.lambda_cap, model_norm(model))
-    r_hat = empirical_risk(embedding_distance_matrix(model, sample), distances)
+    r_hat = embedded_risk(model, sample.values, distances.upper_rows())
     m = sample.m
     radius = model.feature_radius(sample)
     loss_bound = loss_bound_M(lam, radius, radii.beta)

@@ -11,16 +11,19 @@ Every pairwise-distance helper lives here, in two forms:
 
 - the direct form, pairwise_distances, sums (y_ic - y_jc)^2 over the
   coordinates.  It has no cancellation at tiny distances, so it gives
-  every reported risk (train's final_risk, certify's R_hat, the holdout
-  risk) and the synthetic targets;
+  the synthetic targets and every reported risk: train's final_risk,
+  certify's R_hat and the holdout risk all come from one streamed
+  reduction, streamed_risk, which sums each unordered pair once, block by
+  block, and never holds an m x m matrix;
 - the Gram form, gram_form_squared_distances, takes n_i + n_j - 2 y_i . y_j
   from one matrix product.  It runs at BLAS speed but loses relative
   accuracy at distances far below the row norms, so it is used only in the
   stress pass (optimizer), whose values and gradients feed the descent.
 
-pairwise_distances, the stress pass and kernels.gram visit an m x m matrix
-in blocks of b rows under one policy, _row_blocks: b = max(1, _BLOCK_BYTES
-// (8 m)), so a (b x m) float temporary takes about _BLOCK_BYTES.
+pairwise_distances, streamed_risk, validate_distance_matrix, the stress
+pass and kernels.gram visit an m x m matrix in blocks of b rows under one
+policy, _row_blocks: b = max(1, _BLOCK_BYTES // (8 m)), so a (b x m) float
+temporary takes about _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "pairwise_distances",
     "gram_form_squared_distances",
     "empirical_risk",
+    "streamed_risk",
     "data_radii",
     "read_matrix_csv",
     "write_matrix_csv",
@@ -77,6 +81,9 @@ def _symmetric(arr: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} is not symmetric")
 
 
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -90,11 +97,17 @@ class SampleMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.values, "sample matrix", _finite)
+        arr = _as_matrix(self.values, "sample matrix")
         if arr.shape[0] < 2:
             raise ValidationError(f"need at least 2 sample points, got {arr.shape[0]}")
         if arr.shape[1] < 1:
             raise ValidationError("sample points need at least 1 feature")
+        # every loss and kernel squares differences of sample points, which
+        # are at most 2 r apart; a NaN or an infinite entry fails this too
+        # (einsum sets no floating-point flags, so an overflow is silent)
+        if not _squared_row_norms(arr).max() <= _MAX_FLOAT / 4.0:
+            _finite(arr, "sample matrix")
+            raise ValidationError("sample points too large: their squared distances overflow")
         object.__setattr__(self, "values", _freeze(arr))
 
     @property
@@ -137,6 +150,11 @@ class DistanceMatrix:
     @property
     def max_distance(self) -> float:
         return float(self.values.max())
+
+    def upper_rows(self):
+        """Rows start:stop on columns start:m for each block (start, stop) of
+        _row_blocks(m), in order: the target blocks of streamed_risk."""
+        return (self.values[start:stop, start:] for start, stop in _row_blocks(self.size))
 
 
 @dataclass(frozen=True)
@@ -186,15 +204,21 @@ def validate_distance_matrix(mat, tol: float = 0.0) -> DistanceMatrix:
     Asymmetry up to ``tol`` is symmetrized by averaging (D + D.T) / 2, the
     least-squares symmetric projection.  Diagonal entries within ``tol`` of
     zero are zeroed; entries in [-tol, 0) are clamped to zero.  Anything
-    beyond tolerance is rejected.
+    beyond tolerance is rejected.  The asymmetry is measured block by block
+    (_row_blocks) over the upper triangle, and the repair is made in the one
+    matrix handed to DistanceMatrix, so beyond the input and the output one
+    m x m temporary is held.
     """
     _check_tol(tol)
     arr = _as_matrix(mat, "distance matrix", _square, _finite)
-
-    asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+    asym = 0.0
+    for start, stop in _row_blocks(arr.shape[0]):
+        diff = np.subtract(arr[start:stop, start:], arr[start:, start:stop].T)
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
     if asym > tol:
         raise ValidationError(f"asymmetry {asym:g} exceeds tolerance {tol:g}")
-    sym = (arr + arr.T) / 2.0
+    sym = np.add(arr, arr.T)
+    sym /= 2.0
 
     diag_err = float(np.max(np.abs(np.diag(sym)))) if arr.size else 0.0
     if diag_err > tol:
@@ -206,9 +230,9 @@ def validate_distance_matrix(mat, tol: float = 0.0) -> DistanceMatrix:
             f"entry {most_negative:g} is negative beyond tolerance {tol:g}"
         )
 
-    out = np.maximum(sym, 0.0)
-    np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(out)
+    np.maximum(sym, 0.0, out=sym)
+    np.fill_diagonal(sym, 0.0)
+    return DistanceMatrix(sym)
 
 
 def confusion_to_distance(confusion: ConfusionMatrix) -> DistanceMatrix:
@@ -239,19 +263,35 @@ def _squared_row_norms(y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", y, y)
 
 
+def _direct_rows(cols: np.ndarray, start: int, stop: int, first: int, out, plane):
+    """Direct-form distances from points start:stop to points first:n, into
+    ``out`` ((stop - start) x (n - first)).
+
+    ``cols`` holds one coordinate per row (k x n, k >= 1) and ``plane`` is
+    scratch of out's shape.  Plane 0, (x_i0 - x_j0)^2, is written into out,
+    planes 1..k-1 are added to it in order, then the square root is taken,
+    so each entry gets the same arithmetic whatever block it falls in.
+    """
+    np.subtract(cols[0, start:stop, None], cols[0, first:], out=out)
+    out *= out
+    for c in range(1, cols.shape[0]):
+        np.subtract(cols[c, start:stop, None], cols[c, first:], out=plane)
+        plane *= plane
+        out += plane
+    return np.sqrt(out, out=out)
+
+
 def pairwise_distances(points) -> np.ndarray:
     """Euclidean distance matrix between the rows of an m x k array, in the
     direct form.
 
     Symmetric with an exactly zero diagonal by construction.  The squared
     distances are accumulated one coordinate at a time from a contiguous
-    copy of the k columns, block by block (_row_blocks): plane 0,
-    (x_i0 - x_j0)^2, is written into the output block and planes 1..k-1
-    are added to it in order through one scratch plane; no (b x m x k)
-    difference broadcast is formed.  Below 8 coordinates this is the order
-    of np.sum(diff * diff, axis=2) over the full broadcast, bit for bit.
-    Beyond the m x m output and the m x k column copy, the working memory
-    is one (b x m) plane.
+    copy of the k columns, block by block (_row_blocks, _direct_rows): no
+    (b x m x k) difference broadcast is formed.  Below 8 coordinates this
+    is the order of np.sum(diff * diff, axis=2) over the full broadcast,
+    bit for bit.  Beyond the m x m output and the m x k column copy, the
+    working memory is one (b x m) plane.
     """
     pts = _as_matrix(points, "point matrix", _finite)
     m, k = pts.shape
@@ -262,16 +302,49 @@ def pairwise_distances(points) -> np.ndarray:
     # one scratch plane, as tall as the first block, the tallest
     scratch = np.empty_like(out[: next(_row_blocks(m))[1]])
     for start, stop in _row_blocks(m):
-        block, plane = out[start:stop], scratch[: stop - start]
-        np.subtract(cols[0, start:stop, None], cols[0], out=block)
-        block *= block
-        for c in range(1, k):
-            np.subtract(cols[c, start:stop, None], cols[c], out=plane)
-            plane *= plane
-            block += plane
-    np.sqrt(out, out=out)
+        _direct_rows(cols, start, stop, 0, out[start:stop], scratch[: stop - start])
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def streamed_risk(points, target_blocks) -> float:
+    """Empirical risk (1/n^2) sum_ij (dhat_ij - D_ij)^2 of n >= 1 points
+    against targets that arrive block by block, dhat the direct-form
+    distances between the points.
+
+    ``target_blocks`` yields, for each block (start, stop) of _row_blocks(n)
+    in order, the targets of rows start:stop on columns start:n
+    (DistanceMatrix.upper_rows, or a generator that draws them); each block
+    is read before the next is asked for, so a generator may reuse one
+    buffer.  The targets must be symmetric with a zero diagonal, as the
+    distances are, so each unordered pair is summed once: in each block the
+    diagonal sub-block [start, stop)^2 counts once and columns stop:n
+    twice.  This is every reported risk's one summation path.  Working
+    memory is two (b x n) planes; no n x n matrix is held.
+
+    Non-finite points raise ValidationError.  An overflowing distance or
+    residual gives a non-finite risk without a warning; the caller decides
+    what that means.
+    """
+    pts = _as_matrix(points, "point matrix", _finite)
+    n = pts.shape[0]
+    if n == 0:
+        raise ValidationError("need at least 1 point")
+    # points without coordinates all coincide: pad one zero coordinate
+    cols = np.ascontiguousarray(pts.T) if pts.shape[1] else np.zeros((1, n))
+    resid_rows = np.empty((next(_row_blocks(n))[1], n))
+    plane_rows = np.empty_like(resid_rows)
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (start, stop), target in zip(_row_blocks(n), target_blocks, strict=True):
+            b, width = stop - start, n - start
+            resid = _direct_rows(
+                cols, start, stop, start, resid_rows[:b, :width], plane_rows[:b, :width]
+            )
+            resid -= target
+            resid *= resid
+            total += resid[:, :b].sum() + 2.0 * resid[:, b:].sum()
+    return float(total) / (n * n)
 
 
 def gram_form_squared_distances(

@@ -22,7 +22,8 @@ lambda_cap that projection re-establishes after every step.
 
 The module holds maps only: the embedded distances come from
 core.pairwise_distances (direct form) and, in the stress pass, from
-core.gram_form_squared_distances.
+core.gram_form_squared_distances; embedded_risk hands a map's embedding to
+core.streamed_risk, the one path of every reported risk.
 
 ``with_params`` validates and copies its input.  Inside the projected loop,
 where every step is already checked finite, maps are derived with
@@ -37,7 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .core import SampleMatrix, ValidationError, _as_matrix, _finite, _freeze, pairwise_distances
+from .core import (
+    SampleMatrix,
+    ValidationError,
+    _as_matrix,
+    _finite,
+    _freeze,
+    pairwise_distances,
+    streamed_risk,
+)
 from .kernels import GramMatrix, KernelSpec, gram, kernel_columns, kernel_diagonal
 
 __all__ = [
@@ -47,6 +56,7 @@ __all__ = [
     "KernelClass",
     "embed",
     "embedding_distance_matrix",
+    "embedded_risk",
     "model_norm",
     "project_norm_ball",
     "model_to_dict",
@@ -303,6 +313,14 @@ def embedding_distance_matrix(model: LinearMap | KernelMap, sample: SampleMatrix
     """Pairwise Euclidean distances between embedded sample points, in the
     direct difference form of pairwise_distances."""
     return pairwise_distances(embed(model, sample.values))
+
+
+def embedded_risk(model: LinearMap | KernelMap, points, target_blocks) -> float:
+    """Empirical risk of the map on the rows of ``points`` against targets
+    streamed in row blocks: core.streamed_risk of the embedding, the one
+    summation path of train's final_risk, certify's R_hat and the holdout
+    risk."""
+    return streamed_risk(embed(model, points), target_blocks)
 
 
 def model_norm(model: LinearMap | KernelMap) -> float:

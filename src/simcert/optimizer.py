@@ -42,7 +42,6 @@ from .core import (
     _check_sizes,
     _row_blocks,
     _squared_row_norms,
-    empirical_risk,
     gram_form_squared_distances,
 )
 from .hypotheses import (
@@ -51,6 +50,7 @@ from .hypotheses import (
     LinearClass,
     LinearMap,
     _derived,
+    embedded_risk,
     embedding_distance_matrix,
     model_norm,
     project_norm_ball,
@@ -111,8 +111,9 @@ class TrainReport:
 
     Training is accelerated projected gradient descent with gradient-based
     restart (see projected_path).  final_risk is the unsmoothed empirical
-    risk of the returned model, computed from the direct-form embedded
-    distances as certify computes it.  risk_trace holds the unsmoothed risk
+    risk of the returned model, summed from the direct-form embedded
+    distances by core.streamed_risk, the one reduction behind every
+    reported risk, so it is certify's R_hat of the same model bit for bit.  risk_trace holds the unsmoothed risk
     of each map the descent evaluated, one per step taken, from the
     Gram-form pass that also yields that map's gradient (see stress_state);
     the returned model is the last of them, and the two forms agree to
@@ -396,7 +397,8 @@ def train(
     start.  Divergence (risk above DIVERGENCE_RISK or a non-finite iterate)
     is reported as non-convergence; the last usable model is still returned
     and always satisfies model_norm <= lambda_cap up to round-off.
-    final_risk is recomputed once, in direct form.
+    final_risk is recomputed once, in direct form, by the streamed
+    reduction of every reported risk (hypotheses.embedded_risk).
     """
     _check_sizes(sample, distances)
     model = initialize_model(hypothesis_class, sample, np.random.default_rng(config.seed))
@@ -404,7 +406,7 @@ def train(
         model, sample, distances, None, config, -1.0, config.penalty_lambda
     )
     report = TrainReport(
-        final_risk=empirical_risk(embedding_distance_matrix(model, sample), distances),
+        final_risk=embedded_risk(model, sample.values, distances.upper_rows()),
         iterations_used=len(values) - 1,
         final_model_norm=model_norm(model),
         converged=reason == "converged",

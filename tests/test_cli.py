@@ -361,6 +361,41 @@ def test_overflowing_kernel_prints_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "certify"])
+def test_overflowing_features_print_one_error_line(tmp_path, capsys, command):
+    # squared distances between features of magnitude 1e200 overflow
+    _identity_fixture(tmp_path)
+    huge = read_matrix_csv(tmp_path / "features.csv") * 1e200
+    write_matrix_csv(tmp_path / "features.csv", huge)
+    out = tmp_path / "run"
+    problem = [
+        "--features", str(tmp_path / "features.csv"),
+        "--distances", str(tmp_path / "distances.csv"),
+        "--out", str(out),
+    ]
+    model = ["--model", str(tmp_path / "model.json")] if command == "certify" else []
+    assert main([command, *model, *problem]) == 4
+    assert "too large" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_overflowing_complexity_term_prints_one_error_line(tmp_path, capsys):
+    # lambda^2 = 1e400 overflows the closed-form complexity bound
+    _identity_fixture(tmp_path)
+    (tmp_path / "model.json").write_text(
+        json.dumps({"type": "linear", "lambda_cap": 1e200, "W": [[1.0, 0.0], [0.0, 1.0]]})
+    )
+    args = [
+        "certify",
+        "--model", str(tmp_path / "model.json"),
+        "--features", str(tmp_path / "features.csv"),
+        "--distances", str(tmp_path / "distances.csv"),
+        "--out", str(tmp_path / "cert"),
+    ]
+    assert main(args) == 4
+    assert "must be finite" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "certify"])
 @pytest.mark.parametrize(
     "text",
     ["1.0,0.0\n0.5,abc\n", "1.0,0.0\n0.5\n", ""],

@@ -20,6 +20,7 @@ from simcert import (
     validate_distance_matrix,
     write_matrix_csv,
 )
+from simcert.core import streamed_risk
 
 
 class TestSampleMatrix:
@@ -30,6 +31,13 @@ class TestSampleMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             SampleMatrix([[0.0, np.nan], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200])
+    def test_rejects_points_whose_squared_distances_overflow(self, scale):
+        # (2 r)^2 overflows from r = 6.7e153 on; no numpy warning on the way
+        with pytest.raises(ValidationError, match="too large"):
+            SampleMatrix([[scale, 0.0], [0.0, 1.0]])
+        SampleMatrix([[6.7e153, 0.0], [0.0, 1.0]])
 
     def test_values_are_immutable(self):
         s = SampleMatrix([[0.0, 1.0], [2.0, 3.0]])
@@ -95,6 +103,34 @@ class TestValidateDistanceMatrix:
         # an infinite tol would "repair" any matrix just as NaN does
         with pytest.raises(ValidationError, match="tol"):
             validate_distance_matrix([[0.0, 5.0], [-3.0, 7.0]], tol=np.inf)
+
+
+    @pytest.mark.parametrize("m", [2, 5, 300, 1000])
+    def test_repair_equals_the_materialized_formula_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        base = pairwise_distances(rng.normal(size=(m, 3)))
+        raw = base + 1e-10 * rng.normal(size=(m, m))
+        sym = (raw + raw.T) / 2.0
+        expected = np.maximum(sym, 0.0)
+        np.fill_diagonal(expected, 0.0)
+        got = validate_distance_matrix(raw, tol=1e-8)
+        assert got.values.tobytes() == expected.tobytes()
+        with pytest.raises(ValidationError, match=f"asymmetry {np.max(np.abs(raw - raw.T)):g} "):
+            validate_distance_matrix(raw, tol=1e-12)
+
+    def test_working_memory_holds_one_temporary_beyond_input_and_output(self):
+        # m = 1000: each m x m float matrix takes 8 MB; the input is made
+        # before tracing starts, the output is the DistanceMatrix's copy,
+        # and its checks build m x m bool masks (1 MB each)
+        m = 1000
+        raw = pairwise_distances(np.random.default_rng(15).normal(size=(m, 3)))
+        tracemalloc.start()
+        try:
+            validate_distance_matrix(raw, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * m * m + 2 * m * m + 2 * core_module._BLOCK_BYTES
 
 
 class TestDistanceMatrixInvariants:
@@ -270,6 +306,42 @@ class TestEmpiricalRisk:
         y = rng.normal(size=(6, 3))
         d = pairwise_distances(y)
         assert empirical_risk(d, DistanceMatrix(d)) == 0.0
+
+
+class TestStreamedRisk:
+    def test_two_point_hand_sum(self):
+        # predicted distance 1, target 0.5: (1/4)(0 + 0.25 + 0.25 + 0)
+        target = DistanceMatrix([[0.0, 0.5], [0.5, 0.0]])
+        assert streamed_risk([[0.0], [1.0]], target.upper_rows()) == 0.125
+
+    def test_matches_the_mean_over_all_ordered_pairs(self, monkeypatch):
+        # 4-row blocks leave a partial last block; n = 1 is a single block
+        rng = np.random.default_rng(16)
+        for n in [1, 2, 9, 65]:
+            monkeypatch.setattr(core_module, "_BLOCK_BYTES", 8 * n * 4)
+            for k in [0, 1, 3, 9]:
+                y = rng.normal(size=(n, k))
+                target = DistanceMatrix(pairwise_distances(rng.normal(size=(n, 2))))
+                oracle = float(np.mean((pairwise_distances(y) - target.values) ** 2))
+                got = streamed_risk(y, target.upper_rows())
+                assert type(got) is float
+                assert got == pytest.approx(oracle, rel=1e-14, abs=0.0), (n, k)
+
+    def test_too_few_or_too_many_blocks_rejected(self):
+        d = DistanceMatrix(pairwise_distances(np.arange(6.0).reshape(3, 2)))
+        with pytest.raises(ValueError):
+            streamed_risk(np.zeros((3, 1)), iter(()))
+        with pytest.raises(ValueError):
+            streamed_risk(np.zeros((3, 1)), [*d.upper_rows(), d.values])
+
+    def test_non_finite_points_rejected(self):
+        target = DistanceMatrix([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            streamed_risk([[np.nan], [0.0]], target.upper_rows())
+
+    def test_overflowing_distances_give_inf_without_a_warning(self):
+        target = DistanceMatrix([[0.0, 1.0], [1.0, 0.0]])
+        assert streamed_risk([[1e200], [-1e200]], target.upper_rows()) == np.inf
 
 
 class TestDataRadii:

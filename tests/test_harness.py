@@ -1,27 +1,57 @@
 """Synthetic generator, holdout estimation, and the coverage experiment."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from simcert import (
     DistanceMatrix,
+    KernelClass,
+    KernelSpec,
     LinearClass,
     LinearMap,
     SampleMatrix,
     SyntheticSpec,
     TrainConfig,
     ValidationError,
+    certify,
     data_radii,
     embedding_distance_matrix,
     empirical_risk,
     generate_synthetic,
     holdout_risk,
+    pairwise_distances,
     run_coverage_experiment,
+    train,
     validate_distance_matrix,
 )
-from simcert.harness import hidden_map, write_trials_csv
+from simcert.harness import _MAP_STREAM, _SAMPLE_STREAM, hidden_map, write_trials_csv
+
+
+def _materialized_draw(spec):
+    """The generator as it was written with an m x m noise matrix: the
+    reference the streamed draws are held to."""
+    rng = np.random.default_rng([_MAP_STREAM, spec.n_features, spec.k_true])
+    w = rng.standard_normal((spec.k_true, spec.n_features))
+    w_true = w * (spec.map_norm / np.linalg.norm(w, 2))
+    rng = np.random.default_rng([_SAMPLE_STREAM, spec.seed])
+    direction = rng.standard_normal((spec.m, spec.n_features))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    radii = spec.radius * rng.random(spec.m) ** (1.0 / spec.n_features)
+    x = direction * radii[:, None]
+    d = pairwise_distances(x @ w_true.T)
+    if spec.noise_sigma > 0.0:
+        noise = rng.standard_normal((spec.m, spec.m))
+        noise *= spec.noise_sigma
+        for i in range(spec.m):
+            noise[i, : i + 1] = 0.0
+        d += noise
+        d += noise.T
+        np.maximum(d, 0.0, out=d)
+        np.fill_diagonal(d, 0.0)
+    return x, d, w_true
 
 
 def _spec(**overrides):
@@ -70,6 +100,15 @@ class TestGenerateSynthetic:
         _, noisy, _ = generate_synthetic(_spec(seed=4, noise_sigma=0.3))
         assert not np.array_equal(clean.values, noisy.values)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("m", [2, 50, 300, 777, 1000])
+    def test_bitwise_equal_to_the_materialized_draw(self, m, noise):
+        # from m = 300 on the noise spans several row blocks
+        spec = _spec(m=m, n_features=3, noise_sigma=noise, seed=m)
+        sample, distances, w_true = generate_synthetic(spec)
+        for got, want in zip((sample.values, distances.values, w_true), _materialized_draw(spec)):
+            assert got.tobytes() == want.tobytes()
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValidationError):
             _spec(m=1)
@@ -86,8 +125,49 @@ class TestHoldoutRisk:
         spec = _spec(seed=6, noise_sigma=0.1)
         sample, distances, w_true = generate_synthetic(spec)
         model = LinearMap(w_true, 2.0)
-        train_risk = empirical_risk(embedding_distance_matrix(model, sample), distances)
+        train_risk = certify(model, sample, distances, 0.05).empirical_risk
         assert holdout_risk(model, spec, n_holdout=spec.m) == train_risk
+
+    @pytest.mark.parametrize("n", [2, 3, 500, 1200])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_matches_the_materialized_risk(self, kind, n):
+        spec = _spec(m=30, n_features=3, noise_sigma=0.05, seed=1)
+        sample, distances, _ = generate_synthetic(spec)
+        hclass = (
+            LinearClass(2.0, k=2) if kind == "linear"
+            else KernelClass(KernelSpec("rbf", gamma=0.5), 2.0, k=2)
+        )
+        model, _ = train(sample, distances, hclass, TrainConfig(max_iters=40))
+        fresh = dataclasses.replace(spec, m=n, seed=40 + n)
+        x, d, _ = _materialized_draw(fresh)
+        oracle = float(np.mean((embedding_distance_matrix(model, SampleMatrix(x)) - d) ** 2))
+        got = holdout_risk(model, fresh, n_holdout=n)
+        assert type(got) is float
+        assert abs(got - oracle) <= 1e-14 * oracle
+
+    @pytest.mark.parametrize(
+        "scale", [1e100, 1e200], ids=["distances_overflow", "pushforward_overflows"]
+    )
+    def test_overflowing_targets_rejected(self, scale):
+        spec = _spec(radius=scale, map_norm=scale)
+        model = LinearMap(np.eye(2), 1.0)
+        with pytest.raises(ValidationError):
+            generate_synthetic(spec)
+        with pytest.raises(ValidationError):
+            holdout_risk(model, spec, n_holdout=50)
+
+    def test_working_memory_stays_far_below_one_holdout_matrix(self):
+        # one n x n float matrix at n = 2000 takes 32 MB
+        spec = _spec(noise_sigma=0.05)
+        model = LinearMap(np.eye(2), 2.0)
+        holdout_risk(model, spec, n_holdout=50)
+        tracemalloc.start()
+        try:
+            holdout_risk(model, spec, n_holdout=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_true_map_scores_zero_without_noise(self):
         spec = _spec(seed=7)

@@ -21,6 +21,7 @@ from simcert import (
     SyntheticSpec,
     TrainConfig,
     ValidationError,
+    certify,
     embedding_distance_matrix,
     empirical_risk,
     generate_synthetic,
@@ -388,6 +389,14 @@ class TestTrain:
         )
         recomputed = empirical_risk(embedding_distance_matrix(trained, sample), distances)
         assert abs(report.final_risk - recomputed) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", gamma=0.5)], ids=["linear", "rbf"])
+    def test_final_risk_is_certify_r_hat_bit_for_bit(self, kernel):
+        # one streamed reduction gives every reported risk
+        _, sample, distances = random_instance(7)
+        hclass = LinearClass(2.0, k=2) if kernel is None else KernelClass(kernel, 2.0, k=2)
+        trained, report = train(sample, distances, hclass, TrainConfig(max_iters=30))
+        assert report.final_risk == certify(trained, sample, distances, 0.05).empirical_risk
 
     def test_norm_constraint_always_respected(self):
         _, sample, distances = random_instance(6)
