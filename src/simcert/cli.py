@@ -4,11 +4,13 @@ Exit codes: 0 success, 2 invalid flags, 3 I/O failure, 4 data validation
 failure, 5 coverage verification failed.  Each command builds its objects
 from the flags, loads, runs and writes, and raises on failure; main alone
 maps an error to its exit code and a one-line message on stderr (argparse
-exits 2 on its own).  The checks are the library's: a flag value the
-library rejects is a usage error, rejected data a validation failure.
-Matrices travel as headerless CSV, reports as JSON with the resolved
-configuration echoed for auditability; reruns with identical flags
-produce identical bytes.
+exits 2 on its own).  The checks are the library's, each run once, when
+its command starts and before any file is read: a flag value the library
+rejects is a usage error, rejected data a validation failure.  A report
+that would hold an infinite or NaN value is a validation failure too, so
+every JSON file written is strict.  Matrices travel as headerless CSV,
+reports as JSON with the resolved configuration echoed for auditability;
+reruns with identical flags produce identical bytes.
 """
 
 from __future__ import annotations
@@ -52,39 +54,24 @@ def _fail(code: int, message) -> int:
     return code
 
 
-def _checked(convert, check):
-    """An argparse type: convert the text, then apply the library's check."""
-
-    def parse(text: str):
-        value = convert(text)
-        try:
-            check(value)
-        except ValidationError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
-    return parse
-
-
-_TOL = _checked(float, _check_tol)
-_DELTA = _checked(float, _check_delta)
-_TRIALS = _checked(int, _check_trials)
-_HOLDOUT = _checked(int, _check_holdout)
-
-
-def _build(cls, **fields):
-    """cls(**fields) from flag values; a value the library rejects is a usage error."""
+def _build(make, **fields):
+    """make(**fields) from flag values, a library constructor or check; a
+    value the library rejects is a usage error."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except ValidationError as exc:
         raise _UsageError(exc) from exc
 
 
 def _write_json(path, payload: dict) -> None:
+    """Strict JSON: a payload holding an infinite or NaN value raises
+    ValidationError before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{os.path.basename(path)} would hold a non-finite value") from exc
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -140,24 +127,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(tr)
     _add_train_flags(tr)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--tol", type=_TOL, default=1e-9, help="distance validation tolerance")
+    tr.add_argument("--tol", type=float, default=1e-9, help="distance validation tolerance")
     tr.add_argument("--out", default=".", help="output directory")
 
     ct = sub.add_parser("certify", help="assemble a generalization certificate")
     ct.add_argument("--model", required=True)
     ct.add_argument("--features", required=True)
     ct.add_argument("--distances", required=True)
-    ct.add_argument("--delta", type=_DELTA, default=0.05)
-    ct.add_argument("--tol", type=_TOL, default=1e-9, help="distance validation tolerance")
+    ct.add_argument("--delta", type=float, default=0.05)
+    ct.add_argument("--tol", type=float, default=1e-9, help="distance validation tolerance")
     ct.add_argument("--out", default=".", help="output directory")
 
     vf = sub.add_parser("verify", help="run the bound-coverage experiment")
     _add_spec_flags(vf)
     _add_class_flags(vf)
     _add_train_flags(vf)
-    vf.add_argument("--trials", type=_TRIALS, default=200)
-    vf.add_argument("--delta", type=_DELTA, default=0.05)
-    vf.add_argument("--n-holdout", type=_HOLDOUT, default=None, help="holdout size (default 10 m)")
+    vf.add_argument("--trials", type=int, default=200)
+    vf.add_argument("--delta", type=float, default=0.05)
+    vf.add_argument("--n-holdout", type=int, default=None, help="holdout size (default 10 m)")
     vf.add_argument("--out", default=".", help="output directory")
 
     return parser
@@ -224,17 +211,21 @@ def _load_problem(args):
 def cmd_train(args) -> int:
     hclass = _class_from_flags(args)
     config = _config_from_flags(args)
+    _build(_check_tol, tol=args.tol)
     sample, distances = _load_problem(args)
     model, report = train(sample, distances, hclass, config)
     os.makedirs(args.out, exist_ok=True)
-    save_model(model, os.path.join(args.out, "model.json"))
     payload = report.to_dict()
     payload["config"] = vars(args)
+    # the report first: a diverged run whose risk overflows writes no model
     _write_json(os.path.join(args.out, "train_report.json"), payload)
+    save_model(model, os.path.join(args.out, "model.json"))
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
+    _build(_check_delta, delta=args.delta)
+    _build(_check_tol, tol=args.tol)
     model = load_model(args.model)
     sample, distances = _load_problem(args)
     certificate = certify(model, sample, distances, args.delta)
@@ -249,6 +240,10 @@ def cmd_verify(args) -> int:
     spec = _spec_from_flags(args)
     hclass = _class_from_flags(args)
     config = _config_from_flags(args)
+    _build(_check_trials, n_trials=args.trials)
+    _build(_check_delta, delta=args.delta)
+    if args.n_holdout is not None:
+        _build(_check_holdout, n_holdout=args.n_holdout)
     report = run_coverage_experiment(spec, hclass, config, args.delta, args.trials, args.n_holdout)
     os.makedirs(args.out, exist_ok=True)
     payload = report.to_dict()

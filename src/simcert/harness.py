@@ -9,13 +9,14 @@ lets a holdout draw estimate the generalization error of a model trained on
 another seed.  noise_sigma = 0 gives a realizable instance, noise_sigma > 0
 a misspecified one with irreducible risk.
 
-One draw of the law walks the row blocks of core._row_blocks: the noise of
-the targets is filled block by block into one reused (b x m) buffer, which
-reproduces a single (m, m) standard-normal draw bit for bit, and only each
-block's strict upper part is used (_noise_blocks).  generate_synthetic adds
-it to the full target matrix; holdout_risk forms each block's targets on
-the fly and feeds them to core.streamed_risk, the reduction behind every
-reported risk, so a holdout of any size never holds an n x n matrix.
+One generator, _target_rows, draws the targets of the law: it walks the
+row blocks of core._row_blocks and yields each block's upper rows, the
+direct-form distances with their noise, which is filled block by block
+into one reused buffer and reproduces a single (m, m) standard-normal draw
+bit for bit.  generate_synthetic writes the blocks into the target matrix
+and mirrors them below the diagonal; holdout_risk feeds them to
+core.streamed_risk, the reduction behind every reported risk, so a holdout
+of any size never holds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .core import (
     _direct_rows,
     _finite,
     _row_blocks,
-    pairwise_distances,
 )
 from .hypotheses import KernelClass, KernelMap, LinearClass, LinearMap, embedded_risk
 from .optimizer import TrainConfig, train
@@ -144,41 +144,53 @@ def hidden_map(spec: SyntheticSpec) -> np.ndarray:
 
 
 def _draw(spec: SyntheticSpec):
-    """(x, w_true, rng): features uniform in the radius ball, the hidden map,
-    and the sample stream, positioned where the target noise is drawn (see
-    _noise_blocks)."""
+    """(x, w_true, targets): features uniform in the radius ball, the hidden
+    map, and the generator of their targets (_target_rows).  Points whose
+    image under the hidden map is not finite raise ValidationError."""
     w_true = hidden_map(spec)
     rng = np.random.default_rng([_SAMPLE_STREAM, spec.seed])
 
     direction = rng.standard_normal((spec.m, spec.n_features))
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     radii = spec.radius * rng.random(spec.m) ** (1.0 / spec.n_features)
-    return direction * radii[:, None], w_true, rng
+    x = direction * radii[:, None]
+    with np.errstate(over="ignore"):
+        z = _as_matrix(x @ w_true.T, "point matrix", _finite)
+    return x, w_true, _target_rows(z, rng, spec.noise_sigma)
 
 
-def _noise_blocks(rng: np.random.Generator, m: int, sigma: float):
-    """(start, stop, upper) for each row block of _row_blocks(m): upper is the
-    strict upper part of rows start:stop of sigma times one (m, m) standard
-    normal draw, on columns start:m, zero on and below the diagonal; None
-    when sigma = 0, which draws nothing.
+def _target_rows(z: np.ndarray, rng: np.random.Generator, sigma: float):
+    """The targets of the points with image z, as the blocks streamed_risk
+    reads: for each block (start, stop) of _row_blocks(n), in order, rows
+    start:stop on columns start:n, noise included.
 
-    The rows are filled into one reused (b x m) buffer, block after block,
-    which gives the values of the single draw bit for bit; upper is a view
-    of it, valid until the next block is asked for.
+    A target is the direct-form distance ||z_i - z_j|| plus, when sigma > 0,
+    sigma times the entry (min(i, j), max(i, j)) of one (n, n) standard
+    normal draw, clamped at zero; the diagonal is exactly zero.  The draw's
+    rows are filled block after block into one reused (b x n) buffer, which
+    gives the single draw bit for bit.  Each yielded block is a view of a
+    reused buffer, valid until the next block is asked for.  An overflowing
+    distance is left infinite, for the caller to reject.
     """
-    if sigma == 0.0:
-        yield from ((start, stop, None) for start, stop in _row_blocks(m))
-        return
-    rows = next(_row_blocks(m))[1]
-    buf = np.empty((rows, m))
+    n = z.shape[0]
+    cols = np.ascontiguousarray(z.T)
+    rows = next(_row_blocks(n))[1]
+    buf, plane = np.empty((rows, n)), np.empty((rows, n))
     # True on and below the diagonal of the tallest diagonal sub-block
     lower = np.tri(rows, dtype=bool)
-    for start, stop in _row_blocks(m):
-        b = stop - start
-        upper = rng.standard_normal(out=buf[:b])[:, start:]
-        upper *= sigma
-        np.copyto(upper[:, :b], 0.0, where=lower[:b, :b])
-        yield start, stop, upper
+    for start, stop in _row_blocks(n):
+        b, width = stop - start, n - start
+        with np.errstate(over="ignore"):
+            target = _direct_rows(cols, start, stop, start, buf[:b, :width], plane[:b, :width])
+        if sigma > 0.0:
+            # the plane is free again: it takes the rows of the noise draw
+            upper = rng.standard_normal(out=plane[:b])[:, start:]
+            upper *= sigma
+            np.copyto(upper[:, :b], 0.0, where=lower[:b, :b])
+            target += upper
+            target[:, :b] += upper[:, :b].T
+            np.maximum(target, 0.0, out=target)
+        yield target
 
 
 def generate_synthetic(
@@ -189,45 +201,19 @@ def generate_synthetic(
     Features are uniform in the radius ball; targets are pushforward
     distances under the hidden map plus, when noise_sigma > 0, symmetric
     Gaussian noise clamped so distances stay nonnegative with a zero
-    diagonal.  The noise of each row block is added to its rows and, as its
-    transpose, to its columns, so no m x m noise matrix is formed.
+    diagonal.  Each block of _target_rows is written into its rows, and its
+    part right of the diagonal sub-block, transposed, into the columns below
+    it, so no m x m noise matrix is formed.
     """
-    x, w_true, rng = _draw(spec)
-    with np.errstate(over="ignore"):
-        # an overflow leaves a non-finite entry, which the containers reject
-        d = pairwise_distances(x @ w_true.T)
-    if spec.noise_sigma > 0.0:
-        for start, stop, upper in _noise_blocks(rng, spec.m, spec.noise_sigma):
-            d[start:stop, start:] += upper
-            d[start:, start:stop] += upper.T
-        # the diagonal stays exactly zero: the noise there is zero
-        np.maximum(d, 0.0, out=d)
+    x, w_true, targets = _draw(spec)
+    d = np.empty((spec.m, spec.m))
+    for (start, stop), target in zip(_row_blocks(spec.m), targets, strict=True):
+        d[start:stop, start:] = target
+        d[stop:, start:stop] = target[:, stop - start :].T
     # the targets are checked first, so an overflow is named as a non-finite
     # distance before the sample is found too large
     distances = DistanceMatrix(d)
     return SampleMatrix(x), distances, w_true
-
-
-def _holdout_targets(z: np.ndarray, noise):
-    """The targets of generate_synthetic on the points with image z, as the
-    blocks streamed_risk reads: rows start:stop on columns start:n, for the
-    blocks of ``noise`` (see _noise_blocks).  Each block is formed in one
-    reused buffer with the arithmetic of generate_synthetic, entry for
-    entry, so the targets are its targets bit for bit."""
-    n = z.shape[0]
-    cols = np.ascontiguousarray(z.T)
-    rows = next(_row_blocks(n))[1]
-    buf, plane = np.empty((rows, n)), np.empty((rows, n))
-    for start, stop, upper in noise:
-        b, width = stop - start, n - start
-        with np.errstate(over="ignore"):
-            # an overflow leaves a non-finite risk, which holdout_risk rejects
-            target = _direct_rows(cols, start, stop, start, buf[:b, :width], plane[:b, :width])
-        if upper is not None:
-            target += upper
-            target[:, :b] += upper[:, :b].T
-            np.maximum(target, 0.0, out=target)
-        yield target
 
 
 def holdout_risk(
@@ -240,15 +226,12 @@ def holdout_risk(
     ``spec`` should match the training spec except for an independent seed;
     n_holdout fresh points with fresh noise are drawn from the same law.
     The risk is the one streamed reduction of every reported risk
-    (core.streamed_risk), fed the targets block by block as they are drawn,
-    so working memory is O(b n) and no n x n matrix is held.  Non-finite
-    points, targets or risk raise ValidationError.
+    (core.streamed_risk), fed the targets of _target_rows block by block as
+    they are drawn, so working memory is O(b n) and no n x n matrix is held.
+    Non-finite points, targets or risk raise ValidationError.
     """
     _check_holdout(n_holdout)
-    x, w_true, rng = _draw(dataclasses.replace(spec, m=n_holdout))
-    with np.errstate(over="ignore"):
-        z = _as_matrix(x @ w_true.T, "point matrix", _finite)
-    targets = _holdout_targets(z, _noise_blocks(rng, n_holdout, spec.noise_sigma))
+    x, _, targets = _draw(dataclasses.replace(spec, m=n_holdout))
     risk = embedded_risk(model, x, targets)
     if not math.isfinite(risk):
         raise ValidationError("holdout risk is not finite: distances overflow")

@@ -24,10 +24,6 @@ The module holds maps only: the embedded distances come from
 core.pairwise_distances (direct form) and, in the stress pass, from
 core.gram_form_squared_distances; embedded_risk hands a map's embedding to
 core.streamed_risk, the one path of every reported risk.
-
-``with_params`` validates and copies its input.  Inside the projected loop,
-where every step is already checked finite, maps are derived with
-_derived instead, which takes the new P as it is.
 """
 
 from __future__ import annotations
@@ -72,19 +68,6 @@ def _check_budget(lambda_cap: float, k: int | None = None) -> None:
         raise ValidationError("output dimension k must be >= 1")
 
 
-def _derived(model, params: np.ndarray):
-    """``model`` with trainable matrix ``params``, skipping with_params' checks.
-
-    ``params`` must be a finite float array of the map's shape that no one
-    else writes to; it is made read-only and held without a copy.
-    """
-    params.setflags(write=False)
-    out = object.__new__(type(model))
-    out.__dict__.update(model.__dict__)
-    out.__dict__[model._params_field] = params
-    return out
-
-
 @dataclass(frozen=True)
 class LinearMap:
     """Linear hypothesis x -> W x with spectral-norm budget lambda_cap."""
@@ -93,7 +76,6 @@ class LinearMap:
     lambda_cap: float
 
     mode = "linear"
-    _params_field = "weights"
 
     def __post_init__(self):
         weights = _as_matrix(self.weights, "weight matrix", _finite)
@@ -127,15 +109,18 @@ class LinearMap:
         The spectral norm is at most the Frobenius norm, so a map whose
         Frobenius norm is below lambda_cap (1 - 1e-12), a margin far above
         its round-off, is inside the ball without an SVD; otherwise one SVD
-        both decides and clips.
+        both decides and clips.  A Frobenius norm that overflows is not
+        below the cap, so the SVD decides.
         """
         w = self.weights
-        if np.linalg.norm(w) <= self.lambda_cap * (1.0 - 1e-12):
+        with np.errstate(over="ignore"):
+            frobenius = np.linalg.norm(w)
+        if frobenius <= self.lambda_cap * (1.0 - 1e-12):
             return self
         u, s, vt = np.linalg.svd(w, full_matrices=False)
         if s[0] <= self.lambda_cap:
             return self
-        return _derived(self, u @ (np.minimum(s, self.lambda_cap)[:, None] * vt))
+        return self.with_params(u @ (np.minimum(s, self.lambda_cap)[:, None] * vt))
 
     def norm_subgradient(self) -> np.ndarray:
         """Outer product of the leading singular vectors; zero at the zero map."""
@@ -175,7 +160,6 @@ class KernelMap:
     anchor_gram: GramMatrix | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     mode = "kernel"
-    _params_field = "coefficients"
 
     def __post_init__(self):
         arr = _freeze(_as_matrix(self.coefficients, "coefficient matrix", _finite))
@@ -218,11 +202,12 @@ class KernelMap:
         return float(np.sqrt(max(sq, 0.0)))
 
     def project(self) -> KernelMap:
-        """Rescale onto the ball; the norm is 1-homogeneous in A."""
+        """Rescale onto the ball; the norm is 1-homogeneous in A.  A rescaled
+        map that is not finite (an overflowing norm) raises ValidationError."""
         nrm = self.norm()
         if nrm <= self.lambda_cap:
             return self
-        return _derived(self, self.coefficients * (self.lambda_cap / nrm))
+        return self.with_params(self.coefficients * (self.lambda_cap / nrm))
 
     def norm_subgradient(self) -> np.ndarray:
         """A K / norm; zero at the zero map."""
@@ -319,8 +304,10 @@ def embedded_risk(model: LinearMap | KernelMap, points, target_blocks) -> float:
     """Empirical risk of the map on the rows of ``points`` against targets
     streamed in row blocks: core.streamed_risk of the embedding, the one
     summation path of train's final_risk, certify's R_hat and the holdout
-    risk."""
-    return streamed_risk(embed(model, points), target_blocks)
+    risk.  An embedding that overflows raises ValidationError."""
+    with np.errstate(over="ignore"):
+        embedding = embed(model, points)
+    return streamed_risk(embedding, target_blocks)
 
 
 def model_norm(model: LinearMap | KernelMap) -> float:

@@ -11,7 +11,9 @@ to zero.
 
 Everything here speaks to a map only through the protocol of hypotheses
 (params, with_params, features, project, norm_subgradient), so linear and
-kernel maps take one code path.  One kernel, stress_state, computes the
+kernel maps take one code path.  Every map is made by with_params, so it
+passes its constructor's checks, and a kernel map shares the Gram matrix
+of the map it came from.  One kernel, stress_state, computes the
 weighted stress value and its gradient together from the Gram-form
 distances of core (the direct form stays with the reported risks); it
 visits each unordered pair once, in the row blocks of core._row_blocks,
@@ -49,7 +51,6 @@ from .hypotheses import (
     KernelMap,
     LinearClass,
     LinearMap,
-    _derived,
     embedded_risk,
     embedding_distance_matrix,
     model_norm,
@@ -190,6 +191,8 @@ def _symmetric_part(weights: np.ndarray | None) -> np.ndarray | None:
     return 0.5 * (w + w.T)
 
 
+# a diverging iterate overflows in the pass; its value reports it (see stress_state)
+@np.errstate(all="ignore")
 def _stress_pass(
     feats: np.ndarray,
     params: np.ndarray,
@@ -228,12 +231,9 @@ def _stress_pass(
         coef = np.subtract(dt, target, out=sq)
         if w is not None:
             coef *= w
+        coef /= dt
         # an eps whose square underflows to 0 smooths nothing, as eps = 0
-        if eps * eps > 0.0:
-            coef /= dt
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                coef /= dt
+        if eps * eps == 0.0:
             coef[dt == 0.0] = 0.0
         lap_y[start:stop] = coef.sum(axis=1)[:, None] * y[start:stop] - coef @ y[:stop]
         if start > 0:
@@ -322,6 +322,8 @@ def _seeded_start(zero: LinearMap | KernelMap, rng: np.random.Generator) -> Line
     return project_norm_ball(zero.with_params(rng.uniform(-0.01, 0.01, size=zero.params.shape)))
 
 
+# a diverging step overflows; the loop stops on the value (see below)
+@np.errstate(over="ignore", invalid="ignore")
 def projected_path(
     model: LinearMap | KernelMap,
     sample: SampleMatrix,
@@ -349,7 +351,8 @@ def projected_path(
     or above DIVERGENCE_RISK, "max_iters" after max_iters steps.  A loop
     that stops before its first step returns ``model`` itself.  Every y is
     a convex combination of maps in the ball, so the last map satisfies
-    model_norm <= lambda_cap up to round-off when the start does.
+    model_norm <= lambda_cap up to round-off when the start does.  A
+    projection that is not finite raises ValidationError.
     """
     _check_sizes(sample, distances)
     feats = model.features(sample.values)
@@ -369,14 +372,14 @@ def projected_path(
         stepped = v + (sign * config.step_size / theta) * grad
         if not np.all(np.isfinite(stepped)):
             return y, values, "diverged"
-        v = project_norm_ball(_derived(model, stepped)).params
+        v = project_norm_ball(model.with_params(stepped)).params
         x_new = (1.0 - theta) * x + theta * v
         if sign * float(np.vdot(grad, x_new - x)) < 0.0:
             theta, v = 1.0, x_new
         else:
             theta *= (math.sqrt(theta * theta + 4.0) - theta) / 2.0
         x = x_new
-        y = _derived(model, (1.0 - theta) * x + theta * v)
+        y = model.with_params((1.0 - theta) * x + theta * v)
         value, grad = _stress_pass(feats, y.params, distances.values, weights, eps)
         values.append(value)
         if not np.isfinite(value) or value > DIVERGENCE_RISK:

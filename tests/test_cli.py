@@ -439,6 +439,9 @@ _REJECTED_FLAGS = [
     ("train", ["--seed", "-1"], "seed"),
     ("verify", ["--seed", "-1"], "seed"),
     ("verify", ["--n-holdout", "1"], "n_holdout"),
+    ("certify", ["--delta", "1.5"], "delta"),
+    ("verify", ["--delta", "0"], "delta"),
+    ("verify", ["--trials", "0"], "n_trials"),
 ]
 
 
@@ -458,7 +461,42 @@ def test_rejected_flag_value_is_usage_error(tmp_path, capsys, command, flags, na
         inputs += ["--features", str(tmp_path / "features.csv"),
                    "--distances", str(tmp_path / "distances.csv")]
     assert main([command, *inputs, *flags, "--out", str(tmp_path / "run")]) == 2
-    assert named in capsys.readouterr().err
+    assert named in _one_error_line(capsys)
+
+
+def _diverging_train(tmp_path, scale, *flags):
+    """main's exit code for train on a 10-point gen instance whose features
+    are multiplied by ``scale``."""
+    data = tmp_path / "data"
+    assert main(["gen", "--m", "10", "--out", str(data)]) == 0
+    features = read_matrix_csv(data / "features.csv") * scale
+    write_matrix_csv(data / "features.csv", features)
+    return main(
+        [
+            "train",
+            "--features", str(data / "features.csv"),
+            "--distances", str(data / "distances.csv"),
+            *flags,
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+
+
+def test_diverging_train_whose_risk_overflows_is_validation_error(tmp_path, capsys):
+    # the risk of the diverged map overflows, so no strict JSON report exists
+    assert _diverging_train(tmp_path, 1.0, "--lambda-cap", "1e200", "--step-size", "1e200") == 4
+    assert "non-finite" in _one_error_line(capsys)
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_diverging_train_on_huge_features_reports_without_warnings(tmp_path, capsys):
+    # features of magnitude 1e100 diverge at the default step; pytest turns
+    # every warning into an error
+    assert _diverging_train(tmp_path, 1e100) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "run" / "train_report.json").read_text())
+    assert report["converged"] is False
+    assert np.isfinite(report["final_risk"]) and report["final_risk"] > 1e12
 
 
 class TestVerify:

@@ -234,6 +234,18 @@ class TestProjectNormBall:
             ker = KernelMap(rng.normal(size=(2, 5)) * 10.0, anchors, KernelSpec("linear"), cap)
             assert model_norm(project_norm_ball(ker)) <= cap + 1e-9
 
+    def test_projection_that_is_not_finite_raises(self):
+        # mixed-sign coefficients near the float limit: the RKHS norm is NaN
+        rng = np.random.default_rng(8)
+        anchors = SampleMatrix(rng.normal(size=(6, 2)))
+        h = KernelMap(rng.normal(size=(2, 6)) * 1e300, anchors, KernelSpec("rbf"), 1.0)
+        with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):
+            project_norm_ball(h)
+
+    def test_overflowing_frobenius_norm_projects_without_a_warning(self):
+        h = LinearMap(np.array([[1e200, -1e200], [1e200, 1e200]]), 1.0)
+        assert model_norm(project_norm_ball(h)) == pytest.approx(1.0, rel=1e-12)
+
     def test_contraction_under_spectral_cap(self):
         # ||W x_i - W x_j|| <= cap * ||x_i - x_j|| for every projected map
         rng = np.random.default_rng(7)
