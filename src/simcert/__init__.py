@@ -53,7 +53,6 @@ from .hypotheses import (
 from .kernels import (
     GramMatrix,
     KernelSpec,
-    PsdCheck,
     gram,
     kernel_eval,
     psd_check,

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .core import (
     SampleMatrix,
     ValidationError,
@@ -145,12 +144,12 @@ class LinearMap:
 class KernelMap:
     """Representer-form kernel hypothesis h(x) = A k_S(x) over fixed anchors.
 
-    anchor_gram is gram(kernel, anchors).  Unless a caller that already holds
-    it passes it in, it is built and accepted at construction: it must pass
-    the PSD check (see _accepted_gram), whether the map is a class's zero
-    map or loaded from a model file.  Maps derived from one another by
-    with_params (every descent and projection step) share one anchor Gram
-    matrix, so a fit builds and checks it once.
+    anchor_gram is gram(kernel, anchors), built at construction unless a
+    caller that already holds it passes it in; a GramMatrix is accepted by
+    its own constructor (see kernels), so every map holds an accepted one.
+    Maps derived from one another by with_params (every descent and
+    projection step) share one anchor Gram matrix, so a fit builds and
+    checks it once.
     """
 
     coefficients: np.ndarray
@@ -170,7 +169,7 @@ class KernelMap:
         _check_budget(self.lambda_cap)
         object.__setattr__(self, "coefficients", arr)
         if self.anchor_gram is None:
-            object.__setattr__(self, "anchor_gram", _accepted_gram(self.kernel, self.anchors))
+            object.__setattr__(self, "anchor_gram", gram(self.kernel, self.anchors))
         elif self.anchor_gram.size != self.anchors.m:
             raise ValidationError(
                 f"anchor Gram matrix has size {self.anchor_gram.size} for {self.anchors.m} anchors"
@@ -231,26 +230,6 @@ class KernelMap:
         }
 
 
-def _accepted_gram(kernel: KernelSpec, anchors: SampleMatrix) -> GramMatrix:
-    """gram(kernel, anchors), which must pass the PSD check.
-
-    The Cholesky screen (kernels.psd_screen) accepts first; only a Gram
-    matrix it does not accept pays for the eigenvalues of psd_check, which
-    then decides and names the failure.  A passing screen implies a passing
-    check (see psd_screen), so the decision is psd_check's.
-    """
-    anchor_gram = gram(kernel, anchors)
-    # looked up on its module: bench/tracer.py wraps psd_check only there
-    if not kernels.psd_screen(anchor_gram):
-        check = kernels.psd_check(anchor_gram)
-        if not check.passed:
-            raise ValidationError(
-                f"anchor Gram matrix fails the PSD check "
-                f"(min eigenvalue {check.min_eigenvalue:g} < {check.threshold:g})"
-            )
-    return anchor_gram
-
-
 def _zero_params(k: int | None, sample: SampleMatrix, width: int) -> np.ndarray:
     """k x width zeros; k defaults to min(n_features, m)."""
     return np.zeros((k if k is not None else min(sample.n_features, sample.m), width))
@@ -284,7 +263,7 @@ class KernelClass:
 
     def zero_map(self, sample: SampleMatrix) -> KernelMap:
         """The zero map of the class with the sample as anchors, whose Gram
-        matrix KernelMap builds and accepts (it must pass the PSD check)."""
+        matrix KernelMap builds."""
         zeros = _zero_params(self.k, sample, sample.m)
         return KernelMap(zeros, sample, self.kernel, self.lambda_cap)
 
@@ -334,8 +313,8 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
 
     A payload that is not a JSON object, lacks a field, or whose fields
     have the wrong types or values raises ValidationError, naming a missing
-    field; so does a kernel model whose anchor Gram matrix fails the PSD
-    check.
+    field; so does a kernel model whose anchor Gram matrix GramMatrix does
+    not accept.
     """
     if not isinstance(payload, dict):
         raise ValidationError(f"model must be a JSON object, got {type(payload).__name__}")

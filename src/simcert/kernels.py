@@ -4,17 +4,17 @@ Three families are supported: linear (x . y), RBF (exp(-gamma ||x - y||^2),
 for which K(x, x) = 1 and hence q = 1), and polynomial ((x . y + coef0)^degree).
 Positive semidefiniteness is an assumption of the kernel certificates; it is
 checked empirically on the sampled Gram matrix against one relative
-eigenvalue threshold, DEFAULT_PSD_TOL (psd_check).  psd_screen accepts most
-Gram matrices that pass that check with one Cholesky factorization, several
-times cheaper than the eigenvalues; psd_check decides only when the screen
-fails.  Both run in one place, when a KernelMap builds its anchor Gram matrix
-(hypotheses._accepted_gram), so a trained and a loaded kernel model are
-accepted alike.  The radius q that certify reads comes from the kernel
-diagonal alone (kernel_diagonal, via KernelMap.feature_radius), never from
-a Gram matrix.  gram mirrors its upper triangle in row blocks of the one
-policy of core._row_blocks.  A kernel value that overflows becomes inf
-without a numpy warning; the finite check of the matrix that holds it names
-the failure.
+eigenvalue threshold, DEFAULT_PSD_TOL.  A GramMatrix is an accepted one:
+its constructor runs every check, psd_check among them, so a KernelMap
+holds an accepted matrix whether it was built, loaded from a model file or
+handed one.  psd_check is the one PSD decision: a Cholesky screen accepts
+most Gram matrices, several times cheaper than the eigenvalues, which are
+computed only when the screen fails.  The radius q that certify reads comes
+from the kernel diagonal alone (kernel_diagonal, via
+KernelMap.feature_radius), never from a Gram matrix.  gram mirrors its upper
+triangle in row blocks of the one policy of core._row_blocks.  A kernel
+value that overflows becomes inf without a numpy warning; the finite check
+of the matrix that holds it names the failure.
 """
 
 from __future__ import annotations
@@ -31,18 +31,16 @@ __all__ = [
     "DEFAULT_PSD_TOL",
     "KernelSpec",
     "GramMatrix",
-    "PsdCheck",
     "kernel_eval",
     "kernel_columns",
     "gram",
     "psd_check",
-    "psd_screen",
     "kernel_diagonal",
 ]
 
 KERNEL_FAMILIES = ("linear", "rbf", "polynomial")
 
-# Relative eigenvalue floor of the PSD check and of its Cholesky screen.
+# Relative eigenvalue floor of the PSD check, screen included.
 DEFAULT_PSD_TOL = 1e-8
 
 
@@ -92,7 +90,8 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric matrix of kernel evaluations on a sample."""
+    """Accepted matrix of kernel evaluations on a sample: square, finite,
+    exactly symmetric, with a nonnegative diagonal, and passing psd_check."""
 
     values: np.ndarray
 
@@ -100,20 +99,15 @@ class GramMatrix:
         arr = _as_matrix(self.values, "Gram matrix", _square, _finite, _symmetric)
         if np.any(np.diag(arr) < 0.0):
             raise ValidationError("Gram matrix has a negative diagonal entry")
+        # on arr, before the frozen copy exists, so the screen's two m x m
+        # arrays never coexist with it; a module global looked up at call
+        # time, so bench/tracer.py can wrap it
+        psd_check(arr)
         object.__setattr__(self, "values", _freeze(arr))
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class PsdCheck:
-    """Outcome of the empirical positive-semidefiniteness check."""
-
-    passed: bool
-    min_eigenvalue: float
-    threshold: float
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -196,39 +190,37 @@ def gram(spec: KernelSpec, sample: SampleMatrix) -> GramMatrix:
     return GramMatrix(k)
 
 
-def psd_check(gram_matrix: GramMatrix) -> PsdCheck:
-    """Empirical PSD check: pass iff the minimum eigenvalue does not fall
-    below -DEFAULT_PSD_TOL * max(|eigenvalues|, 1)."""
-    eigs = np.linalg.eigvalsh(gram_matrix.values)
-    min_eig = float(eigs.min())
-    threshold = -DEFAULT_PSD_TOL * max(float(np.max(np.abs(eigs))), 1.0)
-    return PsdCheck(passed=min_eig >= threshold, min_eigenvalue=min_eig, threshold=threshold)
+def psd_check(values: np.ndarray) -> None:
+    """The PSD decision for a symmetric matrix K: it passes iff its minimum
+    eigenvalue is at least -tol max(max |eigenvalues|, 1), tol =
+    DEFAULT_PSD_TOL, and a failure raises ValidationError.
 
-
-def psd_screen(gram_matrix: GramMatrix) -> bool:
-    """True when K + tau I has a Cholesky factor, tau = (tol / 2) max(max_i K_ii, 1)
-    with tol = DEFAULT_PSD_TOL, the tolerance of psd_check.
-
-    A True screen implies that psd_check(gram_matrix) passes: K + tau I
-    positive definite means lambda_min >= -tau, and the threshold of
-    psd_check is tol max(max |lambda|, 1) >= 2 tau, because
-    max |lambda| >= lambda_max >= max_i K_ii (K_ii = e_i^T K e_i).  The
-    factorization is exact for K + tau I + E with ||E||_2 at most about
-    m^2 u ||K||_2 (u the unit round-off) and ||K||_2 <= max |lambda|, so
-    the other half of the threshold covers E while m^2 eps <= tol / 2, m up
-    to about 4700 at tol = 1e-8; a larger matrix is not screened.  A
-    False screen decides nothing; the caller then runs psd_check.  One
-    shifted copy of K is factored, in m^3 / 3 flops against the several
-    times costlier symmetric eigenvalue solve.
+    A Cholesky screen decides first: K + tau I with tau = (tol / 2)
+    max(max_i K_ii, 1).  A factor implies a pass: K + tau I positive
+    definite means lambda_min >= -tau, and the threshold is
+    tol max(max |lambda|, 1) >= 2 tau, because max |lambda| >= lambda_max >=
+    max_i K_ii (K_ii = e_i^T K e_i).  The factorization is exact for
+    K + tau I + E with ||E||_2 at most about m^2 u ||K||_2 (u the unit
+    round-off) and ||K||_2 <= max |lambda|, so the other half of the
+    threshold covers E while m^2 eps <= tol / 2, m up to about 4700 at
+    tol = 1e-8; a larger matrix is not screened.  One shifted copy of K is
+    factored, in m^3 / 3 flops against the several times costlier symmetric
+    eigenvalue solve, which runs only when the screen finds no factor.
     """
-    k = gram_matrix.values
-    if k.shape[0] ** 2 * np.finfo(float).eps > DEFAULT_PSD_TOL / 2.0:
-        return False
-    diag = np.diag(k)
-    shifted = np.array(k)
-    np.fill_diagonal(shifted, diag + (DEFAULT_PSD_TOL / 2.0) * max(float(diag.max()), 1.0))
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    tol = DEFAULT_PSD_TOL
+    if values.shape[0] ** 2 * np.finfo(float).eps <= tol / 2.0:
+        diag = np.diag(values)
+        shifted = np.array(values)
+        np.fill_diagonal(shifted, diag + (tol / 2.0) * diag.max(initial=1.0))
+        try:
+            np.linalg.cholesky(shifted)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    eigs = np.linalg.eigvalsh(values)
+    min_eig = float(eigs.min())
+    threshold = -tol * max(float(np.max(np.abs(eigs))), 1.0)
+    if min_eig < threshold:
+        raise ValidationError(
+            f"Gram matrix fails the PSD check (min eigenvalue {min_eig:g} < {threshold:g})"
+        )

@@ -14,6 +14,7 @@ import simcert.kernels as kernels_module
 from simcert import (
     GramMatrix,
     KernelClass,
+    KernelMap,
     KernelSpec,
     SampleMatrix,
     ValidationError,
@@ -28,12 +29,25 @@ from simcert.kernels import (
     KERNEL_FAMILIES,
     kernel_columns,
     kernel_diagonal,
-    psd_screen,
 )
 
 
 def _random_sample(rng, m=6, n=3, scale=1.0):
     return SampleMatrix(rng.normal(size=(m, n)) * scale)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A list that grows by one entry per np.linalg.eigvalsh call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
 
 
 class TestKernelSpec:
@@ -145,22 +159,49 @@ class TestGram:
 
 
 class TestPsdCheck:
-    def test_identity_passes(self, monkeypatch):
+    def test_identity_passes(self, monkeypatch, eigvalsh_calls):
+        # at tol 0 the screen is off and the eigenvalues decide
         monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", 0.0)
-        res = psd_check(GramMatrix(np.eye(2)))
-        assert res.passed
-        assert res.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(GramMatrix(np.eye(2)).values, np.eye(2))
+        assert psd_check(np.eye(2)) is None
+        assert len(eigvalsh_calls) == 2
 
     def test_indefinite_matrix_fails(self):
         # eigenvalues 3 and -1
-        res = psd_check(GramMatrix([[1.0, 2.0], [2.0, 1.0]]))
-        assert not res.passed
-        assert res.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+        with pytest.raises(ValidationError, match=r"fails the PSD check \(min eigenvalue -1 < "):
+            GramMatrix([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValidationError, match=r"min eigenvalue -1 < "):
+            psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_kernel_map_rejects_a_caller_supplied_indefinite_gram_matrix(self):
+        anchors = SampleMatrix([[0.0], [1.0]])
+        with pytest.raises(ValidationError, match="fails the PSD check"):
+            KernelMap(
+                np.zeros((1, 2)),
+                anchors,
+                KernelSpec("rbf"),
+                5.0,
+                anchor_gram=GramMatrix([[1.0, 2.0], [2.0, 1.0]]),
+            )
 
     def test_rbf_gram_on_distinct_points_passes(self):
         for seed in range(5):
             s = _random_sample(np.random.default_rng(seed), m=8, n=3)
-            assert psd_check(gram(KernelSpec("rbf", gamma=0.7), s)).passed
+            k = gram(KernelSpec("rbf", gamma=0.7), s)
+            assert psd_check(k.values) is None
+
+    def test_check_runs_before_the_frozen_copy(self):
+        # the screen's shifted copy and factor join the unfrozen matrix
+        # (3 m x m arrays); checking the frozen copy would hold a fourth
+        m = 400
+        s = _random_sample(np.random.default_rng(14), m=m, n=3)
+        tracemalloc.start()
+        try:
+            gram(KernelSpec("rbf", gamma=0.5), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * m * m
 
     def test_gram_side_squared_distances_nonnegative(self):
         rng = np.random.default_rng(6)
@@ -238,11 +279,21 @@ def _gram_with_spectrum(rng, eigenvalues):
     """An exactly symmetric Q diag(eigenvalues) Q^T with Q random orthogonal."""
     q, _ = np.linalg.qr(rng.normal(size=(eigenvalues.size, eigenvalues.size)))
     k = (q * eigenvalues) @ q.T
-    return GramMatrix((k + k.T) / 2.0)
+    return (k + k.T) / 2.0
 
 
-def _zero_map_accepts(monkeypatch, anchor_gram, sample) -> bool:
-    monkeypatch.setattr(hypotheses_module, "gram", lambda spec, s: anchor_gram)
+def _accepts(values) -> bool:
+    """Whether GramMatrix accepts ``values``; a rejection names the PSD check."""
+    try:
+        GramMatrix(values)
+    except ValidationError as exc:
+        assert "fails the PSD check" in str(exc)
+        return False
+    return True
+
+
+def _zero_map_accepts(monkeypatch, values, sample) -> bool:
+    monkeypatch.setattr(hypotheses_module, "gram", lambda spec, s: GramMatrix(values))
     try:
         KernelClass(KernelSpec("linear"), 1.0, k=1).zero_map(sample)
     except ValidationError as exc:
@@ -251,24 +302,31 @@ def _zero_map_accepts(monkeypatch, anchor_gram, sample) -> bool:
     return True
 
 
+def _eigenvalue_rule(values) -> bool:
+    """The PSD decision from the eigenvalues alone, with no screen."""
+    eigs = np.linalg.eigvalsh(values)
+    return eigs.min() >= -DEFAULT_PSD_TOL * max(np.abs(eigs).max(), 1.0)
+
+
 class TestPsdScreen:
-    # lambda_min = c * tol * max(max |lambda|, 1): psd_check fails for c < -1
+    # lambda_min = c * tol * max(max |lambda|, 1): the PSD check fails for c < -1
     @pytest.mark.parametrize("c", [-4.0, -2.0, -1.1, -0.9, -0.5, 0.0, 0.5])
     @pytest.mark.parametrize("top", [0.5, 5.0, 1e4])
-    def test_zero_map_accepts_exactly_when_psd_check_passes(self, monkeypatch, count_calls, c, top):
+    def test_zero_map_accepts_exactly_when_psd_check_passes(
+        self, monkeypatch, eigvalsh_calls, c, top
+    ):
         rng = np.random.default_rng(12)
         m = 12
         eigenvalues = np.linspace(top / m, top, m)
         eigenvalues[0] = c * DEFAULT_PSD_TOL * max(top, 1.0)
-        anchor_gram = _gram_with_spectrum(rng, eigenvalues)
-        check = psd_check(anchor_gram)
-        assert check.passed == (c >= -1.0)
-        calls = count_calls(kernels_module.psd_check)
+        values = _gram_with_spectrum(rng, eigenvalues)
         sample = _random_sample(rng, m=m, n=2)
-        assert _zero_map_accepts(monkeypatch, anchor_gram, sample) == check.passed
+        assert _accepts(values) == (c >= -1.0)
         if c >= 0.0:
             # a PSD matrix is accepted by the screen, without eigenvalues
-            assert calls == []
+            assert eigvalsh_calls == []
+        assert _zero_map_accepts(monkeypatch, values, sample) == (c >= -1.0)
+        assert _eigenvalue_rule(values) == (c >= -1.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -285,24 +343,33 @@ class TestPsdScreen:
         try:
             KernelClass(spec, 1.0, k=1).zero_map(sample)
             accepted = True
-        except ValidationError:
+        except ValidationError as exc:
+            assert "fails the PSD check" in str(exc)
             accepted = False
-        assert accepted == psd_check(gram(spec, sample)).passed
+        k = kernel_columns(spec, sample.values, sample.values)
+        assert accepted == _eigenvalue_rule(np.triu(k) + np.triu(k, 1).T)
 
-    def test_a_passing_screen_implies_a_passing_check(self):
+    def test_a_passing_screen_implies_a_passing_check(self, eigvalsh_calls):
         rng = np.random.default_rng(13)
         for c in np.linspace(-3.0, 1.0, 41):
-            anchor_gram = _gram_with_spectrum(
+            values = _gram_with_spectrum(
                 rng, np.concatenate([[c * DEFAULT_PSD_TOL], np.linspace(0.1, 1.0, 9)])
             )
-            if psd_screen(anchor_gram):
-                assert psd_check(anchor_gram).passed, c
+            eigvalsh_calls.clear()
+            accepted = _accepts(values)
+            if not eigvalsh_calls:
+                # the screen accepted alone
+                assert accepted and _eigenvalue_rule(values), c
+            if abs(c + 1.0) > 0.05:
+                assert accepted == (c >= -1.0), c
 
-    def test_screens_only_up_to_its_round_off_limit(self, monkeypatch):
+    def test_screens_only_up_to_its_round_off_limit(self, monkeypatch, eigvalsh_calls):
         eps = np.finfo(float).eps
         # m^2 eps <= tol / 2 holds for m up to about 4700 at the default tol
         assert 4700**2 * eps <= DEFAULT_PSD_TOL / 2.0 < 4800**2 * eps
         # at this tol the limit falls between m = 10 (100 eps) and 11 (121 eps)
         monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", 2.0 * 105.0 * eps)
-        assert psd_screen(GramMatrix(np.eye(10)))
-        assert not psd_screen(GramMatrix(np.eye(11)))
+        GramMatrix(np.eye(10))
+        assert eigvalsh_calls == []
+        GramMatrix(np.eye(11))
+        assert eigvalsh_calls == [1]
