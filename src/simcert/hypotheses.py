@@ -196,16 +196,26 @@ class KernelMap:
         return _as_matrix(cols, "kernel column matrix", _finite)
 
     def norm(self) -> float:
-        a = self.coefficients
-        sq = float(np.sum((a @ self.anchor_gram.values) * a))
-        return float(np.sqrt(max(sq, 0.0)))
+        """sqrt(trace(A K A^T)); a sum that overflows is taken again on A
+        scaled by its largest entry, so a representable norm stays finite."""
+        a, scale = self.coefficients, 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = float(np.sum((a @ self.anchor_gram.values) * a))
+            if not np.isfinite(sq):
+                scale = float(np.max(np.abs(a)))
+                a = a / scale
+                sq = float(np.sum((a @ self.anchor_gram.values) * a))
+        return scale * float(np.sqrt(max(sq, 0.0)))
 
     def project(self) -> KernelMap:
-        """Rescale onto the ball; the norm is 1-homogeneous in A.  A rescaled
-        map that is not finite (an overflowing norm) raises ValidationError."""
+        """Rescale onto the ball; the norm is 1-homogeneous in A.  A norm
+        beyond the float range raises ValidationError, since its rescale
+        factor would round to zero."""
         nrm = self.norm()
         if nrm <= self.lambda_cap:
             return self
+        if not np.isfinite(nrm):
+            raise ValidationError("RKHS norm is non-finite; the map cannot be rescaled")
         return self.with_params(self.coefficients * (self.lambda_cap / nrm))
 
     def norm_subgradient(self) -> np.ndarray:

@@ -399,7 +399,9 @@ def train(
     One projected_path with sign -1 and penalty penalty_lambda from a seeded
     start.  Divergence (risk above DIVERGENCE_RISK or a non-finite iterate)
     is reported as non-convergence; the last usable model is still returned
-    and always satisfies model_norm <= lambda_cap up to round-off.
+    and always satisfies model_norm <= lambda_cap up to round-off.  A
+    diverged model whose embedding overflows raises ValidationError saying
+    that training diverged.
     final_risk is recomputed once, in direct form, by the streamed
     reduction of every reported risk (hypotheses.embedded_risk).
     """
@@ -408,8 +410,15 @@ def train(
     model, values, reason = projected_path(
         model, sample, distances, None, config, -1.0, config.penalty_lambda
     )
+    try:
+        final_risk = embedded_risk(model, sample.values, distances.upper_rows())
+    except ValidationError as exc:
+        # the one failure of a validated problem: an embedding that overflows
+        if reason != "diverged":
+            raise
+        raise ValidationError("training diverged: the embedding has non-finite entries") from exc
     report = TrainReport(
-        final_risk=embedded_risk(model, sample.values, distances.upper_rows()),
+        final_risk=final_risk,
         iterations_used=len(values) - 1,
         final_model_norm=model_norm(model),
         converged=reason == "converged",

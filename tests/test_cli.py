@@ -489,6 +489,13 @@ def test_diverging_train_whose_risk_overflows_is_validation_error(tmp_path, caps
     assert list((tmp_path / "run").iterdir()) == []
 
 
+def test_diverging_train_whose_embedding_overflows_says_it_diverged(tmp_path, capsys):
+    flags = ("--lambda-cap", "1e300", "--step-size", "1e100")
+    assert _diverging_train(tmp_path, 1e100, *flags) == 4
+    assert "training diverged" in _one_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
 def test_diverging_train_on_huge_features_reports_without_warnings(tmp_path, capsys):
     # features of magnitude 1e100 diverge at the default step; pytest turns
     # every warning into an error

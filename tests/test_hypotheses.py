@@ -235,12 +235,34 @@ class TestProjectNormBall:
             assert model_norm(project_norm_ball(ker)) <= cap + 1e-9
 
     def test_projection_that_is_not_finite_raises(self):
-        # mixed-sign coefficients near the float limit: the RKHS norm is NaN
+        # every RBF entry is positive and the diagonal is 1, so the squared
+        # norm is at least 12e616: beyond the float range
         rng = np.random.default_rng(8)
         anchors = SampleMatrix(rng.normal(size=(6, 2)))
-        h = KernelMap(rng.normal(size=(2, 6)) * 1e300, anchors, KernelSpec("rbf"), 1.0)
-        with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        h = KernelMap(np.full((2, 6), 1e308), anchors, KernelSpec("rbf"), 1.0)
+        assert model_norm(h) == np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
             project_norm_ball(h)
+
+    def test_norm_whose_square_overflows_is_finite(self):
+        # the squared norm is about 1e320; pytest turns the overflow warning
+        # of the plain form into an error
+        rng = np.random.default_rng(8)
+        anchors = SampleMatrix(rng.normal(size=(6, 2)))
+        a = rng.normal(size=(2, 6))
+        h = KernelMap(a * 1e160, anchors, KernelSpec("rbf"), 1e300)
+        unit = KernelMap(a, anchors, KernelSpec("rbf"), 1.0)
+        assert model_norm(h) == pytest.approx(1e160 * model_norm(unit), rel=1e-14)
+        assert project_norm_ball(h) is h
+
+    def test_finite_norm_is_the_plain_form_bitwise(self):
+        rng = np.random.default_rng(9)
+        anchors = SampleMatrix(rng.normal(size=(7, 3)))
+        for family in ("linear", "rbf", "polynomial"):
+            a = rng.normal(size=(3, 7)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            h = KernelMap(a, anchors, KernelSpec(family), 1.0)
+            k = h.anchor_gram.values
+            assert model_norm(h) == float(np.sqrt(max(float(np.sum((a @ k) * a)), 0.0)))
 
     def test_overflowing_frobenius_norm_projects_without_a_warning(self):
         h = LinearMap(np.array([[1e200, -1e200], [1e200, 1e200]]), 1.0)
