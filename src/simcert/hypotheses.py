@@ -17,7 +17,9 @@ projection clips the singular values.  A kernel map is kept in representer
 form h(x) = A k_S(x), where k_S(x) is the vector of kernel evaluations
 against the training anchors: P = A, F holds the kernel columns, and the
 RKHS norm is sqrt(trace(A K A^T)) with K the anchor Gram matrix; being
-1-homogeneous in A, projection rescales.  Both carry a norm budget
+1-homogeneous in A, projection rescales.  A kernel map holds that
+GramMatrix and reads its anchors and kernel from it, so K is always the
+kernel's Gram matrix on the map's own anchors.  Both carry a norm budget
 lambda_cap that projection re-establishes after every step.
 
 The module holds maps only: the embedded distances come from
@@ -29,7 +31,7 @@ core.streamed_risk, the one path of every reported risk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,36 +146,25 @@ class LinearMap:
 class KernelMap:
     """Representer-form kernel hypothesis h(x) = A k_S(x) over fixed anchors.
 
-    anchor_gram is gram(kernel, anchors), built at construction unless a
-    caller that already holds it passes it in; a GramMatrix is accepted by
-    its own constructor (see kernels), so every map holds an accepted one.
+    The anchors S and the kernel are those of ``gram``, the GramMatrix the
+    map holds, which is accepted by its own constructor (see kernels).
     Maps derived from one another by with_params (every descent and
-    projection step) share one anchor Gram matrix, so a fit builds and
-    checks it once.
+    projection step) share it, so a fit builds and checks it once.
     """
 
     coefficients: np.ndarray
-    anchors: SampleMatrix
-    kernel: KernelSpec
+    gram: GramMatrix
     lambda_cap: float
-    anchor_gram: GramMatrix | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     mode = "kernel"
 
     def __post_init__(self):
         arr = _freeze(_as_matrix(self.coefficients, "coefficient matrix", _finite))
-        if arr.shape[1] != self.anchors.m:
-            raise ValidationError(
-                f"coefficient matrix has {arr.shape[1]} columns for {self.anchors.m} anchors"
-            )
+        m = self.gram.sample.m
+        if arr.shape[1] != m:
+            raise ValidationError(f"coefficient matrix has {arr.shape[1]} columns for {m} anchors")
         _check_budget(self.lambda_cap)
         object.__setattr__(self, "coefficients", arr)
-        if self.anchor_gram is None:
-            object.__setattr__(self, "anchor_gram", gram(self.kernel, self.anchors))
-        elif self.anchor_gram.size != self.anchors.m:
-            raise ValidationError(
-                f"anchor Gram matrix has size {self.anchor_gram.size} for {self.anchors.m} anchors"
-            )
 
     @property
     def params(self) -> np.ndarray:
@@ -181,18 +172,17 @@ class KernelMap:
 
     def with_params(self, coefficients) -> KernelMap:
         """New coefficients over the same anchors, sharing the held Gram matrix."""
-        return KernelMap(
-            coefficients, self.anchors, self.kernel, self.lambda_cap, anchor_gram=self.anchor_gram
-        )
+        return KernelMap(coefficients, self.gram, self.lambda_cap)
 
     def features(self, points) -> np.ndarray:
         """Kernel columns of the points against the anchors, one row per point;
         the held Gram matrix when the points are the anchors.  An overflowing
         kernel value raises ValidationError."""
         pts = _as_matrix(points, "point matrix")
-        if np.array_equal(pts, self.anchors.values):
-            return self.anchor_gram.values
-        cols = kernel_columns(self.kernel, self.anchors.values, pts).T
+        anchors = self.gram.sample.values
+        if np.array_equal(pts, anchors):
+            return self.gram.values
+        cols = kernel_columns(self.gram.kernel, anchors, pts).T
         return _as_matrix(cols, "kernel column matrix", _finite)
 
     def norm(self) -> float:
@@ -200,11 +190,11 @@ class KernelMap:
         scaled by its largest entry, so a representable norm stays finite."""
         a, scale = self.coefficients, 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            sq = float(np.sum((a @ self.anchor_gram.values) * a))
+            sq = float(np.sum((a @ self.gram.values) * a))
             if not np.isfinite(sq):
                 scale = float(np.max(np.abs(a)))
                 a = a / scale
-                sq = float(np.sum((a @ self.anchor_gram.values) * a))
+                sq = float(np.sum((a @ self.gram.values) * a))
         return scale * float(np.sqrt(max(sq, 0.0)))
 
     def project(self) -> KernelMap:
@@ -223,20 +213,20 @@ class KernelMap:
         nrm = self.norm()
         if nrm == 0.0:
             return np.zeros_like(self.coefficients)
-        return (self.coefficients @ self.anchor_gram.values) / nrm
+        return (self.coefficients @ self.gram.values) / nrm
 
     def feature_radius(self, sample: SampleMatrix) -> float:
         """q = max_i sqrt(K(x_i, x_i)) over the sample, from the kernel
         diagonal alone."""
-        return float(np.sqrt(kernel_diagonal(self.kernel, sample.values).max()))
+        return float(np.sqrt(kernel_diagonal(self.gram.kernel, sample.values).max()))
 
     def to_dict(self) -> dict:
         return {
             "type": self.mode,
             "lambda_cap": float(self.lambda_cap),
             "A": self.coefficients.tolist(),
-            "anchors": self.anchors.values.tolist(),
-            "kernel": self.kernel.to_dict(),
+            "anchors": self.gram.sample.values.tolist(),
+            "kernel": self.gram.kernel.to_dict(),
         }
 
 
@@ -272,10 +262,9 @@ class KernelClass:
         _check_budget(self.lambda_cap, self.k)
 
     def zero_map(self, sample: SampleMatrix) -> KernelMap:
-        """The zero map of the class with the sample as anchors, whose Gram
-        matrix KernelMap builds."""
+        """The zero map of the class with the sample as anchors."""
         zeros = _zero_params(self.k, sample, sample.m)
-        return KernelMap(zeros, sample, self.kernel, self.lambda_cap)
+        return KernelMap(zeros, gram(self.kernel, sample), self.lambda_cap)
 
 
 def embed(model: LinearMap | KernelMap, points) -> np.ndarray:
@@ -324,7 +313,7 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
     A payload that is not a JSON object, lacks a field, or whose fields
     have the wrong types or values raises ValidationError, naming a missing
     field; so does a kernel model whose anchor Gram matrix GramMatrix does
-    not accept.
+    not accept (the message reads "malformed kernel model: ...").
     """
     if not isinstance(payload, dict):
         raise ValidationError(f"model must be a JSON object, got {type(payload).__name__}")
@@ -333,12 +322,11 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
         if kind == "linear":
             return LinearMap(np.asarray(payload["W"], dtype=float), float(payload["lambda_cap"]))
         if kind == "kernel":
-            return KernelMap(
-                np.asarray(payload["A"], dtype=float),
-                SampleMatrix(np.asarray(payload["anchors"], dtype=float)),
-                KernelSpec.from_dict(payload["kernel"]),
-                float(payload["lambda_cap"]),
-            )
+            coefficients = np.asarray(payload["A"], dtype=float)
+            anchors = SampleMatrix(np.asarray(payload["anchors"], dtype=float))
+            kernel = KernelSpec.from_dict(payload["kernel"])
+            cap = float(payload["lambda_cap"])
+            return KernelMap(coefficients, gram(kernel, anchors), cap)
     except KeyError as exc:
         raise ValidationError(f"malformed {kind} model: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

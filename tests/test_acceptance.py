@@ -22,6 +22,7 @@ from simcert import (
     empirical_rademacher_mc,
     generalization_bound,
     generate_synthetic,
+    gram,
     loss_bound_M,
     mcdiarmid_term,
     model_norm,
@@ -75,7 +76,7 @@ def test_criterion_1_gradient_oracle():
         if kernel is None:
             model = LinearMap(rng.normal(size=(k, n)), 1e6)
         else:
-            model = KernelMap(rng.normal(size=(k, m)) * 0.5, sample, kernel, 1e6)
+            model = KernelMap(rng.normal(size=(k, m)) * 0.5, gram(kernel, sample), 1e6)
         analytic = risk_gradient(model, sample, distances, eps)
         numeric = _finite_difference(model, sample, distances, eps)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
@@ -189,7 +190,9 @@ def test_criterion_7_kernel_linear_equivalence():
     sample = SampleMatrix(rng.normal(size=(8, 3)))
     w = rng.normal(size=(2, 3))
     linear = LinearMap(w, 100.0)
-    kernelized = KernelMap(w @ np.linalg.pinv(sample.values), sample, KernelSpec("linear"), 100.0)
+    kernelized = KernelMap(
+        w @ np.linalg.pinv(sample.values), gram(KernelSpec("linear"), sample), 100.0
+    )
     diff = np.max(
         np.abs(
             embedding_distance_matrix(kernelized, sample)

@@ -235,7 +235,9 @@ class TestCertify:
         rng = np.random.default_rng(4)
         sample = SampleMatrix(rng.normal(size=(8, 2)))
         distances = DistanceMatrix(pairwise_distances(rng.normal(size=(8, 2))))
-        model = KernelMap(rng.normal(size=(2, 8)) * 0.1, sample, KernelSpec("rbf", gamma=0.5), 1.0)
+        model = KernelMap(
+            rng.normal(size=(2, 8)) * 0.1, gram(KernelSpec("rbf", gamma=0.5), sample), 1.0
+        )
         cert = certify(model, sample, distances, 0.05)
         assert cert.inputs.mode == "kernel"
         assert cert.inputs.q == 1.0
@@ -246,7 +248,7 @@ class TestCertify:
         rng = np.random.default_rng(5)
         anchors = SampleMatrix(rng.normal(size=(5, 2)) * 0.1)
         spec = KernelSpec("polynomial", degree=100, coef0=0.0)
-        model = KernelMap(rng.normal(size=(2, 5)), anchors, spec, 1.0)
+        model = KernelMap(rng.normal(size=(2, 5)), gram(spec, anchors), 1.0)
         sample = SampleMatrix(rng.normal(size=(6, 2)) * 100.0)
         distances = DistanceMatrix(pairwise_distances(sample.values))
         with pytest.raises(ValidationError, match="finite"):

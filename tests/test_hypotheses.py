@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simcert import (
+    KernelClass,
     KernelMap,
     KernelSpec,
     LinearMap,
@@ -13,6 +14,7 @@ from simcert import (
     ValidationError,
     embedding_distance_matrix,
     empirical_risk,
+    gram,
     kernel_eval,
     load_model,
     model_norm,
@@ -31,7 +33,7 @@ def _single_anchor_map(anchor_value, coefficient, lambda_cap=100.0):
     coefficient and contributes nothing under the linear kernel."""
     anchors = SampleMatrix([[anchor_value], [0.0]])
     coeff = np.array([[coefficient, 0.0]])
-    return KernelMap(coeff, anchors, KernelSpec("linear"), lambda_cap)
+    return KernelMap(coeff, gram(KernelSpec("linear"), anchors), lambda_cap)
 
 
 def _forward(h, x):
@@ -67,12 +69,12 @@ class TestKernelForward:
 
     def test_zero_coefficients(self):
         anchors = SampleMatrix([[1.0, 0.0], [0.0, 1.0]])
-        h = KernelMap(np.zeros((2, 2)), anchors, KernelSpec("rbf"), 1.0)
+        h = KernelMap(np.zeros((2, 2)), gram(KernelSpec("rbf"), anchors), 1.0)
         assert np.all(_forward(h, [0.3, 0.4]) == 0.0)
 
     def test_rbf_column_entry_at_anchor_is_one(self):
         anchors = SampleMatrix([[1.0, 2.0], [3.0, -1.0]])
-        h = KernelMap(np.array([[0.0, 1.0]]), anchors, KernelSpec("rbf", gamma=0.9), 1.0)
+        h = KernelMap(np.array([[0.0, 1.0]]), gram(KernelSpec("rbf", gamma=0.9), anchors), 1.0)
         # coefficient selects anchor 1's kernel column entry, K(x_1, x_1) = 1
         assert _forward(h, [3.0, -1.0]) == pytest.approx(1.0, abs=1e-15)
 
@@ -89,7 +91,7 @@ class TestEmbeddingDistanceMatrix:
         s = SampleMatrix(rng.normal(size=(5, 2)))
         for h in (
             LinearMap(rng.normal(size=(3, 2)), 10.0),
-            KernelMap(rng.normal(size=(3, 5)), s, KernelSpec("rbf"), 10.0),
+            KernelMap(rng.normal(size=(3, 5)), gram(KernelSpec("rbf"), s), 10.0),
         ):
             assert np.all(np.diag(embedding_distance_matrix(h, s)) == 0.0)
 
@@ -100,7 +102,7 @@ class TestEmbeddingDistanceMatrix:
         # representer coefficients reproducing W x on the anchor span
         coeff = w @ np.linalg.pinv(s.values)
         linear = LinearMap(w, 50.0)
-        kernelized = KernelMap(coeff, s, KernelSpec("linear"), 50.0)
+        kernelized = KernelMap(coeff, gram(KernelSpec("linear"), s), 50.0)
         np.testing.assert_allclose(
             embedding_distance_matrix(kernelized, s),
             embedding_distance_matrix(linear, s),
@@ -118,7 +120,7 @@ class TestEmbeddingDistanceMatrix:
                 if kernel is None:
                     h = LinearMap(rng.normal(size=(2, 3)), 100.0)
                 else:
-                    h = KernelMap(rng.normal(size=(2, m)), s, kernel, 100.0)
+                    h = KernelMap(rng.normal(size=(2, m)), gram(kernel, s), 100.0)
                 direct = empirical_risk(embedding_distance_matrix(h, s), d)
                 gram_form = stress_state(h, s, d, None, 0.0)[0]
                 assert abs(gram_form - direct) <= 1e-12 * direct, (kernel, m)
@@ -126,11 +128,11 @@ class TestEmbeddingDistanceMatrix:
     def test_kernel_map_on_fresh_points(self):
         rng = np.random.default_rng(4)
         anchors = SampleMatrix(rng.normal(size=(5, 2)))
-        h = KernelMap(rng.normal(size=(2, 5)), anchors, KernelSpec("rbf", gamma=0.4), 10.0)
+        h = KernelMap(rng.normal(size=(2, 5)), gram(KernelSpec("rbf", gamma=0.4), anchors), 10.0)
         fresh = SampleMatrix(rng.normal(size=(4, 2)))
         d = embedding_distance_matrix(h, fresh)
         # h(x) = A k_S(x), with k_S(x) evaluated one pair at a time
-        columns = [[kernel_eval(h.kernel, a, x) for a in anchors.values] for x in fresh.values]
+        columns = [[kernel_eval(h.gram.kernel, a, x) for a in anchors.values] for x in fresh.values]
         expected = pairwise_distances(np.array(columns) @ h.coefficients.T)
         np.testing.assert_allclose(d, expected, atol=1e-10)
 
@@ -140,7 +142,7 @@ class TestEmbeddingDistanceMatrix:
         rng = np.random.default_rng(5)
         anchors = SampleMatrix(rng.normal(size=(5, 2)) * 0.1)
         spec = KernelSpec("polynomial", degree=1000, coef0=0.0)
-        h = KernelMap(rng.normal(size=(2, 5)), anchors, spec, 1.0)
+        h = KernelMap(rng.normal(size=(2, 5)), gram(spec, anchors), 1.0)
         fresh = SampleMatrix(rng.normal(size=(6, 2)) * 100.0)
         with pytest.raises(ValidationError, match="non-finite"):
             embedding_distance_matrix(h, fresh)
@@ -182,7 +184,7 @@ class TestModelNorm:
 
     def test_zero_coefficients_zero_norm(self):
         anchors = SampleMatrix([[1.0], [2.0]])
-        h = KernelMap(np.zeros((2, 2)), anchors, KernelSpec("rbf"), 1.0)
+        h = KernelMap(np.zeros((2, 2)), gram(KernelSpec("rbf"), anchors), 1.0)
         assert model_norm(h) == 0.0
 
     def test_linear_norm_bitwise_equal_to_numpy_spectral_norm(self):
@@ -219,7 +221,7 @@ class TestProjectNormBall:
             assert np.max(np.abs(twice.weights - once.weights)) <= 1e-12
         anchors = SampleMatrix(rng.normal(size=(4, 2)))
         for _ in range(10):
-            h = KernelMap(rng.normal(size=(2, 4)) * 5.0, anchors, KernelSpec("rbf"), 1.0)
+            h = KernelMap(rng.normal(size=(2, 4)) * 5.0, gram(KernelSpec("rbf"), anchors), 1.0)
             once = project_norm_ball(h)
             twice = project_norm_ball(once)
             assert np.max(np.abs(twice.coefficients - once.coefficients)) <= 1e-12
@@ -231,7 +233,9 @@ class TestProjectNormBall:
             cap = float(rng.uniform(0.1, 2.0))
             lin = LinearMap(rng.normal(size=(2, 3)) * 10.0, cap)
             assert model_norm(project_norm_ball(lin)) <= cap + 1e-9
-            ker = KernelMap(rng.normal(size=(2, 5)) * 10.0, anchors, KernelSpec("linear"), cap)
+            ker = KernelMap(
+                rng.normal(size=(2, 5)) * 10.0, gram(KernelSpec("linear"), anchors), cap
+            )
             assert model_norm(project_norm_ball(ker)) <= cap + 1e-9
 
     def test_projection_that_is_not_finite_raises(self):
@@ -239,7 +243,7 @@ class TestProjectNormBall:
         # norm is at least 12e616: beyond the float range
         rng = np.random.default_rng(8)
         anchors = SampleMatrix(rng.normal(size=(6, 2)))
-        h = KernelMap(np.full((2, 6), 1e308), anchors, KernelSpec("rbf"), 1.0)
+        h = KernelMap(np.full((2, 6), 1e308), gram(KernelSpec("rbf"), anchors), 1.0)
         assert model_norm(h) == np.inf
         with pytest.raises(ValidationError, match="non-finite"):
             project_norm_ball(h)
@@ -250,8 +254,8 @@ class TestProjectNormBall:
         rng = np.random.default_rng(8)
         anchors = SampleMatrix(rng.normal(size=(6, 2)))
         a = rng.normal(size=(2, 6))
-        h = KernelMap(a * 1e160, anchors, KernelSpec("rbf"), 1e300)
-        unit = KernelMap(a, anchors, KernelSpec("rbf"), 1.0)
+        h = KernelMap(a * 1e160, gram(KernelSpec("rbf"), anchors), 1e300)
+        unit = KernelMap(a, gram(KernelSpec("rbf"), anchors), 1.0)
         assert model_norm(h) == pytest.approx(1e160 * model_norm(unit), rel=1e-14)
         assert project_norm_ball(h) is h
 
@@ -260,8 +264,8 @@ class TestProjectNormBall:
         anchors = SampleMatrix(rng.normal(size=(7, 3)))
         for family in ("linear", "rbf", "polynomial"):
             a = rng.normal(size=(3, 7)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            h = KernelMap(a, anchors, KernelSpec(family), 1.0)
-            k = h.anchor_gram.values
+            h = KernelMap(a, gram(KernelSpec(family), anchors), 1.0)
+            k = h.gram.values
             assert model_norm(h) == float(np.sqrt(max(float(np.sum((a @ k) * a)), 0.0)))
 
     def test_overflowing_frobenius_norm_projects_without_a_warning(self):
@@ -300,7 +304,7 @@ def capped_maps(draw):
     if kernel is None:
         return LinearMap(scale * rng.normal(size=(k, n)), cap)
     anchors = SampleMatrix(rng.normal(size=(m, n)))
-    return KernelMap(scale * rng.normal(size=(k, m)), anchors, kernel, cap)
+    return KernelMap(scale * rng.normal(size=(k, m)), gram(kernel, anchors), cap)
 
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -314,7 +318,7 @@ class TestShrinkAndNormProperties:
             assert h.norm() == float(np.linalg.norm(h.weights, 2))
             return
         # sqrt(trace(A K A^T)), to the round-off of a sum of m^2 k products
-        a, k = h.coefficients, h.anchor_gram.values
+        a, k = h.coefficients, h.gram.values
         round_off = 1e-13 * np.sum(a * a) * np.abs(k).max() * k.shape[0]
         assert abs(h.norm() ** 2 - np.trace(a @ k @ a.T)) <= round_off
 
@@ -347,7 +351,7 @@ class TestShrinkAndNormProperties:
         shrunk = project_norm_ball(h)
         assert type(shrunk) is type(h) and shrunk.lambda_cap == h.lambda_cap
         if isinstance(h, KernelMap):
-            assert shrunk.anchor_gram is h.anchor_gram
+            assert shrunk.gram is h.gram
             np.testing.assert_allclose(
                 shrunk.params, h.params * (h.lambda_cap / nrm), rtol=1e-15, atol=0.0
             )
@@ -371,14 +375,36 @@ class TestModelSerialization:
 
     def test_kernel_round_trip(self, tmp_path):
         anchors = SampleMatrix([[1.0, 0.0], [0.5, -1.0]])
-        h = KernelMap([[0.1, 0.2]], anchors, KernelSpec("polynomial", degree=3), 2.0)
+        h = KernelMap([[0.1, 0.2]], gram(KernelSpec("polynomial", degree=3), anchors), 2.0)
         path = tmp_path / "model.json"
         save_model(h, path)
         loaded = load_model(path)
         assert isinstance(loaded, KernelMap)
         assert np.array_equal(loaded.coefficients, h.coefficients)
-        assert np.array_equal(loaded.anchors.values, anchors.values)
-        assert loaded.kernel == h.kernel
+        assert np.array_equal(loaded.gram.sample.values, anchors.values)
+        assert loaded.gram.kernel == h.gram.kernel
+
+    def test_kernel_maps_carry_their_gram_matrix_anchors_and_kernel(self, tmp_path):
+        rng = np.random.default_rng(21)
+        spec = KernelSpec("polynomial", degree=3, coef0=0.5)
+        sample = SampleMatrix(rng.normal(size=(6, 2)))
+        zero = KernelClass(spec, 0.5, k=2).zero_map(sample)
+        moved = zero.with_params(rng.normal(size=(2, 6)) * 10.0)
+        projected = moved.project()
+        assert projected is not moved
+        path = tmp_path / "model.json"
+        save_model(projected, path)
+        loaded = load_model(path)
+        expected = gram(spec, sample).values
+        for h in (zero, moved, projected, loaded):
+            assert h.gram.kernel == spec
+            assert np.array_equal(h.gram.sample.values, sample.values)
+            assert np.array_equal(h.gram.values, expected)
+        assert zero.gram is moved.gram is projected.gram
+        assert np.array_equal(loaded.coefficients, projected.coefficients)
+        payload = model_to_dict(loaded)
+        assert payload["anchors"] == sample.values.tolist()
+        assert payload["kernel"] == spec.to_dict()
 
     def test_wire_format_fields(self):
         payload = model_to_dict(LinearMap(np.eye(2), 1.0))

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simcert.core as core_module
-import simcert.hypotheses as hypotheses_module
 import simcert.kernels as kernels_module
 
 from simcert import (
     GramMatrix,
     KernelClass,
-    KernelMap,
     KernelSpec,
     SampleMatrix,
     ValidationError,
@@ -162,27 +160,17 @@ class TestPsdCheck:
     def test_identity_passes(self, monkeypatch, eigvalsh_calls):
         # at tol 0 the screen is off and the eigenvalues decide
         monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", 0.0)
-        assert np.array_equal(GramMatrix(np.eye(2)).values, np.eye(2))
+        identity = GramMatrix(KernelSpec("linear"), SampleMatrix(np.eye(2)))
+        assert np.array_equal(identity.values, np.eye(2))
         assert psd_check(np.eye(2)) is None
         assert len(eigvalsh_calls) == 2
 
     def test_indefinite_matrix_fails(self):
         # eigenvalues 3 and -1
         with pytest.raises(ValidationError, match=r"fails the PSD check \(min eigenvalue -1 < "):
-            GramMatrix([[1.0, 2.0], [2.0, 1.0]])
+            psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValidationError, match=r"min eigenvalue -1 < "):
             psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_kernel_map_rejects_a_caller_supplied_indefinite_gram_matrix(self):
-        anchors = SampleMatrix([[0.0], [1.0]])
-        with pytest.raises(ValidationError, match="fails the PSD check"):
-            KernelMap(
-                np.zeros((1, 2)),
-                anchors,
-                KernelSpec("rbf"),
-                5.0,
-                anchor_gram=GramMatrix([[1.0, 2.0], [2.0, 1.0]]),
-            )
 
     def test_rbf_gram_on_distinct_points_passes(self):
         for seed in range(5):
@@ -283,9 +271,9 @@ def _gram_with_spectrum(rng, eigenvalues):
 
 
 def _accepts(values) -> bool:
-    """Whether GramMatrix accepts ``values``; a rejection names the PSD check."""
+    """Whether psd_check accepts ``values``; a rejection names the PSD check."""
     try:
-        GramMatrix(values)
+        psd_check(values)
     except ValidationError as exc:
         assert "fails the PSD check" in str(exc)
         return False
@@ -293,7 +281,7 @@ def _accepts(values) -> bool:
 
 
 def _zero_map_accepts(monkeypatch, values, sample) -> bool:
-    monkeypatch.setattr(hypotheses_module, "gram", lambda spec, s: GramMatrix(values))
+    monkeypatch.setattr(kernels_module, "kernel_columns", lambda spec, a, p: np.array(values))
     try:
         KernelClass(KernelSpec("linear"), 1.0, k=1).zero_map(sample)
     except ValidationError as exc:
@@ -369,7 +357,7 @@ class TestPsdScreen:
         assert 4700**2 * eps <= DEFAULT_PSD_TOL / 2.0 < 4800**2 * eps
         # at this tol the limit falls between m = 10 (100 eps) and 11 (121 eps)
         monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", 2.0 * 105.0 * eps)
-        GramMatrix(np.eye(10))
+        psd_check(np.eye(10))
         assert eigvalsh_calls == []
-        GramMatrix(np.eye(11))
+        psd_check(np.eye(11))
         assert eigvalsh_calls == [1]

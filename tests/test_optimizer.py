@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simcert.core as core_module
+import simcert.kernels as kernels_module
 import simcert.optimizer as optimizer_module
 
 from simcert import (
@@ -69,7 +70,7 @@ def random_instance(seed, kernel=None):
     if kernel is None:
         model = LinearMap(rng.normal(size=(k, n)), 1e6)
     else:
-        model = KernelMap(rng.normal(size=(k, m)) * 0.5, sample, kernel, 1e6)
+        model = KernelMap(rng.normal(size=(k, m)) * 0.5, gram(kernel, sample), 1e6)
     return model, sample, distances
 
 
@@ -158,7 +159,7 @@ def block_rows(monkeypatch, m, rows=BLOCK_ROWS):
 
 
 def pair_features(model, sample):
-    return sample.values if isinstance(model, LinearMap) else model.anchor_gram.values
+    return sample.values if isinstance(model, LinearMap) else model.gram.values
 
 
 def symmetric_signs(rng, m):
@@ -201,7 +202,7 @@ class TestRowBlockedStressState:
             if FAMILIES[family] is None:
                 model = LinearMap(rng.normal(size=(2, 3)), 1e6)
             else:
-                model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
+                model = KernelMap(rng.normal(size=(2, m)), gram(FAMILIES[family], sample), 1e6)
             for weights in (None, symmetric_signs(rng, m)):
                 for eps in (0.0, 1e-9):
                     value, grad = stress_state(model, sample, distances, weights, eps)
@@ -249,7 +250,7 @@ class TestRowBlockedStressState:
         if FAMILIES[family] is None:
             model = LinearMap(rng.normal(size=(2, 3)), 1e6)
         else:
-            model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
+            model = KernelMap(rng.normal(size=(2, m)), gram(FAMILIES[family], sample), 1e6)
         feats = pair_features(model, sample)
         y = feats @ model.params.T
         same = np.all(x[:, None, :] == x[None, :, :], axis=2)
@@ -287,7 +288,7 @@ class TestRowBlockedStressState:
             if FAMILIES[family] is None:
                 model = LinearMap(rng.normal(size=(2, 3)), 1e6)
             else:
-                model = KernelMap(rng.normal(size=(2, m)), sample, FAMILIES[family], 1e6)
+                model = KernelMap(rng.normal(size=(2, m)), gram(FAMILIES[family], sample), 1e6)
             weights = rng.normal(size=(m, m))
             feats = pair_features(model, sample)
             y = feats @ model.params.T
@@ -540,23 +541,24 @@ class TestWorkCounts:
         calls = count_calls(gram)
         derived = project_norm_ball(model.with_params(model.params * 100.0))
         assert derived is not model
-        assert derived.anchor_gram is model.anchor_gram
+        assert derived.gram is model.gram
         assert calls == []
         copied = SampleMatrix(sample.values.copy())
-        fresh = KernelMap(model.params, copied, model.kernel, model.lambda_cap)
+        fresh = KernelMap(
+            model.params, kernels_module.gram(model.gram.kernel, copied), model.lambda_cap
+        )
         assert len(calls) == 1
-        assert fresh.anchor_gram is not model.anchor_gram
-        assert np.array_equal(fresh.anchor_gram.values, model.anchor_gram.values)
+        assert fresh.gram is not model.gram
+        assert np.array_equal(fresh.gram.values, model.gram.values)
         rebuilt = fresh.with_params(fresh.params)
-        assert rebuilt.anchors is copied
-        assert rebuilt.anchor_gram is fresh.anchor_gram
+        assert rebuilt.gram.sample is copied
+        assert rebuilt.gram is fresh.gram
 
     def test_held_gram_of_the_wrong_size_rejected(self):
         model, sample, _ = random_instance(18, kernel=KernelSpec("rbf"))
         other = SampleMatrix(np.vstack([sample.values, sample.values[:1] + 1.0]))
         with pytest.raises(ValidationError):
-            KernelMap(np.zeros((2, other.m)), other, model.kernel, 1.0,
-                      anchor_gram=model.anchor_gram)
+            KernelMap(np.zeros((2, other.m)), model.gram, 1.0)
 
 
 class TestProjectedPath:
