@@ -185,9 +185,10 @@ class KernelMap:
         cols = kernel_columns(self.gram.kernel, anchors, pts).T
         return _as_matrix(cols, "kernel column matrix", _finite)
 
-    def norm(self) -> float:
-        """sqrt(trace(A K A^T)); a sum that overflows is taken again on A
-        scaled by its largest entry, so a representable norm stays finite."""
+    def _norm_parts(self) -> tuple[float, float]:
+        """(s, rho) with norm s rho: s = 1 and rho = sqrt(trace(A K A^T)),
+        unless that sum overflows; then s = max |A| and rho is the norm of
+        A / s, so a representable norm stays finite."""
         a, scale = self.coefficients, 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             sq = float(np.sum((a @ self.gram.values) * a))
@@ -195,18 +196,25 @@ class KernelMap:
                 scale = float(np.max(np.abs(a)))
                 a = a / scale
                 sq = float(np.sum((a @ self.gram.values) * a))
-        return scale * float(np.sqrt(max(sq, 0.0)))
+        return scale, float(np.sqrt(max(sq, 0.0)))
+
+    def norm(self) -> float:
+        """sqrt(trace(A K A^T)), as s rho of _norm_parts."""
+        scale, root = self._norm_parts()
+        return scale * root
 
     def project(self) -> KernelMap:
-        """Rescale onto the ball; the norm is 1-homogeneous in A.  A norm
-        beyond the float range raises ValidationError, since its rescale
-        factor would round to zero."""
-        nrm = self.norm()
-        if nrm <= self.lambda_cap:
+        """Rescale onto the ball; the norm is 1-homogeneous in A.  The map
+        becomes (A / s) (lambda_cap / rho) with (s, rho) of _norm_parts, so a
+        norm beyond the float range still projects (and s = 1 leaves the
+        plain rescale's bits); a rho that is not finite raises
+        ValidationError."""
+        scale, root = self._norm_parts()
+        if scale * root <= self.lambda_cap:
             return self
-        if not np.isfinite(nrm):
+        if not np.isfinite(root):
             raise ValidationError("RKHS norm is non-finite; the map cannot be rescaled")
-        return self.with_params(self.coefficients * (self.lambda_cap / nrm))
+        return self.with_params(self.coefficients / scale * (self.lambda_cap / root))
 
     def norm_subgradient(self) -> np.ndarray:
         """A K / norm; zero at the zero map."""
@@ -324,8 +332,7 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
         if kind == "kernel":
             coefficients = np.asarray(payload["A"], dtype=float)
             anchors = SampleMatrix(np.asarray(payload["anchors"], dtype=float))
-            kernel = KernelSpec.from_dict(payload["kernel"])
-            cap = float(payload["lambda_cap"])
+            kernel, cap = KernelSpec.from_dict(payload["kernel"]), float(payload["lambda_cap"])
             return KernelMap(coefficients, gram(kernel, anchors), cap)
     except KeyError as exc:
         raise ValidationError(f"malformed {kind} model: missing field {exc}") from exc

@@ -238,15 +238,19 @@ class TestProjectNormBall:
             )
             assert model_norm(project_norm_ball(ker)) <= cap + 1e-9
 
-    def test_projection_that_is_not_finite_raises(self):
+    def test_projection_of_a_norm_beyond_the_float_range_is_finite(self):
         # every RBF entry is positive and the diagonal is 1, so the squared
-        # norm is at least 12e616: beyond the float range
+        # norm is at least 12e616: beyond the float range; the projected map
+        # has equal entries below 1 / sqrt(12)
         rng = np.random.default_rng(8)
         anchors = SampleMatrix(rng.normal(size=(6, 2)))
         h = KernelMap(np.full((2, 6), 1e308), gram(KernelSpec("rbf"), anchors), 1.0)
         assert model_norm(h) == np.inf
-        with pytest.raises(ValidationError, match="non-finite"):
-            project_norm_ball(h)
+        projected = project_norm_ball(h)
+        a = projected.coefficients
+        assert np.all(np.isfinite(a)) and np.all(a == a[0, 0]) and 0.0 < a[0, 0] < 12**-0.5
+        assert model_norm(projected) <= h.lambda_cap + 1e-9
+        assert model_norm(projected) == pytest.approx(h.lambda_cap, rel=1e-12)
 
     def test_norm_whose_square_overflows_is_finite(self):
         # the squared norm is about 1e320; pytest turns the overflow warning
