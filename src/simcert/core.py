@@ -28,6 +28,7 @@ temporary takes about _BLOCK_BYTES.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -88,6 +89,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _check_memory(m: int, arrays: int, what: str) -> None:
+    """Raise ValidationError when ``arrays`` float m x m arrays, which
+    ``what`` holds at once, need more bytes than the physical memory;
+    called before the first of them is allocated."""
+    need = arrays * 8 * m * m
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValidationError(
+            f"{what} at m = {m} needs {need / 2**30:.3g} GiB, above RAM ({have / 2**30:.3g} GiB)"
+        )
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .core import (
     SampleMatrix,
     ValidationError,
     _as_matrix,
+    _check_memory,
     _direct_rows,
     _finite,
     _row_blocks,
@@ -205,6 +206,8 @@ def generate_synthetic(
     part right of the diagonal sub-block, transposed, into the columns below
     it, so no m x m noise matrix is formed.
     """
+    # the target matrix and the copy DistanceMatrix keeps
+    _check_memory(spec.m, 2, "the synthetic target matrix")
     x, w_true, targets = _draw(spec)
     d = np.empty((spec.m, spec.m))
     for (start, stop), target in zip(_row_blocks(spec.m), targets, strict=True):

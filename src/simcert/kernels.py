@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleMatrix, ValidationError, _as_matrix, _finite, _freeze, _row_blocks
-from .core import _squared_row_norms
+from .core import SampleMatrix, ValidationError, _as_matrix, _check_memory, _finite, _freeze
+from .core import _row_blocks, _squared_row_norms
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -105,6 +105,8 @@ class GramMatrix:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # kernel_columns' two, then k with psd_check's shifted copy and factor
+        _check_memory(self.sample.m, 3, "the Gram matrix")
         k = kernel_columns(self.kernel, self.sample.values, self.sample.values)
         for start, stop in _row_blocks(k.shape[0]):
             diag = k[start:stop, start:stop]
@@ -116,10 +118,10 @@ class GramMatrix:
         # arrays never coexist with it; a module global looked up at call
         # time, so bench/tracer.py can wrap it
         psd_check(k)
-        # the frozen copy lets k go: the map keeps a fresh m x m array, not
-        # one carved from kernel_columns' allocations.  Holding k itself
-        # measured 105.5 MB peak RSS on the fit_rbf bench loop against
-        # 98.0 MB with the copy (m = 1000, 2 cores, numpy 2.4.6 on OpenBLAS)
+        # the copy is kept for peak RSS: holding k itself read 105.7-105.8 MB
+        # in bench/worker.py's fit_rbf loop (m = 1000) against 98.1-98.2 MB
+        # with the copy, at the same tracemalloc peak per op (22.9 MB);
+        # 2 cores, numpy 2.4.6 on OpenBLAS
         object.__setattr__(self, "values", _freeze(k))
 
 

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import simcert.core as core_module
 import simcert.kernels as kernels_module
 
 from simcert import (
@@ -331,6 +333,47 @@ def test_loaded_kernel_model_failing_the_psd_check_is_validation_error(
     assert main(args) == 4
     assert "fails the PSD check" in capsys.readouterr().err
     monkeypatch.undo()
+    assert main(args) == 0
+
+
+def _physical_memory(monkeypatch, nbytes: int) -> None:
+    """Make the m x m budget check in core read ``nbytes`` of physical memory."""
+    sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr(core_module, "os", SimpleNamespace(sysconf=sysconf.__getitem__))
+
+
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_targets_beyond_the_physical_memory_exit_4(tmp_path, capsys, monkeypatch, command):
+    # the target matrix and its copy at m = 20: 2 x 8 x 20^2 = 6400 bytes
+    extra = ["--trials", "1", "--max-iters", "5"] if command == "verify" else []
+    args = [command, "--m", "20", *extra, "--out", str(tmp_path)]
+    _physical_memory(monkeypatch, 6399)
+    assert main(args) == 4
+    line = _one_error_line(capsys)
+    assert "the synthetic target matrix at m = 20 needs" in line and "above RAM" in line
+    _physical_memory(monkeypatch, 6400)
+    assert main(args) == 0
+
+
+def test_kernel_model_whose_gram_matrix_exceeds_the_physical_memory_exits_4(
+    tmp_path, capsys, monkeypatch
+):
+    _identity_fixture(tmp_path)
+    (tmp_path / "model.json").write_bytes(
+        b'{"type": "kernel", ' + _KERNEL_MODEL + b', "kernel": {"family": "rbf"}}'
+    )
+    args = [
+        "certify",
+        "--model", str(tmp_path / "model.json"),
+        "--features", str(tmp_path / "features.csv"),
+        "--distances", str(tmp_path / "distances.csv"),
+        "--out", str(tmp_path / "cert"),
+    ]
+    # three m x m arrays at once for its 2 anchors: 3 x 8 x 2^2 = 96 bytes
+    _physical_memory(monkeypatch, 95)
+    assert main(args) == 4
+    assert "malformed kernel model: the Gram matrix at m = 2 needs" in _one_error_line(capsys)
+    _physical_memory(monkeypatch, 96)
     assert main(args) == 0
 
 

@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram matrices, PSD checking, feature-space radius."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +191,19 @@ class TestPsdCheck:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 8 * m * m
+
+    def test_gram_matrix_beyond_the_physical_memory_is_refused_before_it_is_built(
+        self, monkeypatch
+    ):
+        # 3 m x m arrays at m = 10: 2400 bytes
+        sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2399}
+        monkeypatch.setattr(core_module, "os", SimpleNamespace(sysconf=sysconf.__getitem__))
+        built = []
+        monkeypatch.setattr(kernels_module, "kernel_columns", lambda *args: built.append(1))
+        sample = _random_sample(np.random.default_rng(15), m=10)
+        with pytest.raises(ValidationError, match=r"^the Gram matrix at m = 10 needs 2.24e-06 GiB"):
+            GramMatrix(KernelSpec("rbf"), sample)
+        assert built == []
 
     def test_gram_side_squared_distances_nonnegative(self):
         rng = np.random.default_rng(6)
