@@ -21,9 +21,11 @@ Every pairwise-distance helper lives here, in two forms:
   stress pass (optimizer), whose values and gradients feed the descent.
 
 pairwise_distances, streamed_risk, validate_distance_matrix, the stress
-pass and kernels.gram visit an m x m matrix in blocks of b rows under one
-policy, _row_blocks: b = max(1, _BLOCK_BYTES // (8 m)), so a (b x m) float
-temporary takes about _BLOCK_BYTES.
+pass and kernels.GramMatrix visit an m x m matrix in blocks of b rows under
+one policy, _row_blocks: b = max(1, _BLOCK_BYTES // (8 m)), so a (b x m)
+float temporary takes about _BLOCK_BYTES.  Before a whole m x m matrix is
+allocated from an input's size, _check_memory compares it with the physical
+memory.
 """
 
 from __future__ import annotations
