@@ -3,20 +3,55 @@
 Three families are supported: linear (x . y), RBF (exp(-gamma ||x - y||^2),
 for which K(x, x) = 1 and hence q = 1), and polynomial ((x . y + coef0)^degree).
 Positive semidefiniteness is an assumption of the kernel certificates; it is
-checked empirically on the sampled Gram matrix against one relative
-eigenvalue threshold, DEFAULT_PSD_TOL.  GramMatrix(kernel, sample) is the
-only way to get a Gram matrix: its constructor builds the values from the
-kernel and the sample and runs psd_check on them, so a KernelMap, which
-reads its anchors and kernel from the GramMatrix it holds, always holds an
-accepted matrix of its own anchors.  psd_check is the one PSD decision: a
-Cholesky screen accepts most Gram matrices, several times cheaper than the
-eigenvalues, which are computed only when the screen fails.  The radius q
-that certify reads comes from the kernel diagonal alone (kernel_diagonal,
-via KernelMap.feature_radius), never from a Gram matrix.  GramMatrix
-mirrors its upper triangle in row blocks of the one policy of
-core._row_blocks.  A kernel value that overflows becomes inf without a
-numpy warning; the finite check of the matrix that holds it names the
-failure.
+decided on the sampled Gram matrix by one relative eigenvalue rule,
+lambda_min >= -tol max(max |lambda|, 1) with tol = DEFAULT_PSD_TOL.
+GramMatrix(kernel, sample) is the only way to get a Gram matrix: its
+constructor builds the values from the kernel and the sample and settles
+the rule on them, so a KernelMap, which reads its anchors and kernel from
+the GramMatrix it holds, always holds an accepted matrix of its own
+anchors.  psd_check applies the rule: a Cholesky screen accepts most Gram
+matrices, several times cheaper than the eigenvalues, which are computed
+only when the screen fails.  An RBF Gram matrix is first offered to a
+round-off certificate that proves, in O(m N) flops and before any
+factorization, that psd_check would accept it; psd_check runs only when
+the certificate declines.  The radius q that certify reads comes from the
+kernel diagonal alone (kernel_diagonal, via KernelMap.feature_radius),
+never from a Gram matrix.  GramMatrix mirrors its upper triangle in row
+blocks of the one policy of core._row_blocks.  A kernel value that
+overflows becomes inf without a numpy warning; the finite check of the
+matrix that holds it names the failure.
+
+The RBF round-off certificate.  Take m stored rows x_i in R^N, r^2 =
+max_i ||x_i||^2, u the unit round-off, gamma_N = N u / (1 - N u) and N u <=
+2^-10 (any N below 8e12); the dot-product bounds are Higham 2002, Accuracy
+and Stability of Numerical Algorithms, section 3.1.
+
+1. The exact Gram matrix K_ij = exp(-gamma d_ij^2), d_ij = ||x_i - x_j||,
+   is PSD: the Gaussian kernel is positive definite for every gamma > 0
+   (Schoenberg 1938), and a Gram matrix with coincident rows is still PSD.
+2. kernel_columns forms d~^2 = fl(fl(n_i + n_j) - 2 c~_ij) from the BLAS
+   inner products c~ and their diagonal n.  Each is a dot product, so
+   |c~_ij - c_ij| <= gamma_N ||x_i|| ||x_j|| <= gamma_N r^2 and |n_i -
+   ||x_i||^2| <= gamma_N r^2, for any summation order, FMA included.  With
+   the two roundings of the sum and the difference and d^2 <= 4 r^2,
+   |d~^2 - d^2| <= (4 gamma_N + 7 u) r^2.  The clamp at 0 only moves d~^2
+   closer to d^2, which is nonnegative.
+3. The exponent fl(-gamma d~^2) adds a rounding of at most u gamma (4 r^2 +
+   (4 gamma_N + 7 u) r^2), so it is within Delta = gamma (4 gamma_N + 12 u)
+   r^2 of -gamma d^2.  np.exp has a relative error of at most c_exp u with
+   c_exp = 4, that is 2 ulps: it is within 1 ulp of the C library's exp
+   (tested), which is within 1 ulp of e^x; below the normal range its
+   error of 2^-1074 is far smaller.  As K_ij <= 1, |K~_ij - K_ij| <= delta
+   = e^Delta - 1 + c_exp u e^Delta for every entry, mirrored ones included.
+4. By Weyl's inequality, lambda_min(K~) >= lambda_min(K) - ||K~ - K||_2 >=
+   -m delta.  The rule's threshold is at most -tol, because max(., 1) >= 1.
+   So m delta <= tol / 2 means psd_check would accept K~; the other half of
+   the threshold covers the relative round-off, about N u, of computing
+   r^2, Delta and delta themselves, and of the eigenvalues.
+
+On 16 features with r <= 1, gamma = 0.5 and m = 1000, m delta is about
+5e-12 against tol / 2 = 5e-9; features scaled by 1e3 decline, and a larger
+gamma r^2 or m declines sooner.
 """
 
 from __future__ import annotations
@@ -26,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SampleMatrix, ValidationError, _as_matrix, _check_memory, _finite, _freeze
-from .core import _row_blocks, _squared_row_norms
+from .core import _UNIT_ROUNDOFF, _row_blocks, _squared_row_norms
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -90,10 +125,10 @@ class KernelSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """The kernel's Gram matrix on a sample, built by the constructor and
-    accepted by psd_check.
+    accepted by the round-off certificate (RBF) or by psd_check.
 
     Exact symmetry is enforced by copying the strict upper triangle onto
     the lower one in place, a block of b rows at a time, so the copy needs
@@ -102,7 +137,7 @@ class GramMatrix:
 
     kernel: KernelSpec
     sample: SampleMatrix
-    values: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # kernel_columns' two, then k with psd_check's shifted copy and factor
@@ -114,15 +149,37 @@ class GramMatrix:
             diag[lower] = diag.T[lower]
             k[stop:, start:stop] = k[start:stop, stop:].T
         _finite(k, "Gram matrix")
-        # on k, before the frozen copy exists, so the screen's two m x m
-        # arrays never coexist with it; a module global looked up at call
-        # time, so bench/tracer.py can wrap it
-        psd_check(k)
+        # the round-off certificate of the module docstring reads the
+        # tolerance at call time, as psd_check does, so a negative tolerance
+        # certifies nothing
+        certified = self.kernel.family == "rbf" and (
+            self.sample.m * _rbf_entry_error(self.kernel, self.sample.values)
+            <= DEFAULT_PSD_TOL / 2.0
+        )
+        # psd_check decides what the certificate does not: on k, before the
+        # frozen copy exists, so the screen's two m x m arrays never coexist
+        # with it; a module global looked up at call time, so bench/tracer.py
+        # can wrap it
+        if not certified:
+            psd_check(k)
         # the copy is kept for peak RSS: holding k itself read 105.7-105.8 MB
         # in bench/worker.py's fit_rbf loop (m = 1000) against 98.1-98.2 MB
         # with the copy, at the same tracemalloc peak per op (22.9 MB);
         # 2 cores, numpy 2.4.6 on OpenBLAS
         object.__setattr__(self, "values", _freeze(k))
+
+
+@np.errstate(over="ignore")
+def _rbf_entry_error(spec: KernelSpec, x: np.ndarray) -> float:
+    """delta of the module docstring's step 3: a bound on the error of every
+    entry of the RBF Gram matrix of the rows of x, as GramMatrix builds it."""
+    n = x.shape[1]
+    u = _UNIT_ROUNDOFF
+    gamma_n = n * u / (1.0 - n * u)
+    # r^2 from the computed squared norms, each within gamma_N of its own
+    r2 = float(_squared_row_norms(x).max()) / (1.0 - gamma_n)
+    exponent = spec.gamma * (4.0 * gamma_n + 12.0 * u) * r2
+    return float(np.expm1(exponent) + 4.0 * u * np.exp(exponent))
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -200,7 +257,10 @@ def gram(spec: KernelSpec, sample: SampleMatrix) -> GramMatrix:
 def psd_check(values: np.ndarray) -> None:
     """The PSD decision for a symmetric matrix K: it passes iff its minimum
     eigenvalue is at least -tol max(max |eigenvalues|, 1), tol =
-    DEFAULT_PSD_TOL, and a failure raises ValidationError.
+    DEFAULT_PSD_TOL, and a failure raises ValidationError.  This rule is
+    the one PSD decision; GramMatrix settles it for an RBF matrix by the
+    round-off certificate of the module docstring when it can, and calls
+    this function otherwise.
 
     A Cholesky screen decides first: K + tau I with tau = (tol / 2)
     max(max_i K_ii, 1).  A factor implies a pass: K + tau I positive

@@ -1,5 +1,6 @@
 """Kernel evaluation, Gram matrices, PSD checking, feature-space radius."""
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -20,7 +21,9 @@ from simcert import (
     data_radii,
     gram,
     kernel_eval,
+    load_model,
     psd_check,
+    save_model,
 )
 from simcert.core import DistanceMatrix
 from simcert.kernels import (
@@ -35,18 +38,29 @@ def _random_sample(rng, m=6, n=3, scale=1.0):
     return SampleMatrix(rng.normal(size=(m, n)) * scale)
 
 
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """A list that grows by one entry per np.linalg.eigvalsh call."""
+def _count_linalg_calls(monkeypatch, name):
+    """A list that grows by one entry per np.linalg.<name> call."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    func = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return eigvalsh(*args, **kwargs)
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A list that grows by one entry per np.linalg.eigvalsh call."""
+    return _count_linalg_calls(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """A list that grows by one entry per np.linalg.cholesky call."""
+    return _count_linalg_calls(monkeypatch, "cholesky")
 
 
 class TestKernelSpec:
@@ -375,3 +389,115 @@ class TestPsdScreen:
         assert eigvalsh_calls == []
         psd_check(np.eye(11))
         assert eigvalsh_calls == [1]
+
+
+def _rbf_sample(seed, m, n, log_scale, coincident=False):
+    """m Gaussian rows in R^n scaled by 10^log_scale; the last repeats the
+    first when ``coincident``."""
+    x = np.random.default_rng(seed).normal(size=(m, n)) * 10.0**log_scale
+    if coincident:
+        x[-1] = x[0]
+    return SampleMatrix(x)
+
+
+def _certified(spec, sample) -> bool:
+    """Whether GramMatrix accepts the RBF matrix by the round-off certificate."""
+    return sample.m * kernels_module._rbf_entry_error(spec, sample.values) <= DEFAULT_PSD_TOL / 2.0
+
+
+class TestRbfRoundOffCertificate:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        log_gamma=st.floats(-3.0, 3.0),
+        log_scale=st.floats(-3.0, 3.0),
+        m=st.integers(2, 60),
+        n=st.integers(1, 8),
+        coincident=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_certified_matrix_passes_the_eigenvalue_rule(
+        self, log_gamma, log_scale, m, n, coincident, seed
+    ):
+        spec = KernelSpec("rbf", gamma=10.0**log_gamma)
+        sample = _rbf_sample(seed, m, n, log_scale, coincident)
+        if _certified(spec, sample):
+            assert _eigenvalue_rule(GramMatrix(spec, sample).values)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double"
+    )
+    @pytest.mark.parametrize("log_gamma", [-3.0, 0.0, 3.0])
+    @pytest.mark.parametrize("log_scale", [-3.0, -1.0, 0.0, 1.0])
+    def test_every_entry_is_within_delta_of_the_exact_kernel(self, log_gamma, log_scale):
+        spec = KernelSpec("rbf", gamma=10.0**log_gamma)
+        for n, coincident in ((1, True), (4, False), (8, True)):
+            sample = _rbf_sample(int(log_scale) + 100, 40, n, log_scale, coincident)
+            x = sample.values.astype(np.longdouble)
+            sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+            exact = np.exp(-np.longdouble(spec.gamma) * sq)
+            error = np.abs(GramMatrix(spec, sample).values - exact).max()
+            assert error <= kernels_module._rbf_entry_error(spec, sample.values), n
+
+    def test_certifies_the_benchmark_instance_without_a_factorization(
+        self, cholesky_calls, eigvalsh_calls
+    ):
+        # 16 features, r <= 1, gamma 0.5, as bench's fit_rbf (m 1000 there)
+        sample = _rbf_sample(17, 300, 16, 0.0)
+        sample = SampleMatrix(sample.values / sample.radius)
+        spec = KernelSpec("rbf", gamma=0.5)
+        assert sample.m * kernels_module._rbf_entry_error(spec, sample.values) < 1e-11
+        GramMatrix(spec, sample)
+        assert cholesky_calls == [] and eigvalsh_calls == []
+
+    def test_a_certified_zero_map_and_loaded_model_factor_nothing(
+        self, tmp_path, cholesky_calls, eigvalsh_calls
+    ):
+        spec = KernelSpec("rbf", gamma=2.0)
+        sample = _rbf_sample(18, 50, 3, -0.5, coincident=True)
+        assert _certified(spec, sample)
+        model = KernelClass(spec, 1.0, k=2).zero_map(sample)
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert np.array_equal(loaded.gram.values, model.gram.values)
+        assert cholesky_calls == [] and eigvalsh_calls == []
+
+    def test_a_large_gamma_r_squared_declines_to_psd_check(self, count_calls, cholesky_calls):
+        spec = KernelSpec("rbf", gamma=0.5)
+        sample = _rbf_sample(19, 40, 4, 3.0)
+        assert not _certified(spec, sample)
+        calls = count_calls(psd_check)
+        GramMatrix(spec, sample)
+        assert calls == [1] and cholesky_calls == [1]
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0])
+    def test_a_nonpositive_tolerance_certifies_nothing(self, monkeypatch, count_calls, tol):
+        monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", tol)
+        calls = count_calls(psd_check)
+        sample = _rbf_sample(20, 10, 2, 0.0)
+        if tol < 0.0:
+            # the eigenvalues of a Gram matrix of distinct points differ
+            with pytest.raises(ValidationError, match="fails the PSD check"):
+                GramMatrix(KernelSpec("rbf"), sample)
+        else:
+            GramMatrix(KernelSpec("rbf"), sample)
+        assert calls == [1]
+
+    def test_np_exp_is_within_one_ulp_of_the_c_library(self):
+        # step 3 takes np.exp within 1 ulp of math.exp, and math.exp within
+        # 1 ulp of e^x: c_exp = 4 units of u; arguments -gamma d~^2 <= 0,
+        # down to where e^x underflows to zero
+        rng = np.random.default_rng(21)
+        args = np.concatenate(
+            [rng.uniform(-50.0, 0.0, 20_000), rng.uniform(-746.0, 0.0, 5_000),
+             -np.logspace(-20.0, 2.0, 2_000), [0.0, -745.2, -708.4]]
+        )
+        expected = np.array([math.exp(a) for a in args])
+        ulp = np.spacing(expected)
+        # contiguous, written in place over a 2-D plane as kernel_columns does,
+        # and strided
+        plane = args[: 26_000].reshape(130, 200).copy()
+        got = [np.exp(args), np.exp(plane, out=plane).ravel(), np.exp(args[::-1])[::-1]]
+        for values, want, spacing in zip(
+            got, [expected, expected[:26_000], expected], [ulp, ulp[:26_000], ulp]
+        ):
+            assert np.all(np.abs(values - want) <= spacing)
