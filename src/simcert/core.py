@@ -105,7 +105,7 @@ def _check_memory(m: int, arrays: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleMatrix:
     """m feature vectors in R^N, one per row."""
 
@@ -139,7 +139,7 @@ class SampleMatrix:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Supervised m x m target distances.
 
@@ -172,7 +172,7 @@ class DistanceMatrix:
         return (self.values[start:stop, start:] for start, stop in _row_blocks(self.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """Pairwise confusion rates in [0, 1] with unit diagonal."""
 

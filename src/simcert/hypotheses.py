@@ -69,7 +69,15 @@ def _check_budget(lambda_cap: float, k: int | None = None) -> None:
         raise ValidationError("output dimension k must be >= 1")
 
 
-@dataclass(frozen=True)
+def _check_width(coefficients: np.ndarray, m: int) -> None:
+    """Reject a coefficient matrix that has no column per anchor."""
+    if coefficients.shape[1] != m:
+        raise ValidationError(
+            f"coefficient matrix has {coefficients.shape[1]} columns for {m} anchors"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class LinearMap:
     """Linear hypothesis x -> W x with spectral-norm budget lambda_cap."""
 
@@ -142,7 +150,7 @@ class LinearMap:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMap:
     """Representer-form kernel hypothesis h(x) = A k_S(x) over fixed anchors.
 
@@ -160,9 +168,7 @@ class KernelMap:
 
     def __post_init__(self):
         arr = _freeze(_as_matrix(self.coefficients, "coefficient matrix", _finite))
-        m = self.gram.sample.m
-        if arr.shape[1] != m:
-            raise ValidationError(f"coefficient matrix has {arr.shape[1]} columns for {m} anchors")
+        _check_width(arr, self.gram.sample.m)
         _check_budget(self.lambda_cap)
         object.__setattr__(self, "coefficients", arr)
 
@@ -321,7 +327,8 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
     A payload that is not a JSON object, lacks a field, or whose fields
     have the wrong types or values raises ValidationError, naming a missing
     field; so does a kernel model whose anchor Gram matrix GramMatrix does
-    not accept (the message reads "malformed kernel model: ...").
+    not accept (the message reads "malformed kernel model: ...").  A's width
+    is checked against the anchor count before the Gram matrix is built.
     """
     if not isinstance(payload, dict):
         raise ValidationError(f"model must be a JSON object, got {type(payload).__name__}")
@@ -333,6 +340,8 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
             coefficients = np.asarray(payload["A"], dtype=float)
             anchors = SampleMatrix(np.asarray(payload["anchors"], dtype=float))
             kernel, cap = KernelSpec.from_dict(payload["kernel"]), float(payload["lambda_cap"])
+            # before the m x m build, which a wrong width would waste
+            _check_width(_as_matrix(coefficients, "coefficient matrix"), anchors.m)
             return KernelMap(coefficients, gram(kernel, anchors), cap)
     except KeyError as exc:
         raise ValidationError(f"malformed {kind} model: missing field {exc}") from exc

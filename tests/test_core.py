@@ -10,11 +10,16 @@ import simcert.core as core_module
 from simcert import (
     ConfusionMatrix,
     DistanceMatrix,
+    GramMatrix,
+    KernelMap,
+    KernelSpec,
+    LinearMap,
     SampleMatrix,
     ValidationError,
     confusion_to_distance,
     data_radii,
     empirical_risk,
+    gram,
     pairwise_distances,
     read_matrix_csv,
     validate_distance_matrix,
@@ -150,6 +155,27 @@ class TestDistanceMatrixInvariants:
         # 0-1 distance far exceeds the 0-2 + 2-1 path; still a valid target
         d = DistanceMatrix([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         assert d.max_distance == 10.0
+
+
+_ARRAY_CONTAINERS = {
+    "SampleMatrix": lambda: SampleMatrix([[0.0], [1.0]]),
+    "DistanceMatrix": lambda: DistanceMatrix([[0.0, 1.0], [1.0, 0.0]]),
+    "ConfusionMatrix": lambda: ConfusionMatrix([[1.0, 0.5], [0.5, 1.0]]),
+    "LinearMap": lambda: LinearMap([[1.0, 0.0]], 1.0),
+    "KernelMap": lambda: KernelMap(
+        [[1.0, 0.0]], gram(KernelSpec("rbf"), SampleMatrix([[0.0], [1.0]])), 1.0
+    ),
+    "GramMatrix": lambda: GramMatrix(KernelSpec("rbf"), SampleMatrix([[0.0], [1.0]])),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_CONTAINERS.values(), ids=_ARRAY_CONTAINERS.keys())
+def test_containers_holding_arrays_compare_and_hash_by_identity(make):
+    first, second = make(), make()
+    assert (first == second) is False
+    assert (first == first) is True
+    assert (first != second) is True
+    assert len({first, second, first}) == 2
 
 
 class TestConfusionToDistance:

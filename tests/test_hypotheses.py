@@ -414,6 +414,19 @@ class TestModelSerialization:
         payload = model_to_dict(LinearMap(np.eye(2), 1.0))
         assert payload == {"type": "linear", "lambda_cap": 1.0, "W": [[1.0, 0.0], [0.0, 1.0]]}
 
+    def test_width_is_checked_before_the_gram_matrix_is_built(self, count_calls):
+        calls = count_calls(gram)
+        payload = {
+            "type": "kernel", "lambda_cap": 1.0, "A": [[1.0, 0.0, 2.0]],
+            "anchors": [[0.0, 0.0], [1.0, 0.0]], "kernel": {"family": "rbf"},
+        }
+        with pytest.raises(
+            ValidationError,
+            match=r"^malformed kernel model: coefficient matrix has 3 columns for 2 anchors$",
+        ):
+            model_from_dict(payload)
+        assert calls == []
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):
             model_from_dict({"type": "forest", "lambda_cap": 1.0})
