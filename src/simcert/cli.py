@@ -24,6 +24,7 @@ from .bounds import _check_delta, certify
 from .core import (
     SampleMatrix,
     ValidationError,
+    _check_memory,
     _check_tol,
     read_matrix_csv,
     validate_distance_matrix,
@@ -200,10 +201,24 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _first_line_fields(path) -> int:
+    """The comma-separated fields on the first line of a file, from one
+    readline; 0 when it cannot be opened, so read_matrix_csv names that."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.readline().count(b",") + 1
+    except OSError:
+        return 0
+
+
 def _load_problem(args):
     """Sample and targets from the CSV flags; train and certify check that
-    their sizes agree."""
+    their sizes agree.  The distances CSV is sized from its first line
+    before it is read: the loaded array, its symmetrized sum and
+    DistanceMatrix's copy are three m x m arrays."""
     features = read_matrix_csv(args.features)
+    m = _first_line_fields(args.distances)
+    _check_memory(m, 3, f"{args.distances}: the distance matrix")
     raw_distances = read_matrix_csv(args.distances)
     return SampleMatrix(features), validate_distance_matrix(raw_distances, tol=args.tol)
 

@@ -13,6 +13,7 @@ import simcert.kernels as kernels_module
 from simcert import (
     LinearClass,
     SampleMatrix,
+    gram,
     pairwise_distances,
     read_matrix_csv,
     write_matrix_csv,
@@ -373,8 +374,63 @@ def test_kernel_model_whose_gram_matrix_exceeds_the_physical_memory_exits_4(
     _physical_memory(monkeypatch, 95)
     assert main(args) == 4
     assert "malformed kernel model: the Gram matrix at m = 2 needs" in _one_error_line(capsys)
+    # the model now loads, and the 100-point distances CSV is sized next
     _physical_memory(monkeypatch, 96)
+    assert main(args) == 4
+    assert "distances.csv: the distance matrix at m = 100 needs" in _one_error_line(capsys)
+    _physical_memory(monkeypatch, 3 * 8 * 100**2)
     assert main(args) == 0
+
+
+def test_kernel_model_of_the_wrong_width_exits_4_before_its_gram_matrix(
+    tmp_path, capsys, count_calls
+):
+    _identity_fixture(tmp_path)
+    (tmp_path / "model.json").write_bytes(
+        b'{"type": "kernel", "A": [[1.0, 0.0, 2.0]], "anchors": [[0.0, 0.0], [1.0, 0.0]], '
+        b'"lambda_cap": 1.0, "kernel": {"family": "rbf"}}'
+    )
+    calls = count_calls(gram)
+    args = [
+        "certify",
+        "--model", str(tmp_path / "model.json"),
+        "--features", str(tmp_path / "features.csv"),
+        "--distances", str(tmp_path / "distances.csv"),
+        "--out", str(tmp_path / "cert"),
+    ]
+    assert main(args) == 4
+    assert "coefficient matrix has 3 columns for 2 anchors" in _one_error_line(capsys)
+    assert calls == []
+
+
+def test_distances_csv_beyond_the_physical_memory_exits_4_before_it_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    features = np.random.default_rng(16).normal(size=(20, 2))
+    write_matrix_csv(tmp_path / "features.csv", features)
+    write_matrix_csv(tmp_path / "distances.csv", pairwise_distances(features))
+    loaded = []
+    loadtxt = np.loadtxt
+
+    def recorded(fname, *args, **kwargs):
+        loaded.append(str(fname))
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recorded)
+    distances = str(tmp_path / "distances.csv")
+    args = [
+        "train", "--features", str(tmp_path / "features.csv"), "--distances", distances,
+        "--max-iters", "5", "--out", str(tmp_path / "run"),
+    ]
+    # the loaded array, its symmetrized sum and the frozen copy: 3 x 8 x 20^2 bytes
+    _physical_memory(monkeypatch, 3 * 8 * 20**2 - 1)
+    assert main(args) == 4
+    line = _one_error_line(capsys)
+    assert "distances.csv: the distance matrix at m = 20 needs" in line and "above RAM" in line
+    assert distances not in loaded
+    _physical_memory(monkeypatch, 3 * 8 * 20**2)
+    assert main(args) == 0
+    assert loaded.count(distances) == 1
 
 
 def _one_error_line(capsys) -> str:
