@@ -438,23 +438,16 @@ class TestRbfRoundOffCertificate:
             error = np.abs(GramMatrix(spec, sample).values - exact).max()
             assert error <= kernels_module._rbf_entry_error(spec, sample.values), n
 
-    def test_certifies_the_benchmark_instance_without_a_factorization(
-        self, cholesky_calls, eigvalsh_calls
-    ):
-        # 16 features, r <= 1, gamma 0.5, as bench's fit_rbf (m 1000 there)
-        sample = _rbf_sample(17, 300, 16, 0.0)
-        sample = SampleMatrix(sample.values / sample.radius)
-        spec = KernelSpec("rbf", gamma=0.5)
-        assert sample.m * kernels_module._rbf_entry_error(spec, sample.values) < 1e-11
-        GramMatrix(spec, sample)
-        assert cholesky_calls == [] and eigvalsh_calls == []
-
     def test_a_certified_zero_map_and_loaded_model_factor_nothing(
         self, tmp_path, cholesky_calls, eigvalsh_calls
     ):
-        spec = KernelSpec("rbf", gamma=2.0)
-        sample = _rbf_sample(18, 50, 3, -0.5, coincident=True)
-        assert _certified(spec, sample)
+        # 16 features with r = 1 and gamma 0.5, as bench's fit_rbf, with a
+        # coincident pair; at its m = 1000 the docstring's m delta is 5e-12
+        sample = _rbf_sample(17, 300, 16, 0.0, coincident=True)
+        sample = SampleMatrix(sample.values / sample.radius)
+        spec = KernelSpec("rbf", gamma=0.5)
+        delta = kernels_module._rbf_entry_error(spec, sample.values)
+        assert 4e-12 < 1000 * delta < 6e-12
         model = KernelClass(spec, 1.0, k=2).zero_map(sample)
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
