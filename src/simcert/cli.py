@@ -26,8 +26,8 @@ from .core import (
     ValidationError,
     _check_memory,
     _check_tol,
+    _repair_distances,
     read_matrix_csv,
-    validate_distance_matrix,
     write_matrix_csv,
 )
 from .harness import SyntheticSpec, generate_synthetic, run_coverage_experiment, write_trials_csv
@@ -214,13 +214,13 @@ def _first_line_fields(path) -> int:
 def _load_problem(args):
     """Sample and targets from the CSV flags; train and certify check that
     their sizes agree.  The distances CSV is sized from its first line
-    before it is read: the loaded array, its symmetrized sum and
-    DistanceMatrix's copy are three m x m arrays."""
+    before it is read: the loaded array is the one m x m array, repaired in
+    place and kept by the DistanceMatrix (validate_distance_matrix's checks
+    and repair, without its copy)."""
     features = read_matrix_csv(args.features)
     m = _first_line_fields(args.distances)
-    _check_memory(m, 3, f"{args.distances}: the distance matrix")
-    raw_distances = read_matrix_csv(args.distances)
-    return SampleMatrix(features), validate_distance_matrix(raw_distances, tol=args.tol)
+    _check_memory(m, 1, f"{args.distances}: the distance matrix")
+    return SampleMatrix(features), _repair_distances(read_matrix_csv(args.distances), args.tol)
 
 
 def cmd_train(args) -> int:

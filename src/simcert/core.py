@@ -23,9 +23,19 @@ Every pairwise-distance helper lives here, in two forms:
 pairwise_distances, streamed_risk, validate_distance_matrix, the stress
 pass and kernels.GramMatrix visit an m x m matrix in blocks of b rows under
 one policy, _row_blocks: b = max(1, _BLOCK_BYTES // (8 m)), so a (b x m)
-float temporary takes about _BLOCK_BYTES.  Before a whole m x m matrix is
-allocated from an input's size, _check_memory compares it with the physical
-memory.
+float temporary takes about _BLOCK_BYTES.
+
+Each m x m matrix is held once from its maker to its container: a maker
+that builds the array fresh (validate_distance_matrix after its one copy of
+the caller's matrix, the CLI's CSV load, harness.generate_synthetic,
+confusion_to_distance) hands it to DistanceMatrix through _adopt_distances,
+which runs the constructor's checks and keeps the array read-only instead
+of copying it; the public constructor still copies.  Before the first m x m
+array is allocated from an input's size, _check_memory compares the arrays
+that path then holds at once with the physical memory: one for the
+synthetic targets, for the distances CSV and for an RBF Gram matrix that the
+round-off certificate accepts, three for a Gram matrix that psd_check
+factors.
 """
 
 from __future__ import annotations
@@ -151,12 +161,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.values, "distance matrix", _square, _finite, _symmetric)
-        if np.any(np.diag(arr) != 0.0):
-            raise ValidationError("distance matrix diagonal must be exactly zero")
-        if np.any(arr < 0.0):
-            raise ValidationError("distance matrix has negative entries")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", _freeze(_distance_values(self.values)))
 
     @property
     def size(self) -> int:
@@ -170,6 +175,27 @@ class DistanceMatrix:
         """Rows start:stop on columns start:m for each block (start, stop) of
         _row_blocks(m), in order: the target blocks of streamed_risk."""
         return (self.values[start:stop, start:] for start, stop in _row_blocks(self.size))
+
+
+def _distance_values(values) -> np.ndarray:
+    """``values`` as a float array that passes DistanceMatrix's checks."""
+    arr = _as_matrix(values, "distance matrix", _square, _finite, _symmetric)
+    if np.any(np.diag(arr) != 0.0):
+        raise ValidationError("distance matrix diagonal must be exactly zero")
+    if np.any(arr < 0.0):
+        raise ValidationError("distance matrix has negative entries")
+    return arr
+
+
+def _adopt_distances(arr: np.ndarray) -> DistanceMatrix:
+    """A DistanceMatrix that keeps ``arr``, a float array its caller built
+    fresh and hands over: the constructor's checks run, and ``arr`` is made
+    read-only instead of copied."""
+    arr = _distance_values(arr)
+    arr.setflags(write=False)
+    distances = object.__new__(DistanceMatrix)
+    object.__setattr__(distances, "values", arr)
+    return distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,41 +245,60 @@ def validate_distance_matrix(mat, tol: float = 0.0) -> DistanceMatrix:
     Asymmetry up to ``tol`` is symmetrized by averaging (D + D.T) / 2, the
     least-squares symmetric projection.  Diagonal entries within ``tol`` of
     zero are zeroed; entries in [-tol, 0) are clamped to zero.  Anything
-    beyond tolerance is rejected.  The asymmetry is measured block by block
-    (_row_blocks) over the upper triangle, and the repair is made in the one
-    matrix handed to DistanceMatrix, so beyond the input and the output one
-    m x m temporary is held.
+    beyond tolerance is rejected.  The caller's matrix is copied once and
+    never written; the copy is repaired in place (_repair_distances) and
+    kept by the DistanceMatrix, so beyond the input and the output only
+    (b x m) block temporaries and the checks' m x m bool masks are held.
+    """
+    return _repair_distances(np.array(mat, dtype=float), tol)
+
+
+def _repair_distances(arr: np.ndarray, tol: float) -> DistanceMatrix:
+    """validate_distance_matrix of ``arr``, a float array its caller built
+    fresh and hands over, repaired in place and kept (_adopt_distances).
+
+    Each block (start, stop) of _row_blocks reads rows start:stop on columns
+    start:m and their mirror, rows start:m on columns start:stop, which no
+    earlier block has written.  It measures their asymmetry and writes their
+    average to both, so every entry is bitwise that of the materialized
+    (raw + raw.T) / 2.
     """
     _check_tol(tol)
-    arr = _as_matrix(mat, "distance matrix", _square, _finite)
+    arr = _as_matrix(arr, "distance matrix", _square, _finite)
+    m = arr.shape[0]
+    # one scratch plane, as tall as the first block, the tallest
+    scratch = np.empty((next(_row_blocks(m), (0, 0))[1], m))
     asym = 0.0
-    for start, stop in _row_blocks(arr.shape[0]):
-        diff = np.subtract(arr[start:stop, start:], arr[start:, start:stop].T)
+    for start, stop in _row_blocks(m):
+        upper, lower = arr[start:stop, start:], arr[start:, start:stop].T
+        diff = np.subtract(upper, lower, out=scratch[: stop - start, : m - start])
         asym = max(asym, float(np.abs(diff, out=diff).max()))
+        avg = np.add(upper, lower, out=diff)
+        avg /= 2.0
+        upper[...] = avg
+        arr[start:, start:stop] = avg.T
     if asym > tol:
         raise ValidationError(f"asymmetry {asym:g} exceeds tolerance {tol:g}")
-    sym = np.add(arr, arr.T)
-    sym /= 2.0
 
-    diag_err = float(np.max(np.abs(np.diag(sym)))) if arr.size else 0.0
+    diag_err = float(np.max(np.abs(np.diag(arr)))) if arr.size else 0.0
     if diag_err > tol:
         raise ValidationError(f"diagonal magnitude {diag_err:g} exceeds tolerance {tol:g}")
 
-    most_negative = float(sym.min()) if arr.size else 0.0
+    most_negative = float(arr.min()) if arr.size else 0.0
     if most_negative < -tol:
         raise ValidationError(
             f"entry {most_negative:g} is negative beyond tolerance {tol:g}"
         )
 
-    np.maximum(sym, 0.0, out=sym)
-    np.fill_diagonal(sym, 0.0)
-    return DistanceMatrix(sym)
+    np.maximum(arr, 0.0, out=arr)
+    np.fill_diagonal(arr, 0.0)
+    return _adopt_distances(arr)
 
 
 def confusion_to_distance(confusion: ConfusionMatrix) -> DistanceMatrix:
     """Convert confusion rates to target distances, entrywise D = 1 - C."""
     _symmetric(confusion.values, "confusion matrix")
-    return DistanceMatrix(1.0 - confusion.values)
+    return _adopt_distances(1.0 - confusion.values)
 
 
 # Target size in bytes of one (b x m) row-block temporary; _row_blocks alone
@@ -264,11 +309,12 @@ _BLOCK_BYTES = 1 << 19
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
-def _row_blocks(m: int):
+def _row_blocks(m: int, width: int | None = None):
     """(start, stop) of consecutive blocks of b rows covering rows 0:m, with
-    b = max(1, _BLOCK_BYTES // (8 m)) so that a (b x m) float plane takes
-    about _BLOCK_BYTES."""
-    rows = max(1, _BLOCK_BYTES // (8 * max(m, 1)))
+    b = max(1, _BLOCK_BYTES // (8 width)) so that a (b x width) float plane
+    takes about _BLOCK_BYTES; width defaults to m."""
+    width = m if width is None else width
+    rows = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
     for start in range(0, m, rows):
         yield start, min(start + rows, m)
 

@@ -32,6 +32,7 @@ from .core import (
     DistanceMatrix,
     SampleMatrix,
     ValidationError,
+    _adopt_distances,
     _as_matrix,
     _check_memory,
     _direct_rows,
@@ -204,10 +205,11 @@ def generate_synthetic(
     Gaussian noise clamped so distances stay nonnegative with a zero
     diagonal.  Each block of _target_rows is written into its rows, and its
     part right of the diagonal sub-block, transposed, into the columns below
-    it, so no m x m noise matrix is formed.
+    it, so no m x m noise matrix is formed; the one m x m target matrix is
+    handed to the DistanceMatrix, which keeps it.
     """
-    # the target matrix and the copy DistanceMatrix keeps
-    _check_memory(spec.m, 2, "the synthetic target matrix")
+    # the target matrix, which DistanceMatrix keeps without a copy
+    _check_memory(spec.m, 1, "the synthetic target matrix")
     x, w_true, targets = _draw(spec)
     d = np.empty((spec.m, spec.m))
     for (start, stop), target in zip(_row_blocks(spec.m), targets, strict=True):
@@ -215,7 +217,7 @@ def generate_synthetic(
         d[stop:, start:stop] = target[:, stop - start :].T
     # the targets are checked first, so an overflow is named as a non-finite
     # distance before the sample is found too large
-    distances = DistanceMatrix(d)
+    distances = _adopt_distances(d)
     return SampleMatrix(x), distances, w_true
 
 

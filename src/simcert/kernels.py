@@ -16,8 +16,10 @@ round-off certificate that proves, in O(m N) flops and before any
 factorization, that psd_check would accept it; psd_check runs only when
 the certificate declines.  The radius q that certify reads comes from the
 kernel diagonal alone (kernel_diagonal, via KernelMap.feature_radius),
-never from a Gram matrix.  GramMatrix mirrors its upper triangle in row
-blocks of the one policy of core._row_blocks.  A kernel value that
+never from a Gram matrix.  kernel_columns turns RBF inner products into
+kernel values in place, and GramMatrix mirrors its upper triangle, both in
+row blocks of the one policy of core._row_blocks, so a Gram matrix is one
+m x m array from its inner products on.  A kernel value that
 overflows becomes inf without a numpy warning; the finite check of the
 matrix that holds it names the failure.
 
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleMatrix, ValidationError, _as_matrix, _check_memory, _finite, _freeze
+from .core import SampleMatrix, ValidationError, _as_matrix, _check_memory, _finite
 from .core import _UNIT_ROUNDOFF, _row_blocks, _squared_row_norms
 
 __all__ = [
@@ -140,8 +142,15 @@ class GramMatrix:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # kernel_columns' two, then k with psd_check's shifted copy and factor
-        _check_memory(self.sample.m, 3, "the Gram matrix")
+        m = self.sample.m
+        # the round-off certificate of the module docstring reads the
+        # tolerance at call time, as psd_check does, so a negative tolerance
+        # certifies nothing; it needs O(m N) flops and no m x m array
+        certified = self.kernel.family == "rbf" and (
+            m * _rbf_entry_error(self.kernel, self.sample.values) <= DEFAULT_PSD_TOL / 2.0
+        )
+        # k alone, or k with psd_check's shifted copy and factor
+        _check_memory(m, 1 if certified else 3, "the Gram matrix")
         k = kernel_columns(self.kernel, self.sample.values, self.sample.values)
         for start, stop in _row_blocks(k.shape[0]):
             diag = k[start:stop, start:stop]
@@ -149,24 +158,16 @@ class GramMatrix:
             diag[lower] = diag.T[lower]
             k[stop:, start:stop] = k[start:stop, stop:].T
         _finite(k, "Gram matrix")
-        # the round-off certificate of the module docstring reads the
-        # tolerance at call time, as psd_check does, so a negative tolerance
-        # certifies nothing
-        certified = self.kernel.family == "rbf" and (
-            self.sample.m * _rbf_entry_error(self.kernel, self.sample.values)
-            <= DEFAULT_PSD_TOL / 2.0
-        )
-        # psd_check decides what the certificate does not: on k, before the
-        # frozen copy exists, so the screen's two m x m arrays never coexist
-        # with it; a module global looked up at call time, so bench/tracer.py
-        # can wrap it
+        # psd_check decides what the certificate does not; a module global
+        # looked up at call time, so bench/tracer.py can wrap it
         if not certified:
             psd_check(k)
-        # the copy is kept for peak RSS: holding k itself read 105.7-105.8 MB
-        # in bench/worker.py's fit_rbf loop (m = 1000) against 98.1-98.2 MB
-        # with the copy, at the same tracemalloc peak per op (22.9 MB);
-        # 2 cores, numpy 2.4.6 on OpenBLAS
-        object.__setattr__(self, "values", _freeze(k))
+        # k is kept, not copied.  bench/worker.py's fit_rbf loop (m = 1000)
+        # read 97.6 MB peak RSS, against 98.1-98.2 MB for the copy; dropping
+        # the copy while kernel_columns still held an m x m temporary read
+        # 105.8 MB.  2 cores, numpy 2.4.6 on OpenBLAS
+        k.setflags(write=False)
+        object.__setattr__(self, "values", k)
 
 
 @np.errstate(over="ignore")
@@ -224,14 +225,19 @@ def kernel_columns(spec: KernelSpec, anchors, points) -> np.ndarray:
         else:
             a_norms = np.sum(a * a, axis=1)
             p_norms = np.sum(p * p, axis=1)
-        # in place after the one new array: the same arithmetic as
-        # exp(-gamma max(n_a + n_p - 2 inner, 0)) without its temporaries
-        sq = np.add(a_norms[:, None], p_norms[None, :])
-        inner *= 2.0
-        sq -= inner
-        np.maximum(sq, 0.0, out=sq)
-        sq *= -spec.gamma
-        return np.exp(sq, out=sq)
+        # into inner, one row block at a time: each entry gets the arithmetic
+        # of exp(-gamma max(n_a + n_p - 2 inner, 0)), and beyond inner only
+        # one (b x n_points) plane of norm sums is held
+        norm_sums = np.empty((next(_row_blocks(*inner.shape), (0, 0))[1], inner.shape[1]))
+        for start, stop in _row_blocks(*inner.shape):
+            sums = np.add(a_norms[start:stop, None], p_norms[None, :], out=norm_sums[: stop - start])
+            rows = inner[start:stop]
+            rows *= 2.0
+            np.subtract(sums, rows, out=rows)
+            np.maximum(rows, 0.0, out=rows)
+            rows *= -spec.gamma
+            np.exp(rows, out=rows)
+        return inner
     return (inner + spec.coef0) ** spec.degree
 
 

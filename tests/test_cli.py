@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import simcert.cli as cli_module
 import simcert.core as core_module
 import simcert.kernels as kernels_module
 
@@ -345,14 +347,14 @@ def _physical_memory(monkeypatch, nbytes: int) -> None:
 
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_targets_beyond_the_physical_memory_exit_4(tmp_path, capsys, monkeypatch, command):
-    # the target matrix and its copy at m = 20: 2 x 8 x 20^2 = 6400 bytes
+    # the one target matrix at m = 20: 8 x 20^2 = 3200 bytes
     extra = ["--trials", "1", "--max-iters", "5"] if command == "verify" else []
     args = [command, "--m", "20", *extra, "--out", str(tmp_path)]
-    _physical_memory(monkeypatch, 6399)
+    _physical_memory(monkeypatch, 3199)
     assert main(args) == 4
     line = _one_error_line(capsys)
     assert "the synthetic target matrix at m = 20 needs" in line and "above RAM" in line
-    _physical_memory(monkeypatch, 6400)
+    _physical_memory(monkeypatch, 3200)
     assert main(args) == 0
 
 
@@ -370,15 +372,19 @@ def test_kernel_model_whose_gram_matrix_exceeds_the_physical_memory_exits_4(
         "--distances", str(tmp_path / "distances.csv"),
         "--out", str(tmp_path / "cert"),
     ]
-    # three m x m arrays at once for its 2 anchors: 3 x 8 x 2^2 = 96 bytes
-    _physical_memory(monkeypatch, 95)
+    # the round-off certificate accepts its 2 anchors' RBF Gram matrix, the
+    # one m x m array it then holds: 8 x 2^2 = 32 bytes
+    _physical_memory(monkeypatch, 31)
     assert main(args) == 4
     assert "malformed kernel model: the Gram matrix at m = 2 needs" in _one_error_line(capsys)
     # the model now loads, and the 100-point distances CSV is sized next
-    _physical_memory(monkeypatch, 96)
+    _physical_memory(monkeypatch, 32)
     assert main(args) == 4
     assert "distances.csv: the distance matrix at m = 100 needs" in _one_error_line(capsys)
-    _physical_memory(monkeypatch, 3 * 8 * 100**2)
+    _physical_memory(monkeypatch, 8 * 100**2 - 1)
+    assert main(args) == 4
+    assert "distances.csv: the distance matrix at m = 100 needs" in _one_error_line(capsys)
+    _physical_memory(monkeypatch, 8 * 100**2)
     assert main(args) == 0
 
 
@@ -422,15 +428,36 @@ def test_distances_csv_beyond_the_physical_memory_exits_4_before_it_is_read(
         "train", "--features", str(tmp_path / "features.csv"), "--distances", distances,
         "--max-iters", "5", "--out", str(tmp_path / "run"),
     ]
-    # the loaded array, its symmetrized sum and the frozen copy: 3 x 8 x 20^2 bytes
-    _physical_memory(monkeypatch, 3 * 8 * 20**2 - 1)
+    # the loaded array, repaired in place and kept: 8 x 20^2 bytes
+    _physical_memory(monkeypatch, 8 * 20**2 - 1)
     assert main(args) == 4
     line = _one_error_line(capsys)
     assert "distances.csv: the distance matrix at m = 20 needs" in line and "above RAM" in line
     assert distances not in loaded
-    _physical_memory(monkeypatch, 3 * 8 * 20**2)
+    _physical_memory(monkeypatch, 8 * 20**2)
     assert main(args) == 0
     assert loaded.count(distances) == 1
+
+
+def test_distances_csv_is_held_once_from_load_to_targets(tmp_path):
+    # m = 1000: the loaded array (8 MB) is repaired in place and kept by the
+    # DistanceMatrix; np.loadtxt's own buffers, the repair's scratch plane
+    # and the checks' m x m bool masks stay below a quarter more
+    m = 1000
+    features = np.random.default_rng(17).normal(size=(m, 3))
+    write_matrix_csv(tmp_path / "features.csv", features)
+    write_matrix_csv(tmp_path / "distances.csv", pairwise_distances(features))
+    args = SimpleNamespace(
+        features=tmp_path / "features.csv", distances=tmp_path / "distances.csv", tol=1e-9
+    )
+    tracemalloc.start()
+    try:
+        _, distances = cli_module._load_problem(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distances.size == m
+    assert peak < 1.25 * 8 * m * m
 
 
 def _one_error_line(capsys) -> str:

@@ -1,10 +1,12 @@
 """Containers, validation, stress loss, and CSV round trips."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import simcert.cli as cli_module
 import simcert.core as core_module
 
 from simcert import (
@@ -15,10 +17,12 @@ from simcert import (
     KernelSpec,
     LinearMap,
     SampleMatrix,
+    SyntheticSpec,
     ValidationError,
     confusion_to_distance,
     data_radii,
     empirical_risk,
+    generate_synthetic,
     gram,
     pairwise_distances,
     read_matrix_csv,
@@ -53,6 +57,12 @@ class TestSampleMatrix:
         s = SampleMatrix(np.arange(6.0).reshape(3, 2))
         assert s.m == 3
         assert s.n_features == 2
+
+
+def _noisy_targets(m):
+    """Distances of m points with entrywise noise of 1e-10, so asymmetric."""
+    rng = np.random.default_rng(m)
+    return pairwise_distances(rng.normal(size=(m, 3))) + 1e-10 * rng.normal(size=(m, m))
 
 
 class TestValidateDistanceMatrix:
@@ -125,8 +135,9 @@ class TestValidateDistanceMatrix:
 
     def test_working_memory_holds_one_temporary_beyond_input_and_output(self):
         # m = 1000: each m x m float matrix takes 8 MB; the input is made
-        # before tracing starts, the output is the DistanceMatrix's copy,
-        # and its checks build m x m bool masks (1 MB each)
+        # before tracing starts, the output is the one copy of it, repaired
+        # in place and kept, and the checks build m x m bool masks (1 MB
+        # each); the repair's scratch plane takes about _BLOCK_BYTES
         m = 1000
         raw = pairwise_distances(np.random.default_rng(15).normal(size=(m, 3)))
         tracemalloc.start()
@@ -135,7 +146,36 @@ class TestValidateDistanceMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * m * m + 2 * m * m + 2 * core_module._BLOCK_BYTES
+        assert peak < 8 * m * m + 2 * m * m + 2 * core_module._BLOCK_BYTES
+
+    @pytest.mark.parametrize(
+        "raw, tol, error",
+        [
+            (_noisy_targets(300), 1e-8, None),
+            (_noisy_targets(300), 1e-12, "asymmetry"),
+            ([[0.1, 1.0], [1.0, 0.0]], 1e-3, "diagonal"),
+            ([[0.0, -0.5], [-0.5, 0.0]], 1e-9, "negative"),
+        ],
+        ids=["repaired", "asymmetric", "diagonal", "negative"],
+    )
+    def test_never_writes_the_callers_matrix(self, raw, tol, error):
+        # at m = 300 the repair spans two row blocks, and the asymmetric
+        # matrix is rejected after both were written in the copy
+        raw = np.array(raw)
+        before = raw.copy()
+        if error is None:
+            validate_distance_matrix(raw, tol=tol)
+        else:
+            with pytest.raises(ValidationError, match=error):
+                validate_distance_matrix(raw, tol=tol)
+        assert raw.tobytes() == before.tobytes()
+
+    def test_mutating_the_input_afterwards_leaves_the_targets_unchanged(self):
+        raw = np.array([[0.0, 1.0 + 1e-12], [1.0, 0.0]])
+        d = validate_distance_matrix(raw, tol=1e-9)
+        kept = d.values.copy()
+        raw[:] = 7.0
+        assert d.values.tobytes() == kept.tobytes()
 
 
 class TestDistanceMatrixInvariants:
@@ -155,6 +195,37 @@ class TestDistanceMatrixInvariants:
         # 0-1 distance far exceeds the 0-2 + 2-1 path; still a valid target
         d = DistanceMatrix([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         assert d.max_distance == 10.0
+
+    def test_mutating_the_input_afterwards_leaves_the_targets_unchanged(self):
+        raw = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d = DistanceMatrix(raw)
+        raw[:] = 7.0
+        assert np.array_equal(d.values, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _csv_targets(tmp_path):
+    """The targets of a 3-point CSV instance through the CLI's load path."""
+    write_matrix_csv(tmp_path / "f.csv", np.eye(3))
+    write_matrix_csv(tmp_path / "d.csv", pairwise_distances(np.eye(3)))
+    args = SimpleNamespace(features=tmp_path / "f.csv", distances=tmp_path / "d.csv", tol=1e-9)
+    return cli_module._load_problem(args)[1]
+
+
+_DISTANCE_MAKERS = {
+    "constructor": lambda tmp_path: DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    "validate": lambda tmp_path: validate_distance_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    "confusion": lambda tmp_path: confusion_to_distance(ConfusionMatrix(np.eye(2))),
+    "synthetic": lambda tmp_path: generate_synthetic(SyntheticSpec(5, 2, 2, 1.0, 1.0, 0.1, 0))[1],
+    "csv": _csv_targets,
+}
+
+
+@pytest.mark.parametrize("make", _DISTANCE_MAKERS.values(), ids=_DISTANCE_MAKERS.keys())
+def test_every_distance_matrix_holds_read_only_values(make, tmp_path):
+    d = make(tmp_path)
+    assert not d.values.flags.writeable
+    with pytest.raises(ValueError):
+        d.values[0, 1] = 5.0
 
 
 _ARRAY_CONTAINERS = {

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import simcert.core as core_module
+
 from simcert import (
     DistanceMatrix,
     KernelClass,
@@ -108,6 +110,21 @@ class TestGenerateSynthetic:
         sample, distances, w_true = generate_synthetic(spec)
         for got, want in zip((sample.values, distances.values, w_true), _materialized_draw(spec)):
             assert got.tobytes() == want.tobytes()
+
+    def test_working_memory_holds_one_target_matrix(self):
+        # m = 1000: the target matrix (8 MB) is kept by the DistanceMatrix;
+        # beyond it, two (b x m) planes of _target_rows and the checks' m x m
+        # bool masks (1 MB each)
+        m = 1000
+        spec = _spec(m=m, n_features=3, noise_sigma=0.05, seed=1)
+        generate_synthetic(spec)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m + 2 * core_module._BLOCK_BYTES + 2 * m * m
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValidationError):

@@ -160,6 +160,34 @@ class TestGram:
             expected = np.exp(-0.7 * sq)
             assert np.array_equal(kernel_columns(KernelSpec("rbf", gamma=0.7), x, y), expected)
 
+    @pytest.mark.parametrize(
+        "family, scale, screened",
+        [("rbf", 1.0, False), ("rbf", 1e3, True), ("linear", 1.0, True), ("polynomial", 1.0, True)],
+    )
+    def test_values_are_read_only(self, count_calls, family, scale, screened):
+        calls = count_calls(psd_check)
+        k = GramMatrix(KernelSpec(family), _random_sample(np.random.default_rng(21), scale=scale))
+        assert calls == ([1] if screened else [])
+        assert not k.values.flags.writeable
+        with pytest.raises(ValueError):
+            k.values[0, 1] = 5.0
+
+    def test_a_certified_rbf_matrix_holds_one_m_by_m_array(self):
+        # m = 1000, 16 features with r = 1, gamma 0.5 (bench's fit_rbf): the
+        # inner products become the kernel values in place and are kept;
+        # beyond them one (b x m) plane of norm sums and the finite check's
+        # m x m bool mask (1 MB)
+        m = 1000
+        sample = _random_sample(np.random.default_rng(22), m=m, n=16)
+        sample = SampleMatrix(sample.values / sample.radius)
+        tracemalloc.start()
+        try:
+            GramMatrix(KernelSpec("rbf", gamma=0.5), sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m + m * m + 2 * core_module._BLOCK_BYTES
+
     def test_matches_pairwise_eval(self):
         rng = np.random.default_rng(4)
         s = _random_sample(rng, m=5, n=2)
@@ -194,30 +222,46 @@ class TestPsdCheck:
             assert psd_check(k.values) is None
 
     def test_check_runs_before_the_frozen_copy(self):
-        # the screen's shifted copy and factor join the unfrozen matrix
-        # (3 m x m arrays); checking the frozen copy would hold a fourth
+        # the screen's shifted copy and factor join the matrix, which is
+        # then frozen in place (3 m x m arrays); a frozen copy would be a
+        # fourth.  A polynomial kernel: an RBF one here is certified
         m = 400
         s = _random_sample(np.random.default_rng(14), m=m, n=3)
         tracemalloc.start()
         try:
-            gram(KernelSpec("rbf", gamma=0.5), s)
+            gram(KernelSpec("polynomial"), s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 8 * m * m
 
+    @pytest.mark.parametrize(
+        "family, arrays, gib",
+        # the certified RBF matrix alone; a polynomial one with psd_check's
+        # shifted copy and factor
+        [("rbf", 1, "7.45e-07"), ("polynomial", 3, "2.24e-06")],
+    )
     def test_gram_matrix_beyond_the_physical_memory_is_refused_before_it_is_built(
-        self, monkeypatch
+        self, monkeypatch, family, arrays, gib
     ):
-        # 3 m x m arrays at m = 10: 2400 bytes
-        sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2399}
+        # m x m arrays at m = 10: 800 bytes each
+        need = arrays * 8 * 10**2
+        sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
         monkeypatch.setattr(core_module, "os", SimpleNamespace(sysconf=sysconf.__getitem__))
-        built = []
-        monkeypatch.setattr(kernels_module, "kernel_columns", lambda *args: built.append(1))
         sample = _random_sample(np.random.default_rng(15), m=10)
-        with pytest.raises(ValidationError, match=r"^the Gram matrix at m = 10 needs 2.24e-06 GiB"):
-            GramMatrix(KernelSpec("rbf"), sample)
+        built = []
+        kernel_columns = kernels_module.kernel_columns
+        monkeypatch.setattr(
+            kernels_module,
+            "kernel_columns",
+            lambda *args: built.append(1) or kernel_columns(*args),
+        )
+        with pytest.raises(ValidationError, match=rf"^the Gram matrix at m = 10 needs {gib} GiB"):
+            GramMatrix(KernelSpec(family), sample)
         assert built == []
+        sysconf["SC_PHYS_PAGES"] = need
+        GramMatrix(KernelSpec(family), sample)
+        assert built == [1]
 
     def test_gram_side_squared_distances_nonnegative(self):
         rng = np.random.default_rng(6)
