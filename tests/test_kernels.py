@@ -250,11 +250,8 @@ class TestPsdCheck:
         monkeypatch.setattr(core_module, "os", SimpleNamespace(sysconf=sysconf.__getitem__))
         sample = _random_sample(np.random.default_rng(15), m=10)
         built = []
-        kernel_columns = kernels_module.kernel_columns
         monkeypatch.setattr(
-            kernels_module,
-            "kernel_columns",
-            lambda *args: built.append(1) or kernel_columns(*args),
+            kernels_module, "kernel_columns", lambda *args: built.append(1) or kernel_columns(*args)
         )
         with pytest.raises(ValidationError, match=rf"^the Gram matrix at m = 10 needs {gib} GiB"):
             GramMatrix(KernelSpec(family), sample)
