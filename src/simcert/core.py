@@ -346,7 +346,10 @@ def pairwise_distances(points) -> np.ndarray:
     """Euclidean distance matrix between the rows of an m x k array, in the
     direct form.
 
-    Symmetric with an exactly zero diagonal by construction.  The squared
+    Symmetric with an exactly zero diagonal by construction: (x_i - x_j)^2
+    and (x_j - x_i)^2 are the same float, and x - x = +0.0 for the finite
+    coordinates that are the only ones accepted, so no pass repairs either
+    property afterwards.  The squared
     distances are accumulated one coordinate at a time from a contiguous
     copy of the k columns, block by block (_row_blocks, _direct_rows): no
     (b x m x k) difference broadcast is formed.  Below 8 coordinates this
@@ -364,7 +367,6 @@ def pairwise_distances(points) -> np.ndarray:
     scratch = np.empty_like(out[: next(_row_blocks(m))[1]])
     for start, stop in _row_blocks(m):
         _direct_rows(cols, start, stop, 0, out[start:stop], scratch[: stop - start])
-    np.fill_diagonal(out, 0.0)
     return out
 
 

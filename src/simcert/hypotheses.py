@@ -44,7 +44,7 @@ from .core import (
     pairwise_distances,
     streamed_risk,
 )
-from .kernels import GramMatrix, KernelSpec, gram, kernel_columns, kernel_diagonal
+from .kernels import GramMatrix, KernelSpec, _json_number, gram, kernel_columns, kernel_diagonal
 
 __all__ = [
     "LinearMap",
@@ -326,20 +326,24 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
 
     A payload that is not a JSON object, lacks a field, or whose fields
     have the wrong types or values raises ValidationError, naming a missing
-    field; so does a kernel model whose anchor Gram matrix GramMatrix does
-    not accept (the message reads "malformed kernel model: ...").  A's width
-    is checked against the anchor count before the Gram matrix is built.
+    or ill-typed field (a number must be a JSON number: a bool or a numeric
+    string is not one); so does a kernel model whose anchor Gram matrix
+    GramMatrix does not accept (the message reads "malformed kernel model:
+    ...").  A's width is checked against the anchor count before the Gram
+    matrix is built.
     """
     if not isinstance(payload, dict):
         raise ValidationError(f"model must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("type")
     try:
         if kind == "linear":
-            return LinearMap(np.asarray(payload["W"], dtype=float), float(payload["lambda_cap"]))
+            weights = _json_array(payload, "W")
+            return LinearMap(weights, float(_json_number(payload["lambda_cap"], "lambda_cap")))
         if kind == "kernel":
-            coefficients = np.asarray(payload["A"], dtype=float)
-            anchors = SampleMatrix(np.asarray(payload["anchors"], dtype=float))
-            kernel, cap = KernelSpec.from_dict(payload["kernel"]), float(payload["lambda_cap"])
+            coefficients = _json_array(payload, "A")
+            anchors = SampleMatrix(_json_array(payload, "anchors"))
+            kernel = KernelSpec.from_dict(payload["kernel"])
+            cap = float(_json_number(payload["lambda_cap"], "lambda_cap"))
             # before the m x m build, which a wrong width would waste
             _check_width(_as_matrix(coefficients, "coefficient matrix"), anchors.m)
             return KernelMap(coefficients, gram(kernel, anchors), cap)
@@ -348,6 +352,16 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind} model: {exc}") from exc
     raise ValidationError(f"field 'type' must be 'linear' or 'kernel', got {kind!r}")
+
+
+def _json_array(payload: dict, key: str) -> np.ndarray:
+    """payload[key] as a float array, if it is an array of JSON numbers (a
+    bool among numbers reads as an integer, as numpy promotes it); a
+    ValidationError naming the field otherwise."""
+    values = np.asarray(payload[key])
+    if values.dtype.kind not in "iuf":
+        raise ValidationError(f"field {key!r} must be an array of numbers")
+    return np.asarray(values, dtype=float)
 
 
 def save_model(model: LinearMap | KernelMap, path) -> None:

@@ -16,12 +16,15 @@ round-off certificate that proves, in O(m N) flops and before any
 factorization, that psd_check would accept it; psd_check runs only when
 the certificate declines.  The radius q that certify reads comes from the
 kernel diagonal alone (kernel_diagonal, via KernelMap.feature_radius),
-never from a Gram matrix.  kernel_columns turns RBF inner products into
-kernel values in place, and GramMatrix mirrors its upper triangle, both in
-row blocks of the one policy of core._row_blocks, so a Gram matrix is one
-m x m array from its inner products on.  A kernel value that
-overflows becomes inf without a numpy warning; the finite check of the
-matrix that holds it names the failure.
+never from a Gram matrix.  kernel_columns turns inner products into
+polynomial and RBF kernel values in place (RBF in row blocks of the one
+policy of core._row_blocks), so a Gram matrix is one m x m array from its
+inner products on.  It is exactly symmetric as computed, with no pass that
+mirrors a triangle: numpy forms x @ x.T of one array by a symmetric rank-k
+update (BLAS syrk) and copies that triangle itself, and each family's
+value is an entrywise function of inner_ij and n_i + n_j, both symmetric
+in i and j.  A kernel value that overflows becomes inf without a numpy
+warning; the finite check of the matrix that holds it names the failure.
 
 The RBF round-off certificate.  Take m stored rows x_i in R^N, r^2 =
 max_i ||x_i||^2, u the unit round-off, gamma_N = N u / (1 - N u) and N u <=
@@ -44,12 +47,14 @@ and Stability of Numerical Algorithms, section 3.1.
    c_exp = 4, that is 2 ulps: it is within 1 ulp of the C library's exp
    (tested), which is within 1 ulp of e^x; below the normal range its
    error of 2^-1074 is far smaller.  As K_ij <= 1, |K~_ij - K_ij| <= delta
-   = e^Delta - 1 + c_exp u e^Delta for every entry, mirrored ones included.
-4. By Weyl's inequality, lambda_min(K~) >= lambda_min(K) - ||K~ - K||_2 >=
-   -m delta.  The rule's threshold is at most -tol, because max(., 1) >= 1.
-   So m delta <= tol / 2 means psd_check would accept K~; the other half of
-   the threshold covers the relative round-off, about N u, of computing
-   r^2, Delta and delta themselves, and of the eigenvalues.
+   = e^Delta - 1 + c_exp u e^Delta for every entry.
+4. K~ is exactly symmetric (see above), so K~ - K is a symmetric matrix
+   whose entries are at most delta in size.  By Weyl's inequality,
+   lambda_min(K~) >= lambda_min(K) - ||K~ - K||_2 >= -m delta.  The
+   rule's threshold is at most -tol, because max(., 1) >= 1.  So m delta
+   <= tol / 2 means psd_check would accept K~; the other half of the
+   threshold covers the relative round-off, about N u, of computing r^2,
+   Delta and delta themselves, and of the eigenvalues.
 
 On 16 features with r <= 1, gamma = 0.5 and m = 1000, m delta is about
 5e-12 against tol / 2 = 5e-9; features scaled by 1e3 decline, and a larger
@@ -103,7 +108,7 @@ class KernelSpec:
             )
         if not 0.0 < self.gamma < np.inf:
             raise ValidationError("gamma must be positive and finite")
-        if not (float(self.degree).is_integer() and self.degree >= 1):
+        if type(self.degree) is bool or not (float(self.degree).is_integer() and self.degree >= 1):
             raise ValidationError("degree must be an integer >= 1")
         object.__setattr__(self, "degree", int(self.degree))
         if not 0.0 <= self.coef0 < np.inf:
@@ -121,10 +126,18 @@ class KernelSpec:
     def from_dict(payload: dict) -> "KernelSpec":
         return KernelSpec(
             family=payload["family"],
-            gamma=float(payload.get("gamma", 1.0)),
-            degree=payload.get("degree", 2),
-            coef0=float(payload.get("coef0", 1.0)),
+            gamma=float(_json_number(payload.get("gamma", 1.0), "gamma")),
+            degree=_json_number(payload.get("degree", 2), "degree"),
+            coef0=float(_json_number(payload.get("coef0", 1.0), "coef0")),
         )
+
+
+def _json_number(value, name: str):
+    """``value`` if it is a JSON number (an int or a float, not a bool); a
+    ValidationError naming the field otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"field {name!r} must be a number, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +145,9 @@ class GramMatrix:
     """The kernel's Gram matrix on a sample, built by the constructor and
     accepted by the round-off certificate (RBF) or by psd_check.
 
-    Exact symmetry is enforced by copying the strict upper triangle onto
-    the lower one in place, a block of b rows at a time, so the copy needs
-    no m x m temporary; the diagonal holds K(x_i, x_i).
+    The values are kernel_columns of the sample against itself, kept as
+    computed: they are exactly symmetric by construction (the module
+    docstring says why), and the diagonal holds K(x_i, x_i).
     """
 
     kernel: KernelSpec
@@ -152,20 +165,14 @@ class GramMatrix:
         # k alone, or k with psd_check's shifted copy and factor
         _check_memory(m, 1 if certified else 3, "the Gram matrix")
         k = kernel_columns(self.kernel, self.sample.values, self.sample.values)
-        for start, stop in _row_blocks(k.shape[0]):
-            diag = k[start:stop, start:stop]
-            lower = np.tril_indices(stop - start, -1)
-            diag[lower] = diag.T[lower]
-            k[stop:, start:stop] = k[start:stop, stop:].T
         _finite(k, "Gram matrix")
         # psd_check decides what the certificate does not; a module global
         # looked up at call time, so bench/tracer.py can wrap it
         if not certified:
             psd_check(k)
-        # k is kept, not copied.  bench/worker.py's fit_rbf loop (m = 1000)
-        # read 97.6 MB peak RSS, against 98.1-98.2 MB for the copy; dropping
-        # the copy while kernel_columns still held an m x m temporary read
-        # 105.8 MB.  2 cores, numpy 2.4.6 on OpenBLAS
+        # k is kept as kernel_columns returned it: it is exactly symmetric
+        # already (module docstring), and a frozen copy would be a second
+        # m x m array
         k.setflags(write=False)
         object.__setattr__(self, "values", k)
 
@@ -214,8 +221,11 @@ def kernel_columns(spec: KernelSpec, anchors, points) -> np.ndarray:
             f"dimension mismatch: anchors have {a.shape[1]} features, points {p.shape[1]}"
         )
     inner = a @ p.T
-    if spec.family == "linear":
-        return inner
+    if spec.family == "polynomial":
+        # in place, so no second m x m array; the arithmetic of
+        # (inner + coef0) ** degree
+        inner += spec.coef0
+        inner **= spec.degree
     if spec.family == "rbf":
         if a is p:
             # taking both norms from the inner-product diagonal keeps the
@@ -237,8 +247,7 @@ def kernel_columns(spec: KernelSpec, anchors, points) -> np.ndarray:
             np.maximum(rows, 0.0, out=rows)
             rows *= -spec.gamma
             np.exp(rows, out=rows)
-        return inner
-    return (inner + spec.coef0) ** spec.degree
+    return inner
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -31,6 +31,7 @@ from simcert import (
 from simcert.bounds import BoundCertificate
 from simcert.harness import SyntheticSpec, generate_synthetic
 from simcert.hypotheses import KernelMap, KernelSpec, embed, load_model, save_model
+from simcert.kernels import kernel_diagonal
 from simcert.optimizer import train
 
 # 2 * (1 * max(2, 0.5)^2 / 100) + 2^2 * sqrt(2 ln 20 / 100), frozen by hand
@@ -404,3 +405,102 @@ class TestEmpiricalRademacherMc:
             )
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+def _unit_rows(m: int, n: int, seed: int = 0) -> np.ndarray:
+    """m Gaussian points in R^n scaled to unit norm."""
+    x = np.random.default_rng(seed).normal(size=(m, n))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _sign_matrices(m: int, draws: int, seed: int = 0):
+    """Seeded symmetric sign matrices, drawn on i <= j and mirrored as
+    empirical_rademacher_mc draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        upper = np.triu(rng.integers(0, 2, size=(m, m)) * 2.0 - 1.0)
+        yield upper + np.triu(upper, 1).T
+
+
+def _laplacian(sigma: np.ndarray) -> np.ndarray:
+    return np.diag(sigma.sum(axis=1)) - sigma
+
+
+def _zero_target_supremum(x: np.ndarray, kernel: KernelSpec | None, lam: float, draws: int):
+    """Mean over sign draws of the exact sup over the class of (1/m^2)
+    sum_ij sigma_ij dhat_ij^2, the supremum empirical_rademacher_mc
+    approximates, with targets D = 0.
+
+    As sum_ij sigma_ij ||y_i - y_j||^2 = 2 tr(Y^T L Y) with L = diag(sigma 1)
+    - sigma, it is (2 lam^2 / m^2) times the sum of the positive eigenvalues
+    of X^T L X for the linear class with k = n (Ky Fan), and (2 lam^2 / m^2)
+    max(lambda_max(K^1/2 L K^1/2), 0) for a kernel class.
+    """
+    m = x.shape[0]
+    if kernel is not None:
+        eigs, vecs = np.linalg.eigh(gram(kernel, SampleMatrix(x)).values)
+        root = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
+    total = 0.0
+    for sigma in _sign_matrices(m, draws):
+        lap = _laplacian(sigma)
+        if kernel is None:
+            eigs = np.linalg.eigvalsh(x.T @ lap @ x)
+            total += eigs[eigs > 0.0].sum()
+        else:
+            total += max(np.linalg.eigvalsh(root @ lap @ root)[-1], 0.0)
+    return 2.0 * lam**2 * total / (draws * m**2)
+
+
+class TestZeroTargetOracle:
+    """The closed forms against the exact zero-target supremum, 200 draws of
+    unit-norm Gaussian features at lam = 1 and k = n.  The mean over the
+    draws of the exact value is the quantity the closed form must bound;
+    the ratio measured for each case is in its comment."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            KernelSpec("rbf", gamma=1.0),  # 0.36
+            KernelSpec("rbf", gamma=10.0),  # 0.39
+            KernelSpec("linear"),  # 0.53
+            KernelSpec("polynomial", degree=2, coef0=1.0),  # 0.35
+        ],
+        ids=["rbf_gamma1", "rbf_gamma10", "linear_kernel", "poly_degree2"],
+    )
+    def test_kernel_closed_form_dominates(self, kernel):
+        x = _unit_rows(50, 50)
+        q = math.sqrt(float(kernel_diagonal(kernel, x).max()))
+        closed_form = rademacher_bound_kernel(1.0, q, 0.0, 50)
+        assert _zero_target_supremum(x, kernel, 1.0, 200) <= closed_form
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2,  # 0.53
+            pytest.param(
+                50,  # 1.70
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 1: the linear closed form has no dimension "
+                    "factor and is unsound once n nears m",
+                ),
+            ),
+        ],
+    )
+    def test_linear_closed_form_dominates(self, n):
+        x = _unit_rows(50, n)
+        closed_form = rademacher_bound_linear(1.0, SampleMatrix(x).radius, 0.0, 50)
+        assert _zero_target_supremum(x, None, 1.0, 200) <= closed_form
+
+    def test_linear_supremum_is_attained_in_the_class(self):
+        # the top eigenvectors of X^T L X, scaled to lam, give a map of
+        # spectral norm lam whose loss sum is the oracle's value for that draw
+        x = _unit_rows(12, 3, seed=1)
+        sigma = next(_sign_matrices(12, 1, seed=2))
+        eigs, vecs = np.linalg.eigh(x.T @ _laplacian(sigma) @ x)
+        model = LinearMap(2.0 * vecs[:, eigs > 0.0].T, lambda_cap=2.0)
+        assert model_norm(model) == pytest.approx(2.0, rel=1e-12)
+        dhat = embedding_distance_matrix(model, SampleMatrix(x))
+        value = float(np.sum(sigma * dhat**2)) / 12**2
+        expected = 2.0 * 2.0**2 * eigs[eigs > 0.0].sum() / 12**2
+        assert value == pytest.approx(expected, rel=1e-10)

@@ -294,10 +294,22 @@ _KERNEL_MODEL = b'"A": [[1.0, 0.0]], "anchors": [[0.0, 0.0], [1.0, 0.0]], "lambd
         (b"[" * 100_000, "model.json"),
         (b'{"type": "kernel", ' + _KERNEL_MODEL
          + b', "kernel": {"family": "polynomial", "degree": 2.7}}', "degree"),
+        # a bool or a numeric string is not a JSON number, whatever float() makes of it
+        (b'{"type": "linear", "lambda_cap": true, "W": [[1.0, 0.0], [0.0, 1.0]]}',
+         "field 'lambda_cap'"),
+        (b'{"type": "linear", "lambda_cap": "2", "W": [[1.0, 0.0], [0.0, 1.0]]}',
+         "field 'lambda_cap'"),
+        (b'{"type": "kernel", ' + _KERNEL_MODEL + b', "kernel": {"family": "rbf", "gamma": "0.5"}}',
+         "field 'gamma'"),
+        (b'{"type": "kernel", "A": [["0.01", 0.0]], "anchors": [[0.0, 0.0], [1.0, 0.0]], '
+         b'"lambda_cap": 1.0, "kernel": {"family": "rbf"}}', "field 'A'"),
+        (b'{"type": "kernel", ' + _KERNEL_MODEL
+         + b', "kernel": {"family": "polynomial", "degree": true}}', "field 'degree'"),
     ],
     ids=["list", "string", "text_cap", "text_entry", "string_kernel", "not_utf8", "truncated",
          "linear_without_W", "kernel_without_family", "nan_cap", "infinite_degree",
-         "deep_nesting", "fractional_degree"],
+         "deep_nesting", "fractional_degree", "bool_cap", "numeric_string_cap",
+         "numeric_string_gamma", "numeric_string_entry", "bool_degree"],
 )
 def test_malformed_model_is_validation_error(tmp_path, capsys, payload, named):
     _identity_fixture(tmp_path)
@@ -313,8 +325,10 @@ def test_malformed_model_is_validation_error(tmp_path, capsys, payload, named):
         ]
     )
     assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
     if named is not None:
-        assert named in capsys.readouterr().err
+        assert named in err
 
 
 def test_loaded_kernel_model_failing_the_psd_check_is_validation_error(

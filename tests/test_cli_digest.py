@@ -1,0 +1,26 @@
+"""The CLI output digest in tools/cli_digest.py."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+_SPEC = importlib.util.spec_from_file_location("cli_digest", _PATH)
+cli_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_digest)
+
+
+def test_two_runs_print_the_same_line_for_every_output():
+    # each run writes under its own temporary directory, so equal lines
+    # also show that no echoed path reaches a digest
+    first = cli_digest.digest_lines(sizes=(12,), verify_m=10, trials=2)
+    assert cli_digest.digest_lines(sizes=(12,), verify_m=10, trials=2) == first
+    classes = ("linear", "rbf", "poly")
+    expected = {f"m12/data/{name}" for name in
+                ("features.csv", "distances.csv", "wtrue.csv", "manifest.json")}
+    expected |= {f"m12/{c}/{name}" for c in classes
+                 for name in ("model.json", "train_report.json", "certificate.json")}
+    expected |= {f"verify/{c}/{name}" for c in classes for name in ("report.json", "trials.csv")}
+    files = [line.split()[0] for line in first]
+    assert files == sorted(expected)
+    assert all(len(line.split()[1]) == 64 for line in first)
+

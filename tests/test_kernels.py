@@ -75,6 +75,14 @@ class TestKernelSpec:
             KernelSpec("polynomial", degree=0)
         with pytest.raises(ValidationError):
             KernelSpec("polynomial", coef0=-0.1)
+        with pytest.raises(ValidationError, match="degree"):
+            KernelSpec("polynomial", degree=True)
+
+    @pytest.mark.parametrize("field", ["gamma", "degree", "coef0"])
+    @pytest.mark.parametrize("value", [True, "2", None, [2]])
+    def test_from_dict_takes_only_json_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=f"field '{field}' must be a number"):
+            KernelSpec.from_dict({"family": "polynomial", field: value})
 
     def test_dict_round_trip(self):
         spec = KernelSpec("polynomial", gamma=2.0, degree=3, coef0=0.5)

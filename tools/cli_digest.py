@@ -1,0 +1,94 @@
+"""Print a sha256 digest of every file the CLI writes on a fixed script.
+
+The script runs simcert.cli.main in a temporary directory with fixed
+seeds: for each sample size m, ``gen --m m --n 4 --noise 0.05``, then
+``train --max-iters 50`` and ``certify`` for the linear, rbf and poly
+classes on that instance; then ``verify --m 15 --trials 3`` for each
+class.  One ``<file> <sha256>`` line is printed per output file, every
+file under the temporary directory, in sorted order.  A JSON file is
+hashed after dropping the keys that echo paths (``config``, and ``out`` in
+``manifest.json``) and dumping it again with sorted keys and indent 2, so
+the lines do not depend on where the directory is.  Two trees whose
+programs write the same bytes print the same lines.
+
+Usage:
+
+    python tools/cli_digest.py                    # this tree's src/
+    python tools/cli_digest.py --src OTHER/src    # another tree's package
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+# (directory name, train/verify class flags)
+_CLASSES = [
+    ("linear", ["--class", "linear"]),
+    ("rbf", ["--class", "kernel", "--kernel", "rbf"]),
+    ("poly", ["--class", "kernel", "--kernel", "poly"]),
+]
+
+
+def _run(cli_main, argv: list[str], allowed=(0,)) -> None:
+    code = cli_main(argv)
+    if code not in allowed:
+        raise RuntimeError(f"simcert {' '.join(argv)} exited {code}")
+
+
+def _file_digest(path: Path) -> str:
+    """sha256 of the file's bytes; of its path-free re-dump for JSON."""
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        payload = json.loads(data)
+        payload.pop("config", None)
+        if path.name == "manifest.json":
+            payload.pop("out", None)
+        data = json.dumps(payload, sort_keys=True, indent=2).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(sizes=(20, 300), verify_m: int = 15, trials: int = 3) -> list[str]:
+    """Run the script with the simcert package on sys.path and return the
+    ``<file> <sha256>`` lines of every file it wrote."""
+    from simcert.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for m in sizes:
+            data = root / f"m{m}" / "data"
+            _run(cli_main, ["gen", "--m", str(m), "--n", "4", "--noise", "0.05", "--out", str(data)])
+            problem = ["--features", str(data / "features.csv"),
+                       "--distances", str(data / "distances.csv")]
+            for name, flags in _CLASSES:
+                out = root / f"m{m}" / name
+                _run(cli_main, ["train", *problem, *flags, "--max-iters", "50", "--out", str(out)])
+                _run(cli_main, ["certify", "--model", str(out / "model.json"), *problem,
+                                "--out", str(out)])
+        for name, flags in _CLASSES:
+            out = root / "verify" / name
+            # exit 5 (coverage below 1 - delta) still writes both reports
+            _run(cli_main, ["verify", "--m", str(verify_m), "--trials", str(trials), *flags,
+                            "--out", str(out)], allowed=(0, 5))
+        files = sorted(p for p in root.rglob("*") if p.is_file())
+        return [f"{p.relative_to(root).as_posix()} {_file_digest(p)}" for p in files]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(_ROOT / "src"), help="directory holding simcert/")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    for line in digest_lines():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
