@@ -33,9 +33,9 @@ which runs the constructor's checks and keeps the array read-only instead
 of copying it; the public constructor still copies.  Before the first m x m
 array is allocated from an input's size, _check_memory compares the arrays
 that path then holds at once with the physical memory: one for the
-synthetic targets, for the distances CSV and for an RBF Gram matrix that the
-round-off certificate accepts, three for a Gram matrix that psd_check
-factors.
+synthetic targets, for the distances CSV and for a Gram matrix that the
+round-off certificate accepts, two for a Gram matrix that psd_check
+decides (the matrix and the copy its eigenvalue solve factors).
 """
 
 from __future__ import annotations

@@ -355,11 +355,13 @@ def model_from_dict(payload) -> LinearMap | KernelMap:
 
 
 def _json_array(payload: dict, key: str) -> np.ndarray:
-    """payload[key] as a float array, if it is an array of JSON numbers (a
-    bool among numbers reads as an integer, as numpy promotes it); a
+    """payload[key] as a float array, if it is an array of JSON numbers; a
     ValidationError naming the field otherwise."""
     values = np.asarray(payload[key])
-    if values.dtype.kind not in "iuf":
+    # numpy promotes a bool among numbers to a number, so the type of each
+    # element is read from the objects JSON made
+    types = map(type, np.asarray(payload[key], dtype=object).flat)
+    if values.dtype.kind not in "iuf" or bool in types:
         raise ValidationError(f"field {key!r} must be an array of numbers")
     return np.asarray(values, dtype=float)
 

@@ -9,11 +9,11 @@ GramMatrix(kernel, sample) is the only way to get a Gram matrix: its
 constructor builds the values from the kernel and the sample and settles
 the rule on them, so a KernelMap, which reads its anchors and kernel from
 the GramMatrix it holds, always holds an accepted matrix of its own
-anchors.  psd_check applies the rule: a Cholesky screen accepts most Gram
-matrices, several times cheaper than the eigenvalues, which are computed
-only when the screen fails.  An RBF Gram matrix is first offered to a
-round-off certificate that proves, in O(m N) flops and before any
-factorization, that psd_check would accept it; psd_check runs only when
+anchors.  Every kernel KernelSpec admits is positive definite in exact
+arithmetic (steps 1 and 5 below), so the rule only guards against
+round-off.  GramMatrix first offers each matrix to a round-off certificate
+that proves, in O(m N) flops and before the matrix is built, that the rule
+would accept it; psd_check, which computes the eigenvalues, runs only when
 the certificate declines.  The radius q that certify reads comes from the
 kernel diagonal alone (kernel_diagonal, via KernelMap.feature_radius),
 never from a Gram matrix.  kernel_columns turns inner products into
@@ -56,9 +56,41 @@ and Stability of Numerical Algorithms, section 3.1.
    threshold covers the relative round-off, about N u, of computing r^2,
    Delta and delta themselves, and of the eigenvalues.
 
-On 16 features with r <= 1, gamma = 0.5 and m = 1000, m delta is about
-5e-12 against tol / 2 = 5e-9; features scaled by 1e3 decline, and a larger
-gamma r^2 or m declines sooner.
+The linear and polynomial certificate.  A polynomial kernel is (x . y +
+coef0)^d; a linear kernel is its d = 1, coef0 = 0 case, whatever degree
+and coef0 its spec carries.  Let s = r^2 + coef0 and eps = gamma_N + 2 u.
+
+5. The exact Gram matrix K = (C + coef0 1 1^T)^d, with C_ij = x_i . x_j
+   and the power taken entrywise, is PSD: C and the all-ones matrix are
+   PSD, so is their sum with coef0 >= 0, and so are its entrywise powers
+   for integer d >= 1 (Schur's product theorem).
+6. kernel_columns forms t~ = fl(c~_ij + coef0) with |c~_ij - c_ij| <=
+   gamma_N r^2 (step 2) and |c_ij + coef0| <= s, so |t~ - (c_ij + coef0)|
+   <= gamma_N r^2 + u (s + gamma_N r^2) <= eps s.  For a linear kernel
+   kernel_columns neither adds nor powers, and the bounds below, which
+   count both roundings, still hold.
+7. As |c_ij + coef0| <= s, |t~^d - (c_ij + coef0)^d| <= (s + eps s)^d -
+   s^d.  np.power with an integer exponent has a relative error of at
+   most c_pow u with c_pow = 4, that is 2 ulps: it is within 1 ulp of the
+   exact power (tested for d = 2 to 8).  So |K~_ij - K_ij| <= s^d ((1 +
+   eps)^d - 1 + c_pow u (1 + eps)^d).
+8. The row with ||x_i||^2 = r^2 has t~ >= s (1 - gamma_N)(1 - u) >= s (1 -
+   eps), so max_i K~_ii >= s^d (1 - eps)^d (1 - c_pow u).  As max |lambda|
+   >= lambda_max >= max_i K~_ii, the rule's threshold is at most -tol s^d
+   (1 - eps)^d (1 - c_pow u).  Step 4's argument then holds with delta =
+   ((1 + eps)^d - 1 + c_pow u (1 + eps)^d) / ((1 - eps)^d (1 - c_pow u)),
+   the bound of step 7 over that of step 8: m delta <= tol / 2 means
+   psd_check would accept K~.  s^d cancels, so delta depends on N and d
+   alone.  Underflow adds at most about N 2^-1074 to an inner product:
+   far below eps s unless s is tiny, and then every entry and its error
+   are far below the tol / 2 that max(., 1) keeps in the threshold.
+
+On 16 features with r <= 1, gamma = 0.5 and m = 1000, the RBF m delta is
+about 5e-12 against tol / 2 = 5e-9; features scaled by 1e3 decline, and a
+larger gamma r^2 or m declines sooner.  On 16 features a linear matrix is
+certified up to m of about 2e6 and a polynomial one of degree 8 up to
+about 3e5, whatever the scale; at m = 1000 a degree above about 2500
+declines.
 """
 
 from __future__ import annotations
@@ -84,7 +116,8 @@ __all__ = [
 
 KERNEL_FAMILIES = ("linear", "rbf", "polynomial")
 
-# Relative eigenvalue floor of the PSD check, screen included.
+# Relative eigenvalue floor of the PSD check; the round-off certificate
+# spends half of it.
 DEFAULT_PSD_TOL = 1e-8
 
 
@@ -143,7 +176,7 @@ def _json_number(value, name: str):
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """The kernel's Gram matrix on a sample, built by the constructor and
-    accepted by the round-off certificate (RBF) or by psd_check.
+    accepted by the round-off certificate or by psd_check.
 
     The values are kernel_columns of the sample against itself, kept as
     computed: they are exactly symmetric by construction (the module
@@ -157,13 +190,11 @@ class GramMatrix:
     def __post_init__(self):
         m = self.sample.m
         # the round-off certificate of the module docstring reads the
-        # tolerance at call time, as psd_check does, so a negative tolerance
+        # tolerance at call time, as psd_check does, so a tolerance <= 0
         # certifies nothing; it needs O(m N) flops and no m x m array
-        certified = self.kernel.family == "rbf" and (
-            m * _rbf_entry_error(self.kernel, self.sample.values) <= DEFAULT_PSD_TOL / 2.0
-        )
-        # k alone, or k with psd_check's shifted copy and factor
-        _check_memory(m, 1 if certified else 3, "the Gram matrix")
+        certified = m * _entry_error(self.kernel, self.sample.values) <= DEFAULT_PSD_TOL / 2.0
+        # k alone, or k with the copy that eigvalsh factors
+        _check_memory(m, 1 if certified else 2, "the Gram matrix")
         k = kernel_columns(self.kernel, self.sample.values, self.sample.values)
         _finite(k, "Gram matrix")
         # psd_check decides what the certificate does not; a module global
@@ -177,17 +208,25 @@ class GramMatrix:
         object.__setattr__(self, "values", k)
 
 
-@np.errstate(over="ignore")
-def _rbf_entry_error(spec: KernelSpec, x: np.ndarray) -> float:
-    """delta of the module docstring's step 3: a bound on the error of every
-    entry of the RBF Gram matrix of the rows of x, as GramMatrix builds it."""
+@np.errstate(over="ignore", divide="ignore")
+def _entry_error(spec: KernelSpec, x: np.ndarray) -> float:
+    """delta of the module docstring's step 3 (RBF) or step 8 (linear and
+    polynomial) for the Gram matrix of the rows of x, as GramMatrix builds
+    it; inf when it overflows."""
     n = x.shape[1]
     u = _UNIT_ROUNDOFF
     gamma_n = n * u / (1.0 - n * u)
-    # r^2 from the computed squared norms, each within gamma_N of its own
-    r2 = float(_squared_row_norms(x).max()) / (1.0 - gamma_n)
-    exponent = spec.gamma * (4.0 * gamma_n + 12.0 * u) * r2
-    return float(np.expm1(exponent) + 4.0 * u * np.exp(exponent))
+    if spec.family == "rbf":
+        # r^2 from the computed squared norms, each within gamma_N of its own
+        r2 = float(_squared_row_norms(x).max()) / (1.0 - gamma_n)
+        exponent = spec.gamma * (4.0 * gamma_n + 12.0 * u) * r2
+        return float(np.expm1(exponent) + 4.0 * u * np.exp(exponent))
+    degree = spec.degree if spec.family == "polynomial" else 1
+    # (1 + eps)^d and (1 - eps)^d by logarithms, so that a huge degree
+    # gives inf and declines instead of raising
+    log_grow = degree * np.log1p(gamma_n + 2.0 * u)
+    shrink = np.exp(degree * np.log1p(-(gamma_n + 2.0 * u)))
+    return float((np.expm1(log_grow) + 4.0 * u * np.exp(log_grow)) / (shrink * (1.0 - 4.0 * u)))
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -273,32 +312,12 @@ def psd_check(values: np.ndarray) -> None:
     """The PSD decision for a symmetric matrix K: it passes iff its minimum
     eigenvalue is at least -tol max(max |eigenvalues|, 1), tol =
     DEFAULT_PSD_TOL, and a failure raises ValidationError.  This rule is
-    the one PSD decision; GramMatrix settles it for an RBF matrix by the
-    round-off certificate of the module docstring when it can, and calls
-    this function otherwise.
-
-    A Cholesky screen decides first: K + tau I with tau = (tol / 2)
-    max(max_i K_ii, 1).  A factor implies a pass: K + tau I positive
-    definite means lambda_min >= -tau, and the threshold is
-    tol max(max |lambda|, 1) >= 2 tau, because max |lambda| >= lambda_max >=
-    max_i K_ii (K_ii = e_i^T K e_i).  The factorization is exact for
-    K + tau I + E with ||E||_2 at most about m^2 u ||K||_2 (u the unit
-    round-off) and ||K||_2 <= max |lambda|, so the other half of the
-    threshold covers E while m^2 eps <= tol / 2, m up to about 4700 at
-    tol = 1e-8; a larger matrix is not screened.  One shifted copy of K is
-    factored, in m^3 / 3 flops against the several times costlier symmetric
-    eigenvalue solve, which runs only when the screen finds no factor.
+    the one PSD decision; GramMatrix settles it by the round-off
+    certificate of the module docstring when it can, and calls this
+    function otherwise.  The symmetric eigenvalue solve holds about one
+    more m x m array beside K.
     """
     tol = DEFAULT_PSD_TOL
-    if values.shape[0] ** 2 * np.finfo(float).eps <= tol / 2.0:
-        diag = np.diag(values)
-        shifted = np.array(values)
-        np.fill_diagonal(shifted, diag + (tol / 2.0) * diag.max(initial=1.0))
-        try:
-            np.linalg.cholesky(shifted)
-            return
-        except np.linalg.LinAlgError:
-            pass
     eigs = np.linalg.eigvalsh(values)
     min_eig = float(eigs.min())
     threshold = -tol * max(float(np.max(np.abs(eigs))), 1.0)

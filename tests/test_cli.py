@@ -305,11 +305,18 @@ _KERNEL_MODEL = b'"A": [[1.0, 0.0]], "anchors": [[0.0, 0.0], [1.0, 0.0]], "lambd
          b'"lambda_cap": 1.0, "kernel": {"family": "rbf"}}', "field 'A'"),
         (b'{"type": "kernel", ' + _KERNEL_MODEL
          + b', "kernel": {"family": "polynomial", "degree": true}}', "field 'degree'"),
+        # a bool among numbers is not a number, though numpy promotes it to one
+        (b'{"type": "linear", "lambda_cap": 1.0, "W": [[true, 0.0], [0.0, 1.0]]}', "field 'W'"),
+        (b'{"type": "kernel", "A": [[true, 0.0]], "anchors": [[0.0, 0.0], [1.0, 0.0]], '
+         b'"lambda_cap": 1.0, "kernel": {"family": "rbf"}}', "field 'A'"),
+        (b'{"type": "kernel", "A": [[1.0, 0.0]], "anchors": [[0.0, false], [1.0, 0.0]], '
+         b'"lambda_cap": 1.0, "kernel": {"family": "rbf"}}', "field 'anchors'"),
     ],
     ids=["list", "string", "text_cap", "text_entry", "string_kernel", "not_utf8", "truncated",
          "linear_without_W", "kernel_without_family", "nan_cap", "infinite_degree",
          "deep_nesting", "fractional_degree", "bool_cap", "numeric_string_cap",
-         "numeric_string_gamma", "numeric_string_entry", "bool_degree"],
+         "numeric_string_gamma", "numeric_string_entry", "bool_degree", "bool_in_W",
+         "bool_in_A", "bool_in_anchors"],
 )
 def test_malformed_model_is_validation_error(tmp_path, capsys, payload, named):
     _identity_fixture(tmp_path)

@@ -14,7 +14,7 @@ def test_two_runs_print_the_same_line_for_every_output():
     # also show that no echoed path reaches a digest
     first = cli_digest.digest_lines(sizes=(12,), verify_m=10, trials=2)
     assert cli_digest.digest_lines(sizes=(12,), verify_m=10, trials=2) == first
-    classes = ("linear", "rbf", "poly")
+    classes = ("linear", "rbf", "poly", "rbf_declined")
     expected = {f"m12/data/{name}" for name in
                 ("features.csv", "distances.csv", "wtrue.csv", "manifest.json")}
     expected |= {f"m12/{c}/{name}" for c in classes

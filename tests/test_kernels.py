@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,29 +39,23 @@ def _random_sample(rng, m=6, n=3, scale=1.0):
     return SampleMatrix(rng.normal(size=(m, n)) * scale)
 
 
-def _count_linalg_calls(monkeypatch, name):
-    """A list that grows by one entry per np.linalg.<name> call."""
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The names of the np.linalg functions called, one entry per call."""
     calls = []
-    func = getattr(np.linalg, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return func(*args, **kwargs)
+    def counted(name, func):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counted)
+        return call
+
+    for name in np.linalg.__all__:
+        func = getattr(np.linalg, name)
+        if callable(func) and not isinstance(func, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, func))
     return calls
-
-
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """A list that grows by one entry per np.linalg.eigvalsh call."""
-    return _count_linalg_calls(monkeypatch, "eigvalsh")
-
-
-@pytest.fixture
-def cholesky_calls(monkeypatch):
-    """A list that grows by one entry per np.linalg.cholesky call."""
-    return _count_linalg_calls(monkeypatch, "cholesky")
 
 
 class TestKernelSpec:
@@ -169,32 +164,36 @@ class TestGram:
             assert np.array_equal(kernel_columns(KernelSpec("rbf", gamma=0.7), x, y), expected)
 
     @pytest.mark.parametrize(
-        "family, scale, screened",
-        [("rbf", 1.0, False), ("rbf", 1e3, True), ("linear", 1.0, True), ("polynomial", 1.0, True)],
+        "family, scale, declined",
+        [("rbf", 1.0, False), ("rbf", 1e3, True), ("linear", 1.0, False),
+         ("polynomial", 1.0, False)],
     )
-    def test_values_are_read_only(self, count_calls, family, scale, screened):
+    def test_values_are_read_only(self, count_calls, family, scale, declined):
         calls = count_calls(psd_check)
         k = GramMatrix(KernelSpec(family), _random_sample(np.random.default_rng(21), scale=scale))
-        assert calls == ([1] if screened else [])
+        assert calls == ([1] if declined else [])
         assert not k.values.flags.writeable
         with pytest.raises(ValueError):
             k.values[0, 1] = 5.0
 
-    def test_a_certified_rbf_matrix_holds_one_m_by_m_array(self):
-        # m = 1000, 16 features with r = 1, gamma 0.5 (bench's fit_rbf): the
-        # inner products become the kernel values in place and are kept;
-        # beyond them one (b x m) plane of norm sums and the finite check's
-        # m x m bool mask (1 MB)
-        m = 1000
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("m", [1000, 2000])
+    def test_a_certified_matrix_holds_one_m_by_m_array(self, linalg_calls, family, m):
+        # 16 features with r = 1, default specs (RBF at bench's gamma 0.5):
+        # the inner products become the kernel values in place and are kept;
+        # beyond them, for RBF, one (b x m) plane of norm sums, and the
+        # finite check's m x m bool mask
         sample = _random_sample(np.random.default_rng(22), m=m, n=16)
         sample = SampleMatrix(sample.values / sample.radius)
+        linalg_calls.clear()
         tracemalloc.start()
         try:
-            GramMatrix(KernelSpec("rbf", gamma=0.5), sample)
+            GramMatrix(KernelSpec(family, gamma=0.5), sample)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * m * m + m * m + 2 * core_module._BLOCK_BYTES
+        assert linalg_calls == []
 
     def test_matches_pairwise_eval(self):
         rng = np.random.default_rng(4)
@@ -208,13 +207,14 @@ class TestGram:
 
 
 class TestPsdCheck:
-    def test_identity_passes(self, monkeypatch, eigvalsh_calls):
-        # at tol 0 the screen is off and the eigenvalues decide
+    def test_identity_passes(self, monkeypatch, linalg_calls):
+        # at tol 0 the round-off certificate declines and the eigenvalues
+        # decide
         monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", 0.0)
         identity = GramMatrix(KernelSpec("linear"), SampleMatrix(np.eye(2)))
         assert np.array_equal(identity.values, np.eye(2))
         assert psd_check(np.eye(2)) is None
-        assert len(eigvalsh_calls) == 2
+        assert linalg_calls == ["eigvalsh", "eigvalsh"]
 
     def test_indefinite_matrix_fails(self):
         # eigenvalues 3 and -1
@@ -229,28 +229,34 @@ class TestPsdCheck:
             k = gram(KernelSpec("rbf", gamma=0.7), s)
             assert psd_check(k.values) is None
 
-    def test_check_runs_before_the_frozen_copy(self):
-        # the screen's shifted copy and factor join the matrix, which is
-        # then frozen in place (3 m x m arrays); a frozen copy would be a
-        # fourth.  A polynomial kernel: an RBF one here is certified
+    def test_check_runs_before_the_frozen_copy(self, count_calls):
+        # the matrix is checked, then frozen in place; a frozen copy would
+        # be a second m x m array.  Beside it tracemalloc sees the finite
+        # check's bool mask and one plane of norm sums, not the copy that
+        # LAPACK's eigenvalue solve mallocs.  An RBF kernel on features
+        # scaled by 1e3, which the round-off certificate declines
         m = 400
-        s = _random_sample(np.random.default_rng(14), m=m, n=3)
+        s = _random_sample(np.random.default_rng(14), m=m, n=3, scale=1e3)
+        calls = count_calls(psd_check)
         tracemalloc.start()
         try:
-            gram(KernelSpec("polynomial"), s)
+            gram(KernelSpec("rbf"), s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * m * m
+        assert calls == [1]
+        assert peak < 2 * 8 * m * m
 
     @pytest.mark.parametrize(
-        "family, arrays, gib",
-        # the certified RBF matrix alone; a polynomial one with psd_check's
-        # shifted copy and factor
-        [("rbf", 1, "7.45e-07"), ("polynomial", 3, "2.24e-06")],
+        "spec, arrays, gib",
+        # a certified matrix alone; a declined one with the copy that
+        # eigvalsh factors
+        [(KernelSpec("rbf"), 1, "7.45e-07"), (KernelSpec("linear"), 1, "7.45e-07"),
+         (KernelSpec("polynomial"), 1, "7.45e-07"), (KernelSpec("rbf", gamma=1e6), 2, "1.49e-06")],
+        ids=["rbf", "linear", "polynomial", "declined_rbf"],
     )
     def test_gram_matrix_beyond_the_physical_memory_is_refused_before_it_is_built(
-        self, monkeypatch, family, arrays, gib
+        self, monkeypatch, spec, arrays, gib
     ):
         # m x m arrays at m = 10: 800 bytes each
         need = arrays * 8 * 10**2
@@ -261,11 +267,12 @@ class TestPsdCheck:
         monkeypatch.setattr(
             kernels_module, "kernel_columns", lambda *args: built.append(1) or kernel_columns(*args)
         )
+        assert _certified(spec, sample) == (arrays == 1)
         with pytest.raises(ValidationError, match=rf"^the Gram matrix at m = 10 needs {gib} GiB"):
-            GramMatrix(KernelSpec(family), sample)
+            GramMatrix(spec, sample)
         assert built == []
         sysconf["SC_PHYS_PAGES"] = need
-        GramMatrix(KernelSpec(family), sample)
+        GramMatrix(spec, sample)
         assert built == [1]
 
     def test_gram_side_squared_distances_nonnegative(self):
@@ -358,9 +365,14 @@ def _accepts(values) -> bool:
 
 
 def _zero_map_accepts(monkeypatch, values, sample) -> bool:
+    """Whether a zero kernel map accepts ``values`` as its anchors' Gram
+    matrix, through an RBF spec whose round-off certificate declines, so
+    that psd_check decides."""
     monkeypatch.setattr(kernels_module, "kernel_columns", lambda spec, a, p: np.array(values))
+    spec = KernelSpec("rbf")
+    assert not _certified(spec, sample)
     try:
-        KernelClass(KernelSpec("linear"), 1.0, k=1).zero_map(sample)
+        KernelClass(spec, 1.0, k=1).zero_map(sample)
     except ValidationError as exc:
         assert "fails the PSD check" in str(exc)
         return False
@@ -368,29 +380,29 @@ def _zero_map_accepts(monkeypatch, values, sample) -> bool:
 
 
 def _eigenvalue_rule(values) -> bool:
-    """The PSD decision from the eigenvalues alone, with no screen."""
+    """The PSD decision from the eigenvalues, written out apart from psd_check."""
     eigs = np.linalg.eigvalsh(values)
     return eigs.min() >= -DEFAULT_PSD_TOL * max(np.abs(eigs).max(), 1.0)
 
 
-class TestPsdScreen:
+class TestPsdDecision:
     # lambda_min = c * tol * max(max |lambda|, 1): the PSD check fails for c < -1
     @pytest.mark.parametrize("c", [-4.0, -2.0, -1.1, -0.9, -0.5, 0.0, 0.5])
     @pytest.mark.parametrize("top", [0.5, 5.0, 1e4])
     def test_zero_map_accepts_exactly_when_psd_check_passes(
-        self, monkeypatch, eigvalsh_calls, c, top
+        self, monkeypatch, count_calls, c, top
     ):
         rng = np.random.default_rng(12)
         m = 12
         eigenvalues = np.linspace(top / m, top, m)
         eigenvalues[0] = c * DEFAULT_PSD_TOL * max(top, 1.0)
         values = _gram_with_spectrum(rng, eigenvalues)
-        sample = _random_sample(rng, m=m, n=2)
+        # features scaled by 1e3, so the certificate declines
+        sample = _random_sample(rng, m=m, n=2, scale=1e3)
         assert _accepts(values) == (c >= -1.0)
-        if c >= 0.0:
-            # a PSD matrix is accepted by the screen, without eigenvalues
-            assert eigvalsh_calls == []
+        calls = count_calls(psd_check)
         assert _zero_map_accepts(monkeypatch, values, sample) == (c >= -1.0)
+        assert calls == [1]
         assert _eigenvalue_rule(values) == (c >= -1.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -414,33 +426,8 @@ class TestPsdScreen:
         k = kernel_columns(spec, sample.values, sample.values)
         assert accepted == _eigenvalue_rule(np.triu(k) + np.triu(k, 1).T)
 
-    def test_a_passing_screen_implies_a_passing_check(self, eigvalsh_calls):
-        rng = np.random.default_rng(13)
-        for c in np.linspace(-3.0, 1.0, 41):
-            values = _gram_with_spectrum(
-                rng, np.concatenate([[c * DEFAULT_PSD_TOL], np.linspace(0.1, 1.0, 9)])
-            )
-            eigvalsh_calls.clear()
-            accepted = _accepts(values)
-            if not eigvalsh_calls:
-                # the screen accepted alone
-                assert accepted and _eigenvalue_rule(values), c
-            if abs(c + 1.0) > 0.05:
-                assert accepted == (c >= -1.0), c
 
-    def test_screens_only_up_to_its_round_off_limit(self, monkeypatch, eigvalsh_calls):
-        eps = np.finfo(float).eps
-        # m^2 eps <= tol / 2 holds for m up to about 4700 at the default tol
-        assert 4700**2 * eps <= DEFAULT_PSD_TOL / 2.0 < 4800**2 * eps
-        # at this tol the limit falls between m = 10 (100 eps) and 11 (121 eps)
-        monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", 2.0 * 105.0 * eps)
-        psd_check(np.eye(10))
-        assert eigvalsh_calls == []
-        psd_check(np.eye(11))
-        assert eigvalsh_calls == [1]
-
-
-def _rbf_sample(seed, m, n, log_scale, coincident=False):
+def _gaussian_sample(seed, m, n, log_scale, coincident=False):
     """m Gaussian rows in R^n scaled by 10^log_scale; the last repeats the
     first when ``coincident``."""
     x = np.random.default_rng(seed).normal(size=(m, n)) * 10.0**log_scale
@@ -450,14 +437,31 @@ def _rbf_sample(seed, m, n, log_scale, coincident=False):
 
 
 def _certified(spec, sample) -> bool:
-    """Whether GramMatrix accepts the RBF matrix by the round-off certificate."""
-    return sample.m * kernels_module._rbf_entry_error(spec, sample.values) <= DEFAULT_PSD_TOL / 2.0
+    """Whether GramMatrix accepts the matrix by the round-off certificate."""
+    return sample.m * kernels_module._entry_error(spec, sample.values) <= DEFAULT_PSD_TOL / 2.0
 
 
-class TestRbfRoundOffCertificate:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+def _exact_polynomial_gram(spec, sample):
+    """The linear or polynomial Gram matrix of the sample in long double."""
+    x = sample.values.astype(np.longdouble)
+    inner = x @ x.T
+    if spec.family == "linear":
+        return inner
+    return (inner + np.longdouble(spec.coef0)) ** spec.degree
+
+
+_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double"
+)
+
+
+class TestRoundOffCertificate:
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
+        family=st.sampled_from(KERNEL_FAMILIES),
         log_gamma=st.floats(-3.0, 3.0),
+        degree=st.integers(1, 8),
+        coef0=st.sampled_from([0.0, 0.5, 3.0]),
         log_scale=st.floats(-3.0, 3.0),
         m=st.integers(2, 60),
         n=st.integers(1, 8),
@@ -465,63 +469,105 @@ class TestRbfRoundOffCertificate:
         seed=st.integers(0, 2**16),
     )
     def test_a_certified_matrix_passes_the_eigenvalue_rule(
-        self, log_gamma, log_scale, m, n, coincident, seed
+        self, family, log_gamma, degree, coef0, log_scale, m, n, coincident, seed
     ):
-        spec = KernelSpec("rbf", gamma=10.0**log_gamma)
-        sample = _rbf_sample(seed, m, n, log_scale, coincident)
+        spec = KernelSpec(family, gamma=10.0**log_gamma, degree=degree, coef0=coef0)
+        sample = _gaussian_sample(seed, m, n, log_scale, coincident)
         if _certified(spec, sample):
             assert _eigenvalue_rule(GramMatrix(spec, sample).values)
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double"
-    )
+    @_LONG_DOUBLE
     @pytest.mark.parametrize("log_gamma", [-3.0, 0.0, 3.0])
     @pytest.mark.parametrize("log_scale", [-3.0, -1.0, 0.0, 1.0])
     def test_every_entry_is_within_delta_of_the_exact_kernel(self, log_gamma, log_scale):
         spec = KernelSpec("rbf", gamma=10.0**log_gamma)
         for n, coincident in ((1, True), (4, False), (8, True)):
-            sample = _rbf_sample(int(log_scale) + 100, 40, n, log_scale, coincident)
+            sample = _gaussian_sample(int(log_scale) + 100, 40, n, log_scale, coincident)
             x = sample.values.astype(np.longdouble)
             sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
             exact = np.exp(-np.longdouble(spec.gamma) * sq)
             error = np.abs(GramMatrix(spec, sample).values - exact).max()
-            assert error <= kernels_module._rbf_entry_error(spec, sample.values), n
+            assert error <= kernels_module._entry_error(spec, sample.values), n
 
-    def test_a_certified_zero_map_and_loaded_model_factor_nothing(
-        self, tmp_path, cholesky_calls, eigvalsh_calls
+    @_LONG_DOUBLE
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec("linear")]
+        + [KernelSpec("polynomial", degree=d, coef0=c) for d in range(1, 9) for c in (0.0, 0.5, 3.0)],
+        ids=lambda spec: f"{spec.family}-{spec.degree}-{spec.coef0:g}",
+    )
+    @pytest.mark.parametrize("log_scale", [-3.0, -1.0, 0.0, 1.0, 3.0])
+    def test_every_linear_and_polynomial_entry_is_within_delta_of_the_exact_kernel(
+        self, spec, log_scale
     ):
+        # step 8's delta bounds each entry's error relative to the largest
+        # diagonal entry, which is at least s^d (1 - eps)^d (1 - c_pow u)
+        for n, coincident in ((1, True), (4, False), (8, True)):
+            sample = _gaussian_sample(int(log_scale) + 200, 40, n, log_scale, coincident)
+            k = GramMatrix(spec, sample).values
+            error = np.abs(k - _exact_polynomial_gram(spec, sample)).max()
+            delta = kernels_module._entry_error(spec, sample.values)
+            assert error <= delta * np.diag(k).max(), n
+
+    def test_a_linear_spec_is_bounded_as_degree_one(self):
+        # its unused degree 2 and coef0 1 do not enter the bound
+        x = _gaussian_sample(23, 5, 16, 0.0).values
+        linear = kernels_module._entry_error(KernelSpec("linear"), x)
+        assert linear == kernels_module._entry_error(KernelSpec("polynomial", degree=1), x)
+        assert linear < kernels_module._entry_error(KernelSpec("polynomial", degree=2), x)
+
+    def test_a_certified_zero_map_and_loaded_model_factor_nothing(self, tmp_path, linalg_calls):
         # 16 features with r = 1 and gamma 0.5, as bench's fit_rbf, with a
         # coincident pair; at its m = 1000 the docstring's m delta is 5e-12
-        sample = _rbf_sample(17, 300, 16, 0.0, coincident=True)
+        sample = _gaussian_sample(17, 300, 16, 0.0, coincident=True)
         sample = SampleMatrix(sample.values / sample.radius)
         spec = KernelSpec("rbf", gamma=0.5)
-        delta = kernels_module._rbf_entry_error(spec, sample.values)
+        delta = kernels_module._entry_error(spec, sample.values)
         assert 4e-12 < 1000 * delta < 6e-12
+        linalg_calls.clear()
         model = KernelClass(spec, 1.0, k=2).zero_map(sample)
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         assert np.array_equal(loaded.gram.values, model.gram.values)
-        assert cholesky_calls == [] and eigvalsh_calls == []
+        assert linalg_calls == []
 
-    def test_a_large_gamma_r_squared_declines_to_psd_check(self, count_calls, cholesky_calls):
+    def test_a_large_gamma_r_squared_declines_to_psd_check(self, count_calls, linalg_calls):
         spec = KernelSpec("rbf", gamma=0.5)
-        sample = _rbf_sample(19, 40, 4, 3.0)
+        sample = _gaussian_sample(19, 40, 4, 3.0)
         assert not _certified(spec, sample)
         calls = count_calls(psd_check)
         GramMatrix(spec, sample)
-        assert calls == [1] and cholesky_calls == [1]
+        assert calls == [1] and linalg_calls == ["eigvalsh"]
 
+    def test_a_huge_degree_declines_to_psd_check(self, count_calls, linalg_calls):
+        # unit rows and coef0 0: the diagonal stays near 1 and the rest
+        # underflows to 0, so the matrix is finite and the eigenvalues
+        # accept it
+        sample = _gaussian_sample(24, 10, 3, 0.0)
+        sample = SampleMatrix(sample.values / np.linalg.norm(sample.values, axis=1)[:, None])
+        spec = KernelSpec("polynomial", degree=10**6, coef0=0.0)
+        assert not _certified(spec, sample)
+        huge = KernelSpec("polynomial", degree=10**300)
+        assert kernels_module._entry_error(huge, sample.values) == np.inf
+        linalg_calls.clear()
+        calls = count_calls(psd_check)
+        GramMatrix(spec, sample)
+        assert calls == [1] and linalg_calls == ["eigvalsh"]
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     @pytest.mark.parametrize("tol", [-1.0, 0.0])
-    def test_a_nonpositive_tolerance_certifies_nothing(self, monkeypatch, count_calls, tol):
+    def test_a_nonpositive_tolerance_certifies_nothing(self, monkeypatch, count_calls, family, tol):
         monkeypatch.setattr(kernels_module, "DEFAULT_PSD_TOL", tol)
         calls = count_calls(psd_check)
-        sample = _rbf_sample(20, 10, 2, 0.0)
+        # 12 features, so that each family's matrix of the 10 rows is
+        # positive definite
+        sample = _gaussian_sample(20, 10, 12, 0.0)
         if tol < 0.0:
-            # the eigenvalues of a Gram matrix of distinct points differ
+            # the eigenvalues of these Gram matrices differ
             with pytest.raises(ValidationError, match="fails the PSD check"):
-                GramMatrix(KernelSpec("rbf"), sample)
+                GramMatrix(KernelSpec(family), sample)
         else:
-            GramMatrix(KernelSpec("rbf"), sample)
+            GramMatrix(KernelSpec(family), sample)
         assert calls == [1]
 
     def test_np_exp_is_within_one_ulp_of_the_c_library(self):
@@ -543,3 +589,23 @@ class TestRbfRoundOffCertificate:
             got, [expected, expected[:26_000], expected], [ulp, ulp[:26_000], ulp]
         ):
             assert np.all(np.abs(values - want) <= spacing)
+
+    def test_np_power_is_within_one_ulp_of_the_exact_power(self):
+        # step 7 takes np.power with an integer exponent within 1 ulp of
+        # t^d: c_pow = 4 units of u; bases of both signs whose powers stay
+        # in the normal range
+        rng = np.random.default_rng(25)
+        args = np.concatenate(
+            [rng.uniform(-3.0, 3.0, 1_500), rng.normal(size=300) * 1e3,
+             np.logspace(-30.0, 30.0, 200), -np.logspace(-30.0, 30.0, 200)]
+        )
+        for degree in range(2, 9):
+            exact = [Fraction(a) ** degree for a in args]
+            ulp = np.spacing(np.abs([float(e) for e in exact]))
+            # in place over a 2-D plane, as kernel_columns does, and strided
+            plane = args.reshape(110, 20).copy()
+            plane **= degree
+            strided = np.power(args[::-1], degree)[::-1]
+            for got in (plane.ravel(), strided):
+                error = [abs(Fraction(g) - e) for g, e in zip(got, exact)]
+                assert all(err <= Fraction(step) for err, step in zip(error, ulp)), degree

@@ -2,9 +2,11 @@
 
 The script runs simcert.cli.main in a temporary directory with fixed
 seeds: for each sample size m, ``gen --m m --n 4 --noise 0.05``, then
-``train --max-iters 50`` and ``certify`` for the linear, rbf and poly
-classes on that instance; then ``verify --m 15 --trials 3`` for each
-class.  One ``<file> <sha256>`` line is printed per output file, every
+``train --max-iters 50`` and ``certify`` for the linear, rbf, poly and
+rbf_declined classes on that instance; then ``verify --m 15 --trials 3``
+for each class.  rbf_declined (``--gamma 1e6``) is an RBF kernel so
+narrow that the Gram matrix's round-off certificate declines it, so its
+``train`` and ``certify`` run the eigenvalue check.  One ``<file> <sha256>`` line is printed per output file, every
 file under the temporary directory, in sorted order.  A JSON file is
 hashed after dropping the keys that echo paths (``config``, and ``out`` in
 ``manifest.json``) and dumping it again with sorted keys and indent 2, so
@@ -33,6 +35,7 @@ _CLASSES = [
     ("linear", ["--class", "linear"]),
     ("rbf", ["--class", "kernel", "--kernel", "rbf"]),
     ("poly", ["--class", "kernel", "--kernel", "poly"]),
+    ("rbf_declined", ["--class", "kernel", "--kernel", "rbf", "--gamma", "1e6"]),
 ]
 
 
