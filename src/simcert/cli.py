@@ -6,17 +6,17 @@ from the flags, loads, runs and writes, and raises on failure; main alone
 maps an error to its exit code and a one-line message on stderr (argparse
 exits 2 on its own).  The checks are the library's, each run once, when
 its command starts and before any file is read: a flag value the library
-rejects is a usage error, rejected data a validation failure.  A report
-that would hold an infinite or NaN value is a validation failure too, so
-every JSON file written is strict.  Matrices travel as headerless CSV,
-reports as JSON with the resolved configuration echoed for auditability;
-reruns with identical flags produce identical bytes.
+rejects is a usage error, rejected data a validation failure.  The file
+formats are the library's: matrices travel as headerless CSV (core's CSV
+readers and writer), reports and models as strict JSON (core.write_json,
+so a report that would hold an infinite or NaN value is a validation
+failure too), reports with the resolved configuration echoed for
+auditability; reruns with identical flags produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,10 +24,10 @@ from .bounds import _check_delta, certify
 from .core import (
     SampleMatrix,
     ValidationError,
-    _check_memory,
     _check_tol,
-    _repair_distances,
+    read_distance_csv,
     read_matrix_csv,
+    write_json,
     write_matrix_csv,
 )
 from .harness import SyntheticSpec, generate_synthetic, run_coverage_experiment, write_trials_csv
@@ -62,17 +62,6 @@ def _build(make, **fields):
         return make(**fields)
     except ValidationError as exc:
         raise _UsageError(exc) from exc
-
-
-def _write_json(path, payload: dict) -> None:
-    """Strict JSON: a payload holding an infinite or NaN value raises
-    ValidationError before the file is opened."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValidationError(f"{os.path.basename(path)} would hold a non-finite value") from exc
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -197,30 +186,14 @@ def cmd_gen(args) -> int:
     write_matrix_csv(os.path.join(args.out, "distances.csv"), distances.values)
     write_matrix_csv(os.path.join(args.out, "wtrue.csv"), w_true)
     manifest = {**vars(args), "files": ["features.csv", "distances.csv", "wtrue.csv"]}
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    write_json(os.path.join(args.out, "manifest.json"), manifest)
     return EXIT_OK
-
-
-def _first_line_fields(path) -> int:
-    """The comma-separated fields on the first line of a file, from one
-    readline; 0 when it cannot be opened, so read_matrix_csv names that."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.readline().count(b",") + 1
-    except OSError:
-        return 0
 
 
 def _load_problem(args):
     """Sample and targets from the CSV flags; train and certify check that
-    their sizes agree.  The distances CSV is sized from its first line
-    before it is read: the loaded array is the one m x m array, repaired in
-    place and kept by the DistanceMatrix (validate_distance_matrix's checks
-    and repair, without its copy)."""
-    features = read_matrix_csv(args.features)
-    m = _first_line_fields(args.distances)
-    _check_memory(m, 1, f"{args.distances}: the distance matrix")
-    return SampleMatrix(features), _repair_distances(read_matrix_csv(args.distances), args.tol)
+    their sizes agree."""
+    return SampleMatrix(read_matrix_csv(args.features)), read_distance_csv(args.distances, args.tol)
 
 
 def cmd_train(args) -> int:
@@ -233,7 +206,7 @@ def cmd_train(args) -> int:
     payload = report.to_dict()
     payload["config"] = vars(args)
     # the report first: a diverged run whose risk overflows writes no model
-    _write_json(os.path.join(args.out, "train_report.json"), payload)
+    write_json(os.path.join(args.out, "train_report.json"), payload)
     save_model(model, os.path.join(args.out, "model.json"))
     return EXIT_OK
 
@@ -247,7 +220,7 @@ def cmd_certify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     payload = certificate.to_dict()
     payload["config"] = vars(args)
-    _write_json(os.path.join(args.out, "certificate.json"), payload)
+    write_json(os.path.join(args.out, "certificate.json"), payload)
     return EXIT_OK
 
 
@@ -263,7 +236,7 @@ def cmd_verify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     payload = report.to_dict()
     payload["config"] = vars(args)
-    _write_json(os.path.join(args.out, "report.json"), payload)
+    write_json(os.path.join(args.out, "report.json"), payload)
     write_trials_csv(os.path.join(args.out, "trials.csv"), report)
     if not report.passed:
         return _fail(

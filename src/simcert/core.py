@@ -27,19 +27,23 @@ float temporary takes about _BLOCK_BYTES.
 
 Each m x m matrix is held once from its maker to its container: a maker
 that builds the array fresh (validate_distance_matrix after its one copy of
-the caller's matrix, the CLI's CSV load, harness.generate_synthetic,
+the caller's matrix, read_distance_csv, harness.generate_synthetic,
 confusion_to_distance) hands it to DistanceMatrix through _adopt_distances,
 which runs the constructor's checks and keeps the array read-only instead
 of copying it; the public constructor still copies.  Before the first m x m
 array is allocated from an input's size, _check_memory compares the arrays
-that path then holds at once with the physical memory: one for the
+that path then holds at once with the available memory (MemAvailable, or
+the physical memory where /proc/meminfo cannot be read): one for the
 synthetic targets, for the distances CSV and for a Gram matrix that the
 round-off certificate accepts, two for a Gram matrix that psd_check
-decides (the matrix and the copy its eigenvalue solve factors).
+decides (the matrix and the copy its eigenvalue solve factors), three for
+bounds.empirical_rademacher_mc.  The CSV and JSON formats live here too:
+read_matrix_csv, read_distance_csv, write_matrix_csv and write_json.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import warnings
 from dataclasses import dataclass
@@ -60,7 +64,9 @@ __all__ = [
     "streamed_risk",
     "data_radii",
     "read_matrix_csv",
+    "read_distance_csv",
     "write_matrix_csv",
+    "write_json",
 ]
 
 
@@ -103,15 +109,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+_MEMINFO = "/proc/meminfo"
+
+
+def _available_memory() -> int:
+    """Bytes a new allocation can take without swapping: MemAvailable from
+    _MEMINFO, or the physical memory where that field cannot be read."""
+    try:
+        with open(_MEMINFO, "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_memory(m: int, arrays: int, what: str) -> None:
     """Raise ValidationError when ``arrays`` float m x m arrays, which
-    ``what`` holds at once, need more bytes than the physical memory;
-    called before the first of them is allocated."""
+    ``what`` holds at once, need more bytes than the available memory
+    (_available_memory); called before the first of them is allocated."""
     need = arrays * 8 * m * m
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _available_memory()
     if need > have:
         raise ValidationError(
-            f"{what} at m = {m} needs {need / 2**30:.3g} GiB, above RAM ({have / 2**30:.3g} GiB)"
+            f"{what} at m = {m} needs {need / 2**30:.3g} GiB, above RAM"
+            f" ({have / 2**30:.3g} GiB available)"
         )
 
 
@@ -271,10 +294,16 @@ def _repair_distances(arr: np.ndarray, tol: float) -> DistanceMatrix:
     asym = 0.0
     for start, stop in _row_blocks(m):
         upper, lower = arr[start:stop, start:], arr[start:, start:stop].T
-        diff = np.subtract(upper, lower, out=scratch[: stop - start, : m - start])
-        asym = max(asym, float(np.abs(diff, out=diff).max()))
-        avg = np.add(upper, lower, out=diff)
+        # an overflowing difference is an infinite asymmetry; an overflowing
+        # sum is averaged as upper / 2 + lower / 2, exact where it is finite
+        with np.errstate(over="ignore"):
+            diff = np.subtract(upper, lower, out=scratch[: stop - start, : m - start])
+            asym = max(asym, float(np.abs(diff, out=diff).max()))
+            avg = np.add(upper, lower, out=diff)
         avg /= 2.0
+        over = np.isinf(avg)
+        if over.any():
+            avg[over] = upper[over] / 2.0 + lower[over] / 2.0
         upper[...] = avg
         arr[start:, start:stop] = avg.T
     if asym > tol:
@@ -493,3 +522,38 @@ def read_matrix_csv(path) -> np.ndarray:
     if arr.size == 0:
         raise ValidationError(f"{path}: empty CSV matrix")
     return arr
+
+
+def _first_line_fields(path) -> int:
+    """The comma-separated fields on the first line of a file, from one
+    readline; 0 when it cannot be opened, so read_matrix_csv names that."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.readline().count(b",") + 1
+    except OSError:
+        return 0
+
+
+def read_distance_csv(path, tol: float) -> DistanceMatrix:
+    """Target distances from a CSV written by :func:`write_matrix_csv`,
+    checked and repaired within ``tol`` as validate_distance_matrix does.
+
+    The matrix is sized from the file's first line and _check_memory counts
+    the one m x m array before the file is read; that array is repaired in
+    place and kept (_repair_distances), without validate_distance_matrix's
+    copy.  Errors are read_matrix_csv's and validate_distance_matrix's.
+    """
+    _check_memory(_first_line_fields(path), 1, f"{path}: the distance matrix")
+    return _repair_distances(read_matrix_csv(path), tol)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: sorted keys, indent 2, one final LF.
+    A payload holding an infinite or NaN value raises ValidationError
+    before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{os.path.basename(path)} would hold a non-finite value") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")

@@ -43,6 +43,7 @@ from .core import (
     _freeze,
     pairwise_distances,
     streamed_risk,
+    write_json,
 )
 from .kernels import GramMatrix, KernelSpec, _json_number, gram, kernel_columns, kernel_diagonal
 
@@ -367,9 +368,8 @@ def _json_array(payload: dict, key: str) -> np.ndarray:
 
 
 def save_model(model: LinearMap | KernelMap, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write the model's JSON format with core.write_json."""
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> LinearMap | KernelMap:

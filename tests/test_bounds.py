@@ -1,6 +1,7 @@
 """Certificate formulas, assembly, and the Monte-Carlo complexity estimate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from simcert import (
     rademacher_bound_kernel,
     rademacher_bound_linear,
 )
-from simcert.bounds import BoundCertificate
+import simcert.core as core_module
+from simcert.bounds import _MC_ARRAYS, BoundCertificate
 from simcert.harness import SyntheticSpec, generate_synthetic
 from simcert.hypotheses import KernelMap, KernelSpec, embed, load_model, save_model
 from simcert.kernels import kernel_diagonal
-from simcert.optimizer import train
+from simcert.optimizer import _seeded_start, projected_path, train
 
 # 2 * (1 * max(2, 0.5)^2 / 100) + 2^2 * sqrt(2 ln 20 / 100), frozen by hand
 SLACK_LAM1_R1_BETA05_M100_D05 = 1.0590987322723266
@@ -405,6 +407,88 @@ class TestEmpiricalRademacherMc:
             )
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+def _triu_index_estimate(sample, distances, hypothesis_class, n_sigma, inner_cfg, seed):
+    """empirical_rademacher_mc with each sign matrix built the direct way:
+    the signs placed at np.triu_indices in a matrix of zeros, then the
+    mirrored sum sigma + np.triu(sigma, 1).T.  The oracle of its in-place
+    construction."""
+    m = sample.m
+    upper = np.triu_indices(m)
+    values = np.empty(n_sigma)
+    zero = hypothesis_class.zero_map(sample)
+    for draw in range(n_sigma):
+        rng = np.random.default_rng([seed, draw])
+        signs = rng.integers(0, 2, size=upper[0].size) * 2 - 1
+        sigma = np.zeros((m, m))
+        sigma[upper] = signs
+        sigma = sigma + np.triu(sigma, 1).T
+        model = _seeded_start(zero, rng)
+        values[draw] = max(projected_path(model, sample, distances, sigma, inner_cfg, 1.0, 0.0)[1])
+    estimate = float(values.mean())
+    if n_sigma == 1:
+        return estimate, 0.0
+    return estimate, float(values.std(ddof=1) / math.sqrt(n_sigma))
+
+
+def _mc_instance(m: int):
+    return generate_synthetic(SyntheticSpec(m, 3, 2, 1.0, 1.0, 0.05, m))[:2]
+
+
+class TestSignMatrixInPlace:
+    # m = 333 and 600 span several row blocks of the mirror
+    @pytest.mark.parametrize("m", [2, 3, 7, 200, 333, 600])
+    @pytest.mark.parametrize("n_sigma", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_estimate_equals_the_triu_index_oracle_bitwise(self, m, n_sigma, seed):
+        sample, distances = _mc_instance(m)
+        args = (sample, distances, LinearClass(lambda_cap=1.0, k=2), n_sigma,
+                TrainConfig(max_iters=2), seed)
+        assert empirical_rademacher_mc(*args) == _triu_index_estimate(*args)
+
+    @pytest.mark.parametrize(
+        "hypothesis_class",
+        [LinearClass(lambda_cap=1.0, k=2), KernelClass(KernelSpec("rbf"), lambda_cap=1.0, k=2)],
+        ids=["linear", "rbf"],
+    )
+    def test_one_estimate_holds_fewer_m_by_m_arrays_than_its_memory_check_counts(
+        self, hypothesis_class
+    ):
+        # m = 600: sigma, the half-size draw while it is placed, the boolean
+        # triangle, the stress pass's row blocks and, for a kernel class,
+        # the Gram matrix; the targets are made before tracing starts
+        m = 600
+        sample, distances = _mc_instance(m)
+        tracemalloc.start()
+        try:
+            empirical_rademacher_mc(
+                sample, distances, hypothesis_class, 2, TrainConfig(max_iters=2), seed=0
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _MC_ARRAYS * 8 * m * m
+
+    def test_an_estimate_beyond_the_available_memory_is_refused_before_it_allocates(
+        self, monkeypatch
+    ):
+        m = 600
+        sample, distances = _mc_instance(m)
+        need = _MC_ARRAYS * 8 * m * m
+        args = (sample, distances, LinearClass(lambda_cap=1.0, k=2), 1, TrainConfig(max_iters=1))
+        monkeypatch.setattr(core_module, "_available_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="^the Monte-Carlo estimate at m = 600 needs"):
+                empirical_rademacher_mc(*args, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below one m x m bool mask
+        assert peak < m * m
+        monkeypatch.setattr(core_module, "_available_memory", lambda: need)
+        empirical_rademacher_mc(*args, seed=0)
 
 
 def _unit_rows(m: int, n: int, seed: int = 0) -> np.ndarray:

@@ -360,10 +360,9 @@ def test_loaded_kernel_model_failing_the_psd_check_is_validation_error(
     assert main(args) == 0
 
 
-def _physical_memory(monkeypatch, nbytes: int) -> None:
-    """Make the m x m budget check in core read ``nbytes`` of physical memory."""
-    sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
-    monkeypatch.setattr(core_module, "os", SimpleNamespace(sysconf=sysconf.__getitem__))
+def _available_memory(monkeypatch, nbytes: int) -> None:
+    """Make the m x m budget check in core read ``nbytes`` of available memory."""
+    monkeypatch.setattr(core_module, "_available_memory", lambda: nbytes)
 
 
 @pytest.mark.parametrize("command", ["gen", "verify"])
@@ -371,11 +370,11 @@ def test_targets_beyond_the_physical_memory_exit_4(tmp_path, capsys, monkeypatch
     # the one target matrix at m = 20: 8 x 20^2 = 3200 bytes
     extra = ["--trials", "1", "--max-iters", "5"] if command == "verify" else []
     args = [command, "--m", "20", *extra, "--out", str(tmp_path)]
-    _physical_memory(monkeypatch, 3199)
+    _available_memory(monkeypatch, 3199)
     assert main(args) == 4
     line = _one_error_line(capsys)
     assert "the synthetic target matrix at m = 20 needs" in line and "above RAM" in line
-    _physical_memory(monkeypatch, 3200)
+    _available_memory(monkeypatch, 3200)
     assert main(args) == 0
 
 
@@ -395,17 +394,17 @@ def test_kernel_model_whose_gram_matrix_exceeds_the_physical_memory_exits_4(
     ]
     # the round-off certificate accepts its 2 anchors' RBF Gram matrix, the
     # one m x m array it then holds: 8 x 2^2 = 32 bytes
-    _physical_memory(monkeypatch, 31)
+    _available_memory(monkeypatch, 31)
     assert main(args) == 4
     assert "malformed kernel model: the Gram matrix at m = 2 needs" in _one_error_line(capsys)
     # the model now loads, and the 100-point distances CSV is sized next
-    _physical_memory(monkeypatch, 32)
+    _available_memory(monkeypatch, 32)
     assert main(args) == 4
     assert "distances.csv: the distance matrix at m = 100 needs" in _one_error_line(capsys)
-    _physical_memory(monkeypatch, 8 * 100**2 - 1)
+    _available_memory(monkeypatch, 8 * 100**2 - 1)
     assert main(args) == 4
     assert "distances.csv: the distance matrix at m = 100 needs" in _one_error_line(capsys)
-    _physical_memory(monkeypatch, 8 * 100**2)
+    _available_memory(monkeypatch, 8 * 100**2)
     assert main(args) == 0
 
 
@@ -450,12 +449,12 @@ def test_distances_csv_beyond_the_physical_memory_exits_4_before_it_is_read(
         "--max-iters", "5", "--out", str(tmp_path / "run"),
     ]
     # the loaded array, repaired in place and kept: 8 x 20^2 bytes
-    _physical_memory(monkeypatch, 8 * 20**2 - 1)
+    _available_memory(monkeypatch, 8 * 20**2 - 1)
     assert main(args) == 4
     line = _one_error_line(capsys)
     assert "distances.csv: the distance matrix at m = 20 needs" in line and "above RAM" in line
     assert distances not in loaded
-    _physical_memory(monkeypatch, 8 * 20**2)
+    _available_memory(monkeypatch, 8 * 20**2)
     assert main(args) == 0
     assert loaded.count(distances) == 1
 

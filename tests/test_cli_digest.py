@@ -16,8 +16,9 @@ def test_two_runs_print_the_same_line_for_every_output():
     assert cli_digest.digest_lines(sizes=(12,), verify_m=10, trials=2) == first
     classes = ("linear", "rbf", "poly", "rbf_declined")
     expected = {f"m12/data/{name}" for name in
-                ("features.csv", "distances.csv", "wtrue.csv", "manifest.json")}
-    expected |= {f"m12/{c}/{name}" for c in classes
+                ("features.csv", "distances.csv", "distances_asym.csv", "wtrue.csv",
+                 "manifest.json")}
+    expected |= {f"m12/{c}/{name}" for c in (*classes, "linear_asym")
                  for name in ("model.json", "train_report.json", "certificate.json")}
     expected |= {f"verify/{c}/{name}" for c in classes for name in ("report.json", "trials.csv")}
     files = [line.split()[0] for line in first]

@@ -1,10 +1,13 @@
 """Containers, validation, stress loss, and CSV round trips."""
 
+import os
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simcert.cli as cli_module
 import simcert.core as core_module
@@ -170,12 +173,66 @@ class TestValidateDistanceMatrix:
                 validate_distance_matrix(raw, tol=tol)
         assert raw.tobytes() == before.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6).flatmap(
+            lambda m: st.lists(
+                st.floats(min_value=0.0, max_value=float(np.finfo(float).max)),
+                min_size=m * (m - 1) // 2,
+                max_size=m * (m - 1) // 2,
+            ).map(lambda upper: (m, upper))
+        )
+    )
+    def test_every_matrix_the_constructor_accepts_passes_bitwise_without_a_warning(self, case):
+        # entries up to the float maximum, whose doubled sum overflows, and
+        # subnormals; warnings are errors in this suite.  floats(min_value=
+        # 0.0) draws no -0.0, which the clamp writes as +0.0
+        m, upper = case
+        d = np.zeros((m, m))
+        d[np.triu_indices(m, 1)] = upper
+        d += d.T
+        DistanceMatrix(d)
+        assert validate_distance_matrix(d).values.tobytes() == d.tobytes()
+
+    def test_an_overflowing_average_halves_first(self):
+        big = float(np.finfo(float).max)
+        below = np.nextafter(big, 0.0)
+        got = validate_distance_matrix([[0.0, big], [below, 0.0]], tol=big).values
+        assert got[0, 1] == got[1, 0] == big / 2.0 + below / 2.0
+
+    def test_an_overflowing_asymmetry_is_reported_as_one(self):
+        big = float(np.finfo(float).max)
+        with pytest.raises(ValidationError, match="^asymmetry inf exceeds tolerance"):
+            validate_distance_matrix([[0.0, big], [-big, 0.0]], tol=1.0)
+
     def test_mutating_the_input_afterwards_leaves_the_targets_unchanged(self):
         raw = np.array([[0.0, 1.0 + 1e-12], [1.0, 0.0]])
         d = validate_distance_matrix(raw, tol=1e-9)
         kept = d.values.copy()
         raw[:] = 7.0
         assert d.values.tobytes() == kept.tobytes()
+
+
+class TestAvailableMemory:
+    def test_reads_mem_available_from_meminfo(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:  8000 kB\nMemFree:  1000 kB\nMemAvailable:  3000 kB\n")
+        monkeypatch.setattr(core_module, "_MEMINFO", str(meminfo))
+        assert core_module._available_memory() == 3000 * 1024
+
+    @pytest.mark.parametrize("content", [None, "MemTotal:  8000 kB\n", "MemAvailable: x kB\n"],
+                             ids=["missing", "no_field", "malformed"])
+    def test_falls_back_to_the_physical_memory(self, tmp_path, monkeypatch, content):
+        meminfo = tmp_path / "meminfo"
+        if content is not None:
+            meminfo.write_text(content)
+        monkeypatch.setattr(core_module, "_MEMINFO", str(meminfo))
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert core_module._available_memory() == physical
+
+    def test_is_positive_and_at_most_the_physical_memory(self):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 0 < core_module._available_memory() <= physical
 
 
 class TestDistanceMatrixInvariants:

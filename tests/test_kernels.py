@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -260,8 +259,7 @@ class TestPsdCheck:
     ):
         # m x m arrays at m = 10: 800 bytes each
         need = arrays * 8 * 10**2
-        sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
-        monkeypatch.setattr(core_module, "os", SimpleNamespace(sysconf=sysconf.__getitem__))
+        monkeypatch.setattr(core_module, "_available_memory", lambda: need - 1)
         sample = _random_sample(np.random.default_rng(15), m=10)
         built = []
         monkeypatch.setattr(
@@ -271,7 +269,7 @@ class TestPsdCheck:
         with pytest.raises(ValidationError, match=rf"^the Gram matrix at m = 10 needs {gib} GiB"):
             GramMatrix(spec, sample)
         assert built == []
-        sysconf["SC_PHYS_PAGES"] = need
+        monkeypatch.setattr(core_module, "_available_memory", lambda: need)
         GramMatrix(spec, sample)
         assert built == [1]
 

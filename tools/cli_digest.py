@@ -3,15 +3,19 @@
 The script runs simcert.cli.main in a temporary directory with fixed
 seeds: for each sample size m, ``gen --m m --n 4 --noise 0.05``, then
 ``train --max-iters 50`` and ``certify`` for the linear, rbf, poly and
-rbf_declined classes on that instance; then ``verify --m 15 --trials 3``
-for each class.  rbf_declined (``--gamma 1e6``) is an RBF kernel so
-narrow that the Gram matrix's round-off certificate declines it, so its
-``train`` and ``certify`` run the eigenvalue check.  One ``<file> <sha256>`` line is printed per output file, every
-file under the temporary directory, in sorted order.  A JSON file is
-hashed after dropping the keys that echo paths (``config``, and ``out`` in
-``manifest.json``) and dumping it again with sorted keys and indent 2, so
-the lines do not depend on where the directory is.  Two trees whose
-programs write the same bytes print the same lines.
+rbf_declined classes on that instance, and a linear ``train`` and
+``certify`` (linear_asym) on distances_asym.csv, the targets perturbed
+within the default ``--tol`` (_perturb), so that the lines see the
+symmetrizing average and the clamp of the distances repair; then
+``verify --m 15 --trials 3`` for each class.  rbf_declined
+(``--gamma 1e6``) is an RBF kernel so narrow that the Gram matrix's
+round-off certificate declines it, so its ``train`` and ``certify`` run
+the eigenvalue check.  One ``<file> <sha256>`` line is printed per output
+file, every file under the temporary directory, in sorted order.  A JSON
+file is hashed after dropping the keys that echo paths (``config``, and
+``out`` in ``manifest.json``) and dumping it again with sorted keys and
+indent 2, so the lines do not depend on where the directory is.  Two trees
+whose programs write the same bytes print the same lines.
 
 Usage:
 
@@ -28,6 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 # (directory name, train/verify class flags)
@@ -37,6 +43,21 @@ _CLASSES = [
     ("poly", ["--class", "kernel", "--kernel", "poly"]),
     ("rbf_declined", ["--class", "kernel", "--kernel", "rbf", "--gamma", "1e6"]),
 ]
+
+
+def _perturb(src: Path, dst: Path) -> None:
+    """Write the targets at ``src`` to ``dst`` moved by at most 3e-10 off the
+    diagonal: 1e-10 sign(j - i) ((i + j) mod 3), an antisymmetric part that
+    the repair averages away, and -1e-10 on each zero target, which leaves
+    it negative after the average, for the clamp."""
+    from simcert.core import read_matrix_csv, write_matrix_csv
+
+    targets = read_matrix_csv(src)
+    i, j = np.indices(targets.shape)
+    zero = (targets == 0.0) & (i != j)
+    targets += 1e-10 * np.sign(j - i) * ((i + j) % 3)
+    targets[zero] -= 1e-10
+    write_matrix_csv(dst, targets)
 
 
 def _run(cli_main, argv: list[str], allowed=(0,)) -> None:
@@ -69,10 +90,14 @@ def digest_lines(sizes=(20, 300), verify_m: int = 15, trials: int = 3) -> list[s
             _run(cli_main, ["gen", "--m", str(m), "--n", "4", "--noise", "0.05", "--out", str(data)])
             problem = ["--features", str(data / "features.csv"),
                        "--distances", str(data / "distances.csv")]
-            for name, flags in _CLASSES:
+            _perturb(data / "distances.csv", data / "distances_asym.csv")
+            asym = ["--features", str(data / "features.csv"),
+                    "--distances", str(data / "distances_asym.csv")]
+            for name, flags, files in [*((n, f, problem) for n, f in _CLASSES),
+                                       ("linear_asym", ["--class", "linear"], asym)]:
                 out = root / f"m{m}" / name
-                _run(cli_main, ["train", *problem, *flags, "--max-iters", "50", "--out", str(out)])
-                _run(cli_main, ["certify", "--model", str(out / "model.json"), *problem,
+                _run(cli_main, ["train", *files, *flags, "--max-iters", "50", "--out", str(out)])
+                _run(cli_main, ["certify", "--model", str(out / "model.json"), *files,
                                 "--out", str(out)])
         for name, flags in _CLASSES:
             out = root / "verify" / name
