@@ -217,31 +217,48 @@ def generalization_bound(
     )
 
 
-# m x m float arrays that empirical_rademacher_mc holds at once: sigma, the
-# half-size draw while it is placed, the boolean triangle, the stress pass's
-# row blocks and a kernel class's Gram matrix.  tracemalloc reads 1.81 and
-# 1.64 (linear), 2.82 and 2.64 (RBF) at m = 600 and 2000; the row blocks,
-# about _BLOCK_BYTES each, weigh more only at sizes too small to matter.
-_MC_ARRAYS = 3
+# (b x m) float planes, b the rows of the first row block (core._row_blocks),
+# that one stress pass holds at once, its (m x k) arrays included:
+# tracemalloc reads 2.4 at m = 200 and 3.6 at m = 600 with k = 2, and 4.3
+# at m = 2000, where the (m x k) arrays weigh more beside a 32-row block.
+_PASS_PLANES = 4
 
 
-def _sign_matrix(rng: np.random.Generator, upper: np.ndarray, out: np.ndarray) -> None:
+def _mc_arrays(m: int, hypothesis_class: LinearClass | KernelClass) -> float:
+    """m x m float arrays that one empirical_rademacher_mc estimate counts
+    before it allocates: sigma, the draw of its m (m + 1) / 2 signs (half an
+    array), the stress pass's _PASS_PLANES planes of the first row block
+    and a kernel class's Gram matrix.  The draw is freed before the pass
+    starts; counting both covers the estimator's smaller objects.  Below
+    m = 257 the first block is the whole matrix and the pass dominates.
+    tracemalloc (n_sigma 2, k = 2) reads 3.45 arrays (linear) and 4.52
+    (RBF) at m = 200, counted 5.5 and 6.5; 1.65 and 2.67 at m = 600,
+    counted 2.23 and 3.23; 1.50 and 2.50 at m = 2000, counted 1.56 and
+    2.56.  The count holds from m = 70 on; below, the estimator's fixed
+    objects, under 0.2 MB, weigh more than any m x m count."""
+    rows = next(_row_blocks(m))[1]
+    gram = 1.0 if hypothesis_class.mode == "kernel" else 0.0
+    return 1.5 + _PASS_PLANES * rows / m + gram
+
+
+def _sign_matrix(rng: np.random.Generator, out: np.ndarray) -> None:
     """Draw sigma_ij in {-1, +1} for i <= j into ``out`` and mirror it.
 
-    ``upper`` is the m x m boolean mask of i <= j; its C order is that of
-    np.triu_indices(m), so the draw lands where those index arrays would
-    place it.  The strict upper triangle is then copied onto the lower one,
-    band by band (_row_blocks); the diagonal, which upper.T marks too,
-    copies onto itself.  ``out`` is bitwise the matrix of zeros with the
-    signs placed at np.triu_indices(m), plus np.triu(sigma, 1).T.
+    One draw of m (m + 1) / 2 signs fills the rows in turn: row i takes its
+    columns i:m from the next m - i signs, the order of np.triu_indices(m),
+    and its columns 0:i from column i of the rows above, which are already
+    filled.  ``out`` is bitwise the matrix of zeros with the signs placed at
+    np.triu_indices(m), plus np.triu(sigma, 1).T.
     """
-    signs = rng.integers(0, 2, size=out.shape[0] * (out.shape[0] + 1) // 2)
+    m = out.shape[0]
+    signs = rng.integers(0, 2, size=m * (m + 1) // 2)
     signs *= 2
     signs -= 1
-    out[upper] = signs
-    for start, stop in _row_blocks(out.shape[0]):
-        band = out[start:, start:stop]
-        np.copyto(band, out[start:stop, start:].T, where=upper.T[start:, start:stop])
+    first = 0
+    for i in range(m):
+        out[i, i:] = signs[first : first + m - i]
+        out[i, :i] = out[:i, i]
+        first += m - i
 
 
 def empirical_rademacher_mc(
@@ -263,7 +280,7 @@ def empirical_rademacher_mc(
     which is in the class.  The zero map of the class, with a kernel
     class's Gram matrix, is built once and shared by every draw, and every
     draw's sigma is built in place in one m x m array (_sign_matrix).
-    Before any m x m allocation, _check_memory counts _MC_ARRAYS arrays,
+    Before any m x m allocation, _check_memory counts _mc_arrays arrays,
     so an m too large for memory raises ValidationError.  Returns
     (mean, standard error) over draws.  Local ascent reaches only a lower
     bound on each supremum, so the estimate is a lower-biased diagnostic,
@@ -273,14 +290,13 @@ def empirical_rademacher_mc(
         raise ValidationError("n_sigma must be >= 1")
     _check_sizes(sample, distances)
     m = sample.m
-    _check_memory(m, _MC_ARRAYS, "the Monte-Carlo estimate")
+    _check_memory(m, _mc_arrays(m, hypothesis_class), "the Monte-Carlo estimate")
     values = np.empty(n_sigma)
     zero = hypothesis_class.zero_map(sample)
-    upper = np.triu(np.ones((m, m), dtype=bool))
     sigma = np.empty((m, m))
     for draw in range(n_sigma):
         rng = np.random.default_rng([seed, draw])
-        _sign_matrix(rng, upper, sigma)
+        _sign_matrix(rng, sigma)
         model = _seeded_start(zero, rng)
         values[draw] = max(projected_path(model, sample, distances, sigma, inner_cfg, 1.0, 0.0)[1])
 

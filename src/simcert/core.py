@@ -36,14 +36,23 @@ that path then holds at once with the available memory (MemAvailable, or
 the physical memory where /proc/meminfo cannot be read): one for the
 synthetic targets, for the distances CSV and for a Gram matrix that the
 round-off certificate accepts, two for a Gram matrix that psd_check
-decides (the matrix and the copy its eigenvalue solve factors), three for
-bounds.empirical_rademacher_mc.  The CSV and JSON formats live here too:
-read_matrix_csv, read_distance_csv, write_matrix_csv and write_json.
+decides (the matrix and the copy its eigenvalue solve factors), and for
+bounds.empirical_rademacher_mc a count that bounds._mc_arrays derives from
+the first row block and the class.
+
+The CSV and JSON formats live here too: read_matrix_csv, read_distance_csv,
+write_matrix_csv and write_json.  Every output file, harness's trials CSV
+included, is written into place (_written_into_place): the text streams
+into a temporary file beside the destination, which os.replace moves onto
+it only once the text is complete, so an error leaves no truncated output
+and no temporary, and a JSON report is never held as one string.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -125,11 +134,12 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(m: int, arrays: int, what: str) -> None:
-    """Raise ValidationError when ``arrays`` float m x m arrays, which
-    ``what`` holds at once, need more bytes than the available memory
-    (_available_memory); called before the first of them is allocated."""
-    need = arrays * 8 * m * m
+def _check_memory(m: int, arrays: float, what: str) -> None:
+    """Raise ValidationError when ``arrays`` float m x m arrays (a count
+    that may be fractional), which ``what`` holds at once, need more bytes
+    than the available memory (_available_memory); called before the first
+    of them is allocated."""
+    need = math.ceil(arrays * 8 * m * m)
     have = _available_memory()
     if need > have:
         raise ValidationError(
@@ -496,14 +506,42 @@ def data_radii(sample: SampleMatrix, distances: DistanceMatrix) -> DataRadii:
     return DataRadii(r=sample.radius, beta=distances.max_distance)
 
 
+@contextlib.contextmanager
+def _written_into_place(path):
+    """A text file (UTF-8, LF line ends) on a new temporary file beside
+    ``path``, for a with block: when the block ends, the temporary is closed
+    and os.replace moves it onto ``path``; when it raises, the temporary is
+    closed and deleted and ``path`` is left as it was.  The temporary is
+    created with mode 0o666 less the umask, as a plain open(path, "w")
+    creates a file."""
+    head, tail = os.path.split(os.fspath(path))
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_matrix_csv(path, mat) -> None:
-    """Write a matrix as headerless CSV, one row per line, LF endings.
+    """Write a matrix as headerless CSV, one row per line, LF endings,
+    into place (_written_into_place).
 
     Values are formatted with 17 significant digits so float64 round-trips
     exactly.
     """
     arr = np.atleast_2d(np.asarray(mat, dtype=float))
-    np.savetxt(path, arr, delimiter=",", fmt="%.17e", newline="\n")
+    with _written_into_place(path) as fh:
+        np.savetxt(fh, arr, delimiter=",", fmt="%.17e", newline="\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -549,11 +587,17 @@ def read_distance_csv(path, tol: float) -> DistanceMatrix:
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as strict JSON: sorted keys, indent 2, one final LF.
-    A payload holding an infinite or NaN value raises ValidationError
-    before the file is opened."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValidationError(f"{os.path.basename(path)} would hold a non-finite value") from exc
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+
+    json.dump streams the text into a temporary file that then replaces
+    ``path`` (_written_into_place), so the whole text is never held as one
+    string.  A payload holding an infinite or NaN value raises
+    ValidationError, and then, as on any other error, ``path`` is left as
+    it was.
+    """
+    with _written_into_place(path) as fh:
+        try:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            name = os.path.basename(path)
+            raise ValidationError(f"{name} would hold a non-finite value") from exc
+        fh.write("\n")

@@ -38,6 +38,7 @@ from .core import (
     _direct_rows,
     _finite,
     _row_blocks,
+    _written_into_place,
 )
 from .hypotheses import KernelClass, KernelMap, LinearClass, LinearMap, embedded_risk
 from .optimizer import TrainConfig, train
@@ -296,8 +297,9 @@ def run_coverage_experiment(
 
 
 def write_trials_csv(path, report: ExperimentReport) -> None:
-    """Per-trial CSV: trial,train_risk,holdout_risk,gap,slack,covered."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Per-trial CSV: trial,train_risk,holdout_risk,gap,slack,covered,
+    written into place as core writes every output."""
+    with _written_into_place(path) as fh:
         fh.write("trial,train_risk,holdout_risk,gap,slack,covered\n")
         for t in report.trials:
             fh.write(

@@ -252,8 +252,10 @@ def _zero_params(k: int | None, sample: SampleMatrix, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearClass:
-    """Descriptor of the linear class with output dimension k and budget."""
+    """Descriptor of the linear class with output dimension k and budget;
+    ``mode`` is that of its maps."""
 
+    mode = "linear"
     lambda_cap: float
     k: int | None = None
 
@@ -267,8 +269,10 @@ class LinearClass:
 
 @dataclass(frozen=True)
 class KernelClass:
-    """Descriptor of the kernelized class for a given kernel and budget."""
+    """Descriptor of the kernelized class for a given kernel and budget;
+    ``mode`` is that of its maps."""
 
+    mode = "kernel"
     kernel: KernelSpec
     lambda_cap: float
     k: int | None = None

@@ -344,6 +344,12 @@ def projected_path(
     v = x); otherwise theta <- theta (sqrt(theta^2 + 4) - theta) / 2.  The
     first step, and the first after a restart, is a plain projected step.
 
+    ``weights`` must be None or a symmetric m x m float array, as both
+    callers' are (train passes None, the Monte-Carlo estimator a sign
+    matrix).  They are used as given, without stress_state's symmetric
+    part: the pass reads only their lower triangle, and no check compares
+    them with their transpose.  Use stress_state for any weights.
+
     Each y costs one stress pass, which gives both its unsmoothed value and
     its gradient.  Returns the last y, the values of every y (the start
     first) and why the loop stopped: "converged" when |g|_F at y falls below
@@ -356,7 +362,6 @@ def projected_path(
     """
     _check_sizes(sample, distances)
     feats = model.features(sample.values)
-    weights = _symmetric_part(weights)
     eps = config.smoothing_eps
 
     y = model

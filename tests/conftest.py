@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+import errno
+import itertools
+import os
 import sys
 
 import pytest
@@ -27,5 +30,33 @@ def count_calls(monkeypatch):
                 if value is func:
                     monkeypatch.setattr(module, attr, counted)
         return calls
+
+    return install
+
+
+@pytest.fixture
+def fail_write(monkeypatch):
+    """Make writes to files opened through os.fdopen fail part-way.
+
+    ``fail_write(n)`` lets the first n write calls on each such file through
+    and makes the next one raise OSError (no space left on device).
+    """
+
+    def install(n):
+        fdopen = os.fdopen
+
+        def failing_fdopen(*args, **kwargs):
+            fh = fdopen(*args, **kwargs)
+            write, calls = fh.write, itertools.count()
+
+            def failing_write(text):
+                if next(calls) == n:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return write(text)
+
+            fh.write = failing_write
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", failing_fdopen)
 
     return install

@@ -30,7 +30,7 @@ from simcert import (
     rademacher_bound_linear,
 )
 import simcert.core as core_module
-from simcert.bounds import _MC_ARRAYS, BoundCertificate
+from simcert.bounds import BoundCertificate, _mc_arrays
 from simcert.harness import SyntheticSpec, generate_synthetic
 from simcert.hypotheses import KernelMap, KernelSpec, embed, load_model, save_model
 from simcert.kernels import kernel_diagonal
@@ -437,7 +437,7 @@ def _mc_instance(m: int):
 
 
 class TestSignMatrixInPlace:
-    # m = 333 and 600 span several row blocks of the mirror
+    # m = 333 and 600 span several row blocks of the stress pass
     @pytest.mark.parametrize("m", [2, 3, 7, 200, 333, 600])
     @pytest.mark.parametrize("n_sigma", [1, 3])
     @pytest.mark.parametrize("seed", [0, 9])
@@ -447,18 +447,19 @@ class TestSignMatrixInPlace:
                 TrainConfig(max_iters=2), seed)
         assert empirical_rademacher_mc(*args) == _triu_index_estimate(*args)
 
+    # m = 200: one row block, the whole matrix; m = 600: six blocks
+    @pytest.mark.parametrize("m", [200, 600])
     @pytest.mark.parametrize(
         "hypothesis_class",
         [LinearClass(lambda_cap=1.0, k=2), KernelClass(KernelSpec("rbf"), lambda_cap=1.0, k=2)],
         ids=["linear", "rbf"],
     )
     def test_one_estimate_holds_fewer_m_by_m_arrays_than_its_memory_check_counts(
-        self, hypothesis_class
+        self, hypothesis_class, m
     ):
-        # m = 600: sigma, the half-size draw while it is placed, the boolean
-        # triangle, the stress pass's row blocks and, for a kernel class,
-        # the Gram matrix; the targets are made before tracing starts
-        m = 600
+        # sigma, the half-size draw while it is placed, the stress pass's
+        # row blocks and, for a kernel class, the Gram matrix; the targets
+        # are made before tracing starts
         sample, distances = _mc_instance(m)
         tracemalloc.start()
         try:
@@ -468,19 +469,20 @@ class TestSignMatrixInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < _MC_ARRAYS * 8 * m * m
+        assert peak < _mc_arrays(m, hypothesis_class) * 8 * m * m
 
+    @pytest.mark.parametrize("m", [200, 600])
     def test_an_estimate_beyond_the_available_memory_is_refused_before_it_allocates(
-        self, monkeypatch
+        self, monkeypatch, m
     ):
-        m = 600
         sample, distances = _mc_instance(m)
-        need = _MC_ARRAYS * 8 * m * m
-        args = (sample, distances, LinearClass(lambda_cap=1.0, k=2), 1, TrainConfig(max_iters=1))
+        hypothesis_class = LinearClass(lambda_cap=1.0, k=2)
+        need = math.ceil(_mc_arrays(m, hypothesis_class) * 8 * m * m)
+        args = (sample, distances, hypothesis_class, 1, TrainConfig(max_iters=1))
         monkeypatch.setattr(core_module, "_available_memory", lambda: need - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match="^the Monte-Carlo estimate at m = 600 needs"):
+            with pytest.raises(ValidationError, match=f"^the Monte-Carlo estimate at m = {m} needs"):
                 empirical_rademacher_mc(*args, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -630,9 +630,17 @@ def _diverging_train(tmp_path, scale, *flags):
 
 def test_diverging_train_whose_risk_overflows_is_validation_error(tmp_path, capsys):
     # the risk of the diverged map overflows, so no strict JSON report exists
-    assert _diverging_train(tmp_path, 1.0, "--lambda-cap", "1e200", "--step-size", "1e200") == 4
+    flags = ("--lambda-cap", "1e200", "--step-size", "1e200")
+    assert _diverging_train(tmp_path, 1.0, *flags) == 4
     assert "non-finite" in _one_error_line(capsys)
     assert list((tmp_path / "run").iterdir()) == []
+    # a report already there is left as it was, and no temporary is left
+    report = tmp_path / "run" / "train_report.json"
+    report.write_bytes(b'{"earlier": "run"}\n')
+    assert _diverging_train(tmp_path, 1.0, *flags) == 4
+    assert "non-finite" in _one_error_line(capsys)
+    assert report.read_bytes() == b'{"earlier": "run"}\n'
+    assert list((tmp_path / "run").iterdir()) == [report]
 
 
 def test_diverging_train_whose_embedding_overflows_says_it_diverged(tmp_path, capsys):

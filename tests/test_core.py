@@ -1,5 +1,6 @@
 """Containers, validation, stress loss, and CSV round trips."""
 
+import json
 import os
 import tracemalloc
 from types import SimpleNamespace
@@ -32,7 +33,7 @@ from simcert import (
     validate_distance_matrix,
     write_matrix_csv,
 )
-from simcert.core import streamed_risk
+from simcert.core import streamed_risk, write_json
 
 
 class TestSampleMatrix:
@@ -545,3 +546,33 @@ class TestMatrixCsv:
         path = tmp_path / "row.csv"
         write_matrix_csv(path, [[1.0, 2.0, 3.0]])
         assert read_matrix_csv(path).shape == (1, 3)
+
+    def test_an_error_part_way_leaves_the_old_file_and_no_temporary(
+        self, tmp_path, fail_write
+    ):
+        path = tmp_path / "mat.csv"
+        write_matrix_csv(path, np.eye(3))
+        old = path.read_bytes()
+        # two of the matrix's ten rows are written before the error
+        fail_write(2)
+        with pytest.raises(OSError, match="No space left"):
+            write_matrix_csv(path, np.ones((10, 4)))
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestWriteJson:
+    def test_a_non_finite_value_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(path, {"risk": 1.0})
+        old = path.read_bytes()
+        with pytest.raises(ValidationError, match="^report.json would hold a non-finite"):
+            write_json(path, {"a": 1.0, "risk": float("inf")})
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_the_text_is_json_dumps_with_one_final_lf(self, tmp_path):
+        payload = {"b": [1.5, -0.0, 1e-300], "a": {"z": None, "y": True}, "c": "x"}
+        write_json(tmp_path / "out.json", payload)
+        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "out.json").read_bytes() == expected.encode()

@@ -294,3 +294,19 @@ class TestCoverageExperiment:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == report.trials[0].train_risk
+
+    def test_an_error_part_way_through_the_trials_csv_leaves_the_old_file(
+        self, tmp_path, fail_write
+    ):
+        report = run_coverage_experiment(
+            _spec(), LinearClass(lambda_cap=2.0, k=2), TrainConfig(max_iters=5),
+            0.05, n_trials=3, n_holdout=24,
+        )
+        path = tmp_path / "trials.csv"
+        path.write_bytes(b"old\n")
+        # the header and one trial are written before the error
+        fail_write(2)
+        with pytest.raises(OSError, match="No space left"):
+            write_trials_csv(path, report)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]

@@ -1,5 +1,8 @@
 """Hypothesis classes: forward maps, embedding distances, norms, projection."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,6 +371,33 @@ class TestShrinkAndNormProperties:
 
 
 class TestModelSerialization:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_a_saved_model_has_the_mode_a_plain_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            save_model(LinearMap([[1.0]], 1.0), tmp_path / "model.json")
+            open(tmp_path / "plain.json", "w").close()
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "model.json").stat().st_mode & 0o777
+        assert mode == (tmp_path / "plain.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_saving_a_model_streams_its_text(self, tmp_path):
+        # 300 RBF anchors in R^4 and k = 2 make about 52 KB of JSON; encoding
+        # the whole text before writing it peaked at 298 KB
+        rng = np.random.default_rng(5)
+        sample = SampleMatrix(rng.normal(size=(300, 4)))
+        model = KernelMap(rng.normal(size=(2, 300)), gram(KernelSpec("rbf"), sample), 1e6)
+        save_model(model, tmp_path / "warm.json")
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150_000
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
+
     def test_linear_round_trip(self, tmp_path):
         h = LinearMap([[1.5, -2.0], [0.0, 3.0]], 4.0)
         path = tmp_path / "model.json"
