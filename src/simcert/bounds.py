@@ -218,27 +218,41 @@ def generalization_bound(
 
 
 # (b x m) float planes, b the rows of the first row block (core._row_blocks),
-# that one stress pass holds at once, its (m x k) arrays included:
-# tracemalloc reads 2.4 at m = 200 and 3.6 at m = 600 with k = 2, and 4.3
-# at m = 2000, where the (m x k) arrays weigh more beside a 32-row block.
+# that one stress pass holds at once: tracemalloc reads 2.4 at m = 200 and
+# 3.6 at m = 600 with k = 2, and 4.3 at m = 2000, its (m x k) arrays included.
 _PASS_PLANES = 4
+# (k x N) arrays of the trainable matrix that projected_path holds at once,
+# N the feature width (m for a kernel class): x, v, the evaluated y, its
+# gradient, the previous y and gradient that set the step, the stepped point
+# and its projection, whose SVD factors fit within the same count.
+_LOOP_PARAMS = 8
+# (m x k) embedding arrays of the stress pass: Y, L Y and their block products.
+_PASS_EMBEDDINGS = 4
 
 
-def _mc_arrays(m: int, hypothesis_class: LinearClass | KernelClass) -> float:
+def _mc_arrays(sample: SampleMatrix, hypothesis_class: LinearClass | KernelClass) -> float:
     """m x m float arrays that one empirical_rademacher_mc estimate counts
     before it allocates: sigma, the draw of its m (m + 1) / 2 signs (half an
-    array), the stress pass's _PASS_PLANES planes of the first row block
-    and a kernel class's Gram matrix.  The draw is freed before the pass
-    starts; counting both covers the estimator's smaller objects.  Below
-    m = 257 the first block is the whole matrix and the pass dominates.
-    tracemalloc (n_sigma 2, k = 2) reads 3.45 arrays (linear) and 4.52
-    (RBF) at m = 200, counted 5.5 and 6.5; 1.65 and 2.67 at m = 600,
-    counted 2.23 and 3.23; 1.50 and 2.50 at m = 2000, counted 1.56 and
-    2.56.  The count holds from m = 70 on; below, the estimator's fixed
-    objects, under 0.2 MB, weigh more than any m x m count."""
+    array), the stress pass's _PASS_PLANES planes of the first row block, a
+    kernel class's Gram matrix, and the loop's _LOOP_PARAMS (k x N) and
+    _PASS_EMBEDDINGS (m x k) arrays, with k the class's (min(N_features, m)
+    by default) and N the width of its trainable matrix.  The draw is freed
+    before the pass starts; counting both covers the estimator's smaller
+    objects.  tracemalloc (n_sigma 2) reads, with the count in brackets:
+    with k = 2 and 3 features, 3.45 (linear) [5.54] and 4.53 (RBF) [6.62]
+    at m = 200, 1.65 [2.24] and 2.68 [3.27] at m = 600, 1.50 [1.57] and
+    2.50 [2.58] at m = 2000; a linear class on m unit-norm features with
+    k = N = m, 13.52 [16.41] at m = 300, 13.00 [14.23] at m = 600 and
+    13.00 [13.76] at m = 1000.  The count holds from m = 70 on; below, the
+    estimator's fixed objects, under 0.2 MB, weigh more than any m x m
+    count."""
+    m = sample.m
+    k = hypothesis_class.k if hypothesis_class.k is not None else min(sample.n_features, m)
+    width = m if hypothesis_class.mode == "kernel" else sample.n_features
     rows = next(_row_blocks(m))[1]
     gram = 1.0 if hypothesis_class.mode == "kernel" else 0.0
-    return 1.5 + _PASS_PLANES * rows / m + gram
+    loop = (_LOOP_PARAMS * k * width + _PASS_EMBEDDINGS * m * k) / (m * m)
+    return 1.5 + _PASS_PLANES * rows / m + gram + loop
 
 
 def _sign_matrix(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -290,7 +304,7 @@ def empirical_rademacher_mc(
         raise ValidationError("n_sigma must be >= 1")
     _check_sizes(sample, distances)
     m = sample.m
-    _check_memory(m, _mc_arrays(m, hypothesis_class), "the Monte-Carlo estimate")
+    _check_memory(m, _mc_arrays(sample, hypothesis_class), "the Monte-Carlo estimate")
     values = np.empty(n_sigma)
     zero = hypothesis_class.zero_map(sample)
     sigma = np.empty((m, m))

@@ -100,8 +100,10 @@ def _square(arr: np.ndarray, name: str) -> None:
 
 
 def _finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+    # row block by row block (_row_blocks), so the mask is one block, not m x m
+    for start, stop in _row_blocks(*arr.shape):
+        if not np.isfinite(arr[start:stop]).all():
+            raise ValidationError(f"{name} contains non-finite entries")
 
 
 def _symmetric(arr: np.ndarray, name: str) -> None:

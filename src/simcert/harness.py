@@ -92,7 +92,8 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One train/certify/holdout trial of the coverage experiment."""
+    """One train/certify/holdout trial of the coverage experiment;
+    converged, iterations_used and stop_reason come from its TrainReport."""
 
     index: int
     train_risk: float
@@ -101,6 +102,8 @@ class TrialResult:
     certificate_slack: float
     covered: bool
     converged: bool
+    iterations_used: int
+    stop_reason: str
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -282,6 +285,8 @@ def run_coverage_experiment(
                 certificate_slack=cert.slack,
                 covered=gap <= cert.slack,
                 converged=report.converged,
+                iterations_used=report.iterations_used,
+                stop_reason=report.stop_reason,
             )
         )
 

@@ -28,6 +28,7 @@ from simcert import (
     pairwise_distances,
     rademacher_bound_kernel,
     rademacher_bound_linear,
+    validate_distance_matrix,
 )
 import simcert.core as core_module
 from simcert.bounds import BoundCertificate, _mc_arrays
@@ -447,20 +448,34 @@ class TestSignMatrixInPlace:
                 TrainConfig(max_iters=2), seed)
         assert empirical_rademacher_mc(*args) == _triu_index_estimate(*args)
 
-    # m = 200: one row block, the whole matrix; m = 600: six blocks
-    @pytest.mark.parametrize("m", [200, 600])
-    @pytest.mark.parametrize(
-        "hypothesis_class",
-        [LinearClass(lambda_cap=1.0, k=2), KernelClass(KernelSpec("rbf"), lambda_cap=1.0, k=2)],
-        ids=["linear", "rbf"],
-    )
+    # m = 200: one row block, the whole matrix; m = 600: six blocks.  The
+    # wide cases put m unit-norm features under a linear class of the default
+    # k = min(N, m), so every (k x N) and (m x k) array is m x m.
+    MEMORY_CASES = [
+        ("linear", 200, 3, LinearClass(lambda_cap=1.0, k=2)),
+        ("rbf", 200, 3, KernelClass(KernelSpec("rbf"), lambda_cap=1.0, k=2)),
+        ("linear", 600, 3, LinearClass(lambda_cap=1.0, k=2)),
+        ("rbf", 600, 3, KernelClass(KernelSpec("rbf"), lambda_cap=1.0, k=2)),
+        ("wide_linear", 300, 300, LinearClass(lambda_cap=1.0)),
+        ("wide_linear", 600, 600, LinearClass(lambda_cap=1.0)),
+    ]
+    MEMORY_IDS = [f"{name}-{m}" for name, m, _, _ in MEMORY_CASES]
+
+    @staticmethod
+    def _memory_instance(m, n_features):
+        if n_features == 3:
+            return _mc_instance(m)
+        targets = pairwise_distances(_unit_rows(m, 2, seed=1))
+        return SampleMatrix(_unit_rows(m, n_features)), validate_distance_matrix(targets)
+
+    @pytest.mark.parametrize("name,m,n_features,hypothesis_class", MEMORY_CASES, ids=MEMORY_IDS)
     def test_one_estimate_holds_fewer_m_by_m_arrays_than_its_memory_check_counts(
-        self, hypothesis_class, m
+        self, name, m, n_features, hypothesis_class
     ):
         # sigma, the half-size draw while it is placed, the stress pass's
-        # row blocks and, for a kernel class, the Gram matrix; the targets
-        # are made before tracing starts
-        sample, distances = _mc_instance(m)
+        # row blocks, the loop's (k x N) and (m x k) arrays and, for a kernel
+        # class, the Gram matrix; the inputs are made before tracing starts
+        sample, distances = self._memory_instance(m, n_features)
         tracemalloc.start()
         try:
             empirical_rademacher_mc(
@@ -469,15 +484,14 @@ class TestSignMatrixInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < _mc_arrays(m, hypothesis_class) * 8 * m * m
+        assert peak < _mc_arrays(sample, hypothesis_class) * 8 * m * m
 
-    @pytest.mark.parametrize("m", [200, 600])
+    @pytest.mark.parametrize("name,m,n_features,hypothesis_class", MEMORY_CASES, ids=MEMORY_IDS)
     def test_an_estimate_beyond_the_available_memory_is_refused_before_it_allocates(
-        self, monkeypatch, m
+        self, monkeypatch, name, m, n_features, hypothesis_class
     ):
-        sample, distances = _mc_instance(m)
-        hypothesis_class = LinearClass(lambda_cap=1.0, k=2)
-        need = math.ceil(_mc_arrays(m, hypothesis_class) * 8 * m * m)
+        sample, distances = self._memory_instance(m, n_features)
+        need = math.ceil(_mc_arrays(sample, hypothesis_class) * 8 * m * m)
         args = (sample, distances, hypothesis_class, 1, TrainConfig(max_iters=1))
         monkeypatch.setattr(core_module, "_available_memory", lambda: need - 1)
         tracemalloc.start()

@@ -116,6 +116,29 @@ class TestTrain:
         )
         assert np.array_equal(model.weights, expected.weights)
 
+    @pytest.mark.parametrize(
+        "noise,max_iters,reason",
+        [("0", "5000", "converged"), ("0.05", "3", "max_iters")],
+    )
+    def test_report_says_why_the_run_stopped(self, tmp_path, noise, max_iters, reason):
+        data = _gen(tmp_path, "--noise", noise)
+        out = tmp_path / "run"
+        code = main(
+            [
+                "train",
+                "--features", str(data / "features.csv"),
+                "--distances", str(data / "distances.csv"),
+                "--max-iters", max_iters,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["stop_reason"] == reason
+        assert report["converged"] is (reason == "converged")
+        if reason == "max_iters":
+            assert report["iterations_used"] == int(max_iters)
+
     def test_row_count_mismatch_is_validation_error(self, tmp_path):
         data = _gen(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -657,6 +680,7 @@ def test_diverging_train_on_huge_features_reports_without_warnings(tmp_path, cap
     assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "run" / "train_report.json").read_text())
     assert report["converged"] is False
+    assert report["stop_reason"] == "diverged"
     assert np.isfinite(report["final_risk"]) and report["final_risk"] > 1e12
 
 
@@ -682,6 +706,18 @@ class TestVerify:
         assert report["passed"] is True
         assert (out / "trials.csv").exists()
         assert report["config"]["seed"] == 0
+
+    def test_each_trial_says_why_its_fit_stopped(self, tmp_path):
+        out = tmp_path / "verify"
+        assert self._run(out) == 0
+        trials = json.loads((out / "report.json").read_text())["trials"]
+        assert [t["stop_reason"] for t in trials] == ["converged"] * 3
+        assert all(t["converged"] and 0 < t["iterations_used"] < 150 for t in trials)
+        assert self._run(out, "--max-iters", "2") == 0
+        trials = json.loads((out / "report.json").read_text())["trials"]
+        assert [(t["stop_reason"], t["iterations_used"]) for t in trials] == [("max_iters", 2)] * 3
+        header = (out / "trials.csv").read_text().splitlines()[0]
+        assert header == "trial,train_risk,holdout_risk,gap,slack,covered"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "verify"

@@ -181,7 +181,7 @@ class TestGram:
         # 16 features with r = 1, default specs (RBF at bench's gamma 0.5):
         # the inner products become the kernel values in place and are kept;
         # beyond them, for RBF, one (b x m) plane of norm sums, and the
-        # finite check's m x m bool mask
+        # finite check's mask, one row block at a time
         sample = _random_sample(np.random.default_rng(22), m=m, n=16)
         sample = SampleMatrix(sample.values / sample.radius)
         linalg_calls.clear()
@@ -191,7 +191,7 @@ class TestGram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * m * m + m * m + 2 * core_module._BLOCK_BYTES
+        assert peak < 8 * m * m + 2 * core_module._BLOCK_BYTES
         assert linalg_calls == []
 
     def test_matches_pairwise_eval(self):

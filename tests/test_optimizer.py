@@ -1,5 +1,6 @@
 """Gradients against finite differences, objectives, and training runs."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -681,3 +682,84 @@ class TestAcceleratedPath:
         expected = self.FIXED_STEP_RISKS[seed]
         assert report.converged
         assert abs(report.final_risk - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("seed", sorted(FIXED_STEP_RISKS))
+    def test_coverage_fits_converge_within_40_steps(self, seed):
+        # the fixed step of 0.25 took 55-72 steps on these fits
+        spec = SyntheticSpec(
+            m=50, n_features=2, k_true=2, radius=1.0, map_norm=1.0, noise_sigma=0.05, seed=seed
+        )
+        sample, distances, _ = generate_synthetic(spec)
+        _, report = train(sample, distances, LinearClass(lambda_cap=2.0, k=2), TrainConfig())
+        assert report.stop_reason == "converged" and report.iterations_used <= 40
+
+
+STEP_GRID_FAMILIES = {
+    "linear": None,
+    "rbf_gamma0.1": KernelSpec("rbf", gamma=0.1),
+    "rbf_gamma1": KernelSpec("rbf", gamma=1.0),
+    "rbf_gamma10": KernelSpec("rbf", gamma=10.0),
+    "poly_degree2": KernelSpec("polynomial", degree=2, coef0=1.0),
+    "poly_degree3": KernelSpec("polynomial", degree=3, coef0=1.0),
+}
+
+
+def grid_path(monkeypatch, family, m, cap, penalty, eps):
+    """100 descent steps of projected_path from the seeded start on a noisy
+    m-point instance in R^3; returns (last map, values, reason, the params of
+    every map evaluated)."""
+    spec = SyntheticSpec(
+        m=m, n_features=3, k_true=2, radius=1.0, map_norm=1.0, noise_sigma=0.05, seed=m
+    )
+    sample, distances, _ = generate_synthetic(spec)
+    kernel = STEP_GRID_FAMILIES[family]
+    hclass = LinearClass(cap, k=2) if kernel is None else KernelClass(kernel, cap, k=2)
+    start = initialize_model(hclass, sample, np.random.default_rng(0))
+    cfg = TrainConfig(max_iters=100, penalty_lambda=penalty, smoothing_eps=eps)
+    visited = []
+    stress_pass = optimizer_module._stress_pass
+
+    def recording(feats, params, *args):
+        visited.append(params.copy())
+        return stress_pass(feats, params, *args)
+
+    monkeypatch.setattr(optimizer_module, "_stress_pass", recording)
+    last, values, reason = projected_path(start, sample, distances, None, cfg, -1.0, penalty)
+    monkeypatch.setattr(optimizer_module, "_stress_pass", stress_pass)
+    return last, values, reason, visited
+
+
+class TestStepGrid:
+    """The local-Lipschitz step over classes, caps {0.1, 2, 100}, penalties
+    {0, 0.1}, smoothing {0, 1e-9} and m in {2, 3, 20, 100}.  The fixed step
+    of 0.25 diverged on none of these cases."""
+
+    @pytest.mark.parametrize("m", [2, 3, 20, 100])
+    @pytest.mark.parametrize("family", sorted(STEP_GRID_FAMILIES))
+    def test_no_case_diverges_and_every_visited_map_is_in_the_ball(self, monkeypatch, family, m):
+        for cap, penalty, eps in itertools.product((0.1, 2.0, 100.0), (0.0, 0.1), (0.0, 1e-9)):
+            last, _, reason, visited = grid_path(monkeypatch, family, m, cap, penalty, eps)
+            case = f"cap={cap} penalty={penalty} eps={eps}"
+            assert reason != "diverged", case
+            for params in visited:
+                assert model_norm(last.with_params(params)) <= cap * (1 + 1e-9), case
+
+    # value + 0.1 model_norm of the last map after 100 fixed steps of 0.25,
+    # RBF gamma 0.1, eps 1e-9: a kernel this flat has little stress curvature,
+    # and a step set from the stress gradient alone ended up to 79% higher here
+    FIXED_STEP_PENALIZED = {
+        (2.0, 3): 0.1908882385002364,
+        (2.0, 20): 0.19465414722859262,
+        (2.0, 100): 0.2235848372608511,
+        (100.0, 3): 0.19088801858388646,
+        (100.0, 20): 0.19465414722859262,
+        (100.0, 100): 0.22358477973742347,
+    }
+
+    @pytest.mark.parametrize("cap,m", sorted(FIXED_STEP_PENALIZED))
+    def test_a_penalized_flat_kernel_fit_ends_no_higher_than_the_fixed_step(
+        self, monkeypatch, cap, m
+    ):
+        last, values, _, _ = grid_path(monkeypatch, "rbf_gamma0.1", m, cap, 0.1, 1e-9)
+        objective = values[-1] + 0.1 * model_norm(last)
+        assert objective <= self.FIXED_STEP_PENALIZED[(cap, m)] * (1 + 1e-4)
