@@ -31,7 +31,7 @@ ascent, so the estimate is lower-biased and never part of a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .core import (
     ValidationError,
     _check_memory,
     _check_sizes,
-    _row_blocks,
     data_radii,
 )
 from .hypotheses import (
@@ -52,7 +51,7 @@ from .hypotheses import (
     embedded_risk,
     model_norm,
 )
-from .optimizer import TrainConfig, _seeded_start, projected_path
+from .optimizer import TrainConfig, _path_arrays, _seeded_start, projected_path
 
 __all__ = [
     "CertificateInputs",
@@ -217,57 +216,44 @@ def generalization_bound(
     )
 
 
-# (b x m) float planes, b the rows of the first row block (core._row_blocks),
-# that one stress pass holds at once: tracemalloc reads 2.4 at m = 200 and
-# 3.6 at m = 600 with k = 2, and 4.3 at m = 2000, its (m x k) arrays included.
-_PASS_PLANES = 4
-# (k x N) arrays of the trainable matrix that projected_path holds at once,
-# N the feature width (m for a kernel class): x, v, the evaluated y, its
-# gradient, the previous y and gradient that set the step, the stepped point
-# and its projection, whose SVD factors fit within the same count.
-_LOOP_PARAMS = 8
-# (m x k) embedding arrays of the stress pass: Y, L Y and their block products.
-_PASS_EMBEDDINGS = 4
-
-
 def _mc_arrays(sample: SampleMatrix, hypothesis_class: LinearClass | KernelClass) -> float:
     """m x m float arrays that one empirical_rademacher_mc estimate counts
     before it allocates: sigma, the draw of its m (m + 1) / 2 signs (half an
-    array), the stress pass's _PASS_PLANES planes of the first row block, a
-    kernel class's Gram matrix, and the loop's _LOOP_PARAMS (k x N) and
-    _PASS_EMBEDDINGS (m x k) arrays, with k the class's (min(N_features, m)
-    by default) and N the width of its trainable matrix.  The draw is freed
+    array), a kernel class's Gram matrix and the descent's arrays
+    (optimizer._path_arrays), with k the class's (min(N_features, m) by
+    default) and N the width of its trainable matrix.  The draw is freed
     before the pass starts; counting both covers the estimator's smaller
     objects.  tracemalloc (n_sigma 2) reads, with the count in brackets:
     with k = 2 and 3 features, 3.45 (linear) [5.54] and 4.53 (RBF) [6.62]
     at m = 200, 1.65 [2.24] and 2.68 [3.27] at m = 600, 1.50 [1.57] and
     2.50 [2.58] at m = 2000; a linear class on m unit-norm features with
-    k = N = m, 13.52 [16.41] at m = 300, 13.00 [14.23] at m = 600 and
-    13.00 [13.76] at m = 1000.  The count holds from m = 70 on; below, the
+    k = N = m, 12.52 [15.41] at m = 300, 12.00 [13.23] at m = 600 and
+    12.00 [12.76] at m = 1000.  The count holds from m = 70 on; below, the
     estimator's fixed objects, under 0.2 MB, weigh more than any m x m
     count."""
     m = sample.m
     k = hypothesis_class.k if hypothesis_class.k is not None else min(sample.n_features, m)
     width = m if hypothesis_class.mode == "kernel" else sample.n_features
-    rows = next(_row_blocks(m))[1]
     gram = 1.0 if hypothesis_class.mode == "kernel" else 0.0
-    loop = (_LOOP_PARAMS * k * width + _PASS_EMBEDDINGS * m * k) / (m * m)
-    return 1.5 + _PASS_PLANES * rows / m + gram + loop
+    return 1.5 + gram + _path_arrays(m, k, width)
 
 
 def _sign_matrix(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Draw sigma_ij in {-1, +1} for i <= j into ``out`` and mirror it.
+    """Draw -sigma_ij in {-1, +1} for i <= j into ``out`` and mirror it.
 
-    One draw of m (m + 1) / 2 signs fills the rows in turn: row i takes its
-    columns i:m from the next m - i signs, the order of np.triu_indices(m),
-    and its columns 0:i from column i of the rows above, which are already
-    filled.  ``out`` is bitwise the matrix of zeros with the signs placed at
-    np.triu_indices(m), plus np.triu(sigma, 1).T.
+    One draw of m (m + 1) / 2 integers s in {0, 1} gives the signs
+    sigma = 2 s - 1, and ``out`` takes -sigma = 1 - 2 s, itself a
+    Rademacher matrix, which the estimator descends on (see
+    empirical_rademacher_mc).  The signs fill the rows in turn: row i takes
+    its columns i:m from the next m - i signs, the order of
+    np.triu_indices(m), and its columns 0:i from column i of the rows
+    above, which are already filled.  ``out`` is bitwise the matrix of zeros
+    with the signs placed at np.triu_indices(m), plus np.triu(-sigma, 1).T.
     """
     m = out.shape[0]
     signs = rng.integers(0, 2, size=m * (m + 1) // 2)
-    signs *= 2
-    signs -= 1
+    signs *= -2
+    signs += 1
     first = 0
     for i in range(m):
         out[i, i:] = signs[first : first + m - i]
@@ -288,12 +274,13 @@ def empirical_rademacher_mc(
     For each sign draw, sigma_ij in {-1, +1} is sampled for i <= j and
     mirrored (diagonal signs multiply a zero term), then
     (1/m^2) sum_ij sigma_ij (dhat_ij - D_ij)^2 is maximized over the class
-    by accelerated projected gradient ascent with restart within the inner
-    budget (one projected_path with sign +1 and no penalty) from a seeded
-    start, keeping the best value among the maps it evaluates, each of
-    which is in the class.  The zero map of the class, with a kernel
-    class's Gram matrix, is built once and shared by every draw, and every
-    draw's sigma is built in place in one m x m array (_sign_matrix).
+    within the inner budget from a seeded start: one projected_path
+    descends on the same sum signed by -sigma, without penalty, and the
+    best value is minus the least value among the maps it evaluates, each
+    of which is in the class.  Negation is exact, so this is bitwise the
+    ascent on sigma.  The zero map of the class, with a kernel class's
+    Gram matrix, is built once and shared by every draw, and every draw's
+    -sigma is built in place in one m x m array (_sign_matrix).
     Before any m x m allocation, _check_memory counts _mc_arrays arrays,
     so an m too large for memory raises ValidationError.  Returns
     (mean, standard error) over draws.  Local ascent reaches only a lower
@@ -307,12 +294,13 @@ def empirical_rademacher_mc(
     _check_memory(m, _mc_arrays(sample, hypothesis_class), "the Monte-Carlo estimate")
     values = np.empty(n_sigma)
     zero = hypothesis_class.zero_map(sample)
-    sigma = np.empty((m, m))
+    config = replace(inner_cfg, penalty_lambda=0.0)
+    negated = np.empty((m, m))
     for draw in range(n_sigma):
         rng = np.random.default_rng([seed, draw])
-        _sign_matrix(rng, sigma)
+        _sign_matrix(rng, negated)
         model = _seeded_start(zero, rng)
-        values[draw] = max(projected_path(model, sample, distances, sigma, inner_cfg, 1.0, 0.0)[1])
+        values[draw] = -min(projected_path(model, sample, distances, negated, config)[1])
 
     estimate = float(values.mean())
     if n_sigma == 1:

@@ -5,9 +5,11 @@ matrix F, and share one protocol:
 
 - ``params`` is P and ``with_params(P)`` the same map with a new P;
 - ``features(points)`` is the n x N matrix F, so the embedding is F P^T;
-- ``norm()`` is the certified size, ``project()`` the nearest map in the
-  ball of radius lambda_cap (the map itself when it is inside) and
-  ``norm_subgradient()`` a subgradient of the norm in P;
+- ``norm()`` is the certified size of the map; ``project(P)`` is the
+  nearest trainable matrix in the ball of radius lambda_cap (P itself when
+  it is inside) and ``norm_subgradient(P)`` a subgradient of the norm at
+  P, both for the map's kind, cap and features, so a loop over trainable
+  matrices builds no map per step;
 - ``feature_radius(sample)`` is the radius of the sample in feature space;
 - ``to_dict()`` is the JSON model format and ``mode`` names the class.
 
@@ -113,30 +115,30 @@ class LinearMap:
             return 0.0
         return float(np.linalg.svd(self.weights, compute_uv=False)[0])
 
-    def project(self) -> LinearMap:
-        """Clip the singular values at lambda_cap.
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """Weight matrix ``w`` with its singular values clipped at lambda_cap;
+        ``w`` itself when it is inside the ball.
 
-        The spectral norm is at most the Frobenius norm, so a map whose
+        The spectral norm is at most the Frobenius norm, so a matrix whose
         Frobenius norm is below lambda_cap (1 - 1e-12), a margin far above
         its round-off, is inside the ball without an SVD; otherwise one SVD
         both decides and clips.  A Frobenius norm that overflows is not
         below the cap, so the SVD decides.
         """
-        w = self.weights
         with np.errstate(over="ignore"):
             frobenius = np.linalg.norm(w)
         if frobenius <= self.lambda_cap * (1.0 - 1e-12):
-            return self
+            return w
         u, s, vt = np.linalg.svd(w, full_matrices=False)
         if s[0] <= self.lambda_cap:
-            return self
-        return self.with_params(u @ (np.minimum(s, self.lambda_cap)[:, None] * vt))
+            return w
+        return u @ (np.minimum(s, self.lambda_cap)[:, None] * vt)
 
-    def norm_subgradient(self) -> np.ndarray:
-        """Outer product of the leading singular vectors; zero at the zero map."""
-        u, s, vt = np.linalg.svd(self.weights, full_matrices=False)
+    def norm_subgradient(self, w: np.ndarray) -> np.ndarray:
+        """Outer product of the leading singular vectors of ``w``; zero at zero."""
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
-            return np.zeros_like(self.weights)
+            return np.zeros_like(w)
         return np.outer(u[:, 0], vt[0])
 
     def feature_radius(self, sample: SampleMatrix) -> float:
@@ -192,11 +194,12 @@ class KernelMap:
         cols = kernel_columns(self.gram.kernel, anchors, pts).T
         return _as_matrix(cols, "kernel column matrix", _finite)
 
-    def _norm_parts(self) -> tuple[float, float]:
-        """(s, rho) with norm s rho: s = 1 and rho = sqrt(trace(A K A^T)),
-        unless that sum overflows; then s = max |A| and rho is the norm of
-        A / s, so a representable norm stays finite."""
-        a, scale = self.coefficients, 1.0
+    def _norm_parts(self, a: np.ndarray) -> tuple[float, float]:
+        """(s, rho) with RKHS norm s rho for coefficients ``a``: s = 1 and
+        rho = sqrt(trace(A K A^T)), unless that sum overflows; then
+        s = max |A| and rho is the norm of A / s, so a representable norm
+        stays finite."""
+        scale = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             sq = float(np.sum((a @ self.gram.values) * a))
             if not np.isfinite(sq):
@@ -207,28 +210,29 @@ class KernelMap:
 
     def norm(self) -> float:
         """sqrt(trace(A K A^T)), as s rho of _norm_parts."""
-        scale, root = self._norm_parts()
+        scale, root = self._norm_parts(self.coefficients)
         return scale * root
 
-    def project(self) -> KernelMap:
-        """Rescale onto the ball; the norm is 1-homogeneous in A.  The map
-        becomes (A / s) (lambda_cap / rho) with (s, rho) of _norm_parts, so a
-        norm beyond the float range still projects (and s = 1 leaves the
-        plain rescale's bits); a rho that is not finite raises
-        ValidationError."""
-        scale, root = self._norm_parts()
+    def project(self, a: np.ndarray) -> np.ndarray:
+        """Coefficients ``a`` rescaled onto the ball, ``a`` itself when it is
+        inside; the norm is 1-homogeneous in A.  They become
+        (A / s) (lambda_cap / rho) with (s, rho) of _norm_parts, so a norm
+        beyond the float range still projects (and s = 1 leaves the plain
+        rescale's bits); a rho that is not finite raises ValidationError."""
+        scale, root = self._norm_parts(a)
         if scale * root <= self.lambda_cap:
-            return self
+            return a
         if not np.isfinite(root):
             raise ValidationError("RKHS norm is non-finite; the map cannot be rescaled")
-        return self.with_params(self.coefficients / scale * (self.lambda_cap / root))
+        return a / scale * (self.lambda_cap / root)
 
-    def norm_subgradient(self) -> np.ndarray:
-        """A K / norm; zero at the zero map."""
-        nrm = self.norm()
+    def norm_subgradient(self, a: np.ndarray) -> np.ndarray:
+        """A K / norm at coefficients ``a``; zero at zero."""
+        scale, root = self._norm_parts(a)
+        nrm = scale * root
         if nrm == 0.0:
-            return np.zeros_like(self.coefficients)
-        return (self.coefficients @ self.gram.values) / nrm
+            return np.zeros_like(a)
+        return (a @ self.gram.values) / nrm
 
     def feature_radius(self, sample: SampleMatrix) -> float:
         """q = max_i sqrt(K(x_i, x_i)) over the sample, from the kernel
@@ -318,7 +322,8 @@ def project_norm_ball(model: LinearMap | KernelMap):
 
     A map already inside the ball is returned unchanged (the same object).
     """
-    return model.project()
+    params = model.project(model.params)
+    return model if params is model.params else model.with_params(params)
 
 
 def model_to_dict(model: LinearMap | KernelMap) -> dict:

@@ -10,10 +10,11 @@ zero-subgradient convention, and so does an eps whose square underflows
 to zero.
 
 Everything here speaks to a map only through the protocol of hypotheses
-(params, with_params, features, project, norm_subgradient), so linear and
-kernel maps take one code path.  Every map is made by with_params, so it
-passes its constructor's checks, and a kernel map shares the Gram matrix
-of the map it came from.  One kernel, stress_state, computes the
+(params, with_params, features, project(P), norm_subgradient(P)), so
+linear and kernel maps take one code path.  The loop steps the trainable
+matrix P itself and makes one map, by with_params, when it stops, so that
+map passes its constructor's checks and a kernel map shares the Gram
+matrix of the map it came from.  One kernel, stress_state, computes the
 weighted stress value and its gradient together from the Gram-form
 distances of core (the direct form stays with the reported risks); it
 visits each unordered pair once, in the row blocks of core._row_blocks,
@@ -25,12 +26,13 @@ loop, projected_path, runs accelerated projected gradient (FISTA, Beck &
 Teboulle 2009, in its single-projection form) with gradient-based
 adaptive restart (O'Donoghue & Candes 2015) and a step taken from the
 local curvature between the last two evaluated maps (Malitsky &
-Mishchenko 2020, "Adaptive gradient descent without descent", ICML):
-train descends on the stress (sign -1) and the Monte-Carlo estimator in
-bounds ascends on the Rademacher-signed stress (sign +1), each making one
-stress pass and at most one projection per step.  Every map the loop
-evaluates is a convex combination of maps in the norm ball, so it is in
-the ball too.
+Mishchenko 2020, "Adaptive gradient descent without descent", ICML).  It
+only descends: train descends on the stress, and the Monte-Carlo estimator
+in bounds maximizes the Rademacher-signed stress by descending on the
+stress signed by -sigma, itself a Rademacher matrix.  Each step makes one
+stress pass and at most one projection.  Every matrix the loop evaluates
+is a convex combination of matrices in the norm ball, so it is in the ball
+too.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .hypotheses import (
     embedded_risk,
     embedding_distance_matrix,
     model_norm,
-    project_norm_ball,
 )
 
 __all__ = [
@@ -311,7 +312,7 @@ def norm_subgradient(model: LinearMap | KernelMap) -> np.ndarray:
     Spectral norm: outer product of the leading singular vectors.  RKHS
     norm: A K / norm.  Zero at the zero map, where the norm is non-smooth.
     """
-    return model.norm_subgradient()
+    return model.norm_subgradient(model.params)
 
 
 def initialize_model(
@@ -328,8 +329,33 @@ def initialize_model(
 
 def _seeded_start(zero: LinearMap | KernelMap, rng: np.random.Generator) -> LinearMap | KernelMap:
     """Uniform entries in [-0.01, 0.01] in place of the params of ``zero``,
-    projected into the ball; a kernel start shares the Gram matrix of ``zero``."""
-    return project_norm_ball(zero.with_params(rng.uniform(-0.01, 0.01, size=zero.params.shape)))
+    projected into the ball by ``zero.project``, in one new map; a kernel
+    start shares the Gram matrix of ``zero``."""
+    return zero.with_params(zero.project(rng.uniform(-0.01, 0.01, size=zero.params.shape)))
+
+
+# (b x m) float planes, b the rows of the first row block (core._row_blocks),
+# that one stress pass holds at once: tracemalloc reads 2.4 at m = 200 and
+# 3.6 at m = 600 with k = 2, and 4.3 at m = 2000, its (m x k) arrays included.
+_PASS_PLANES = 4
+# (k x N) arrays of projected_path, N the feature width (m for a kernel map):
+# x, v, the evaluated y and its gradient, the previous y and gradient that
+# set the step, and the stepped point.  The start and the projection's SVD
+# factors fit within this count and _PASS_EMBEDDINGS, whose arrays are free
+# between passes: one Monte-Carlo estimate with k = N = m = 600 peaks at
+# 12.0 m x m arrays under tracemalloc and counts 13.2 (bounds._mc_arrays).
+_LOOP_PARAMS = 7
+# (m x k) embedding arrays of the stress pass: Y, L Y and their block products.
+_PASS_EMBEDDINGS = 4
+
+
+def _path_arrays(m: int, k: int, width: int) -> float:
+    """m x m float arrays that projected_path holds at once on m points with
+    a k x width trainable matrix: the stress pass's _PASS_PLANES planes of
+    the first row block and the loop's _LOOP_PARAMS (k x width) and
+    _PASS_EMBEDDINGS (m x k) arrays."""
+    rows = next(_row_blocks(m))[1]
+    return _PASS_PLANES * rows / m + (_LOOP_PARAMS * k * width + _PASS_EMBEDDINGS * m * k) / (m * m)
 
 
 # a diverging step overflows; the loop stops on the value (see below)
@@ -340,23 +366,22 @@ def projected_path(
     distances: DistanceMatrix,
     weights: np.ndarray | None,
     config: TrainConfig,
-    sign: float,
-    penalty: float,
 ) -> tuple[LinearMap | KernelMap, list[float], str]:
-    """Accelerated projected steps from ``model``; sign -1 descends, +1 ascends.
+    """Accelerated projected descent from ``model`` on its trainable matrix.
 
     g is the eps-smoothed gradient of the weighted stress (see stress_state)
-    plus ``penalty`` times a norm subgradient.  With x = v = the start,
-    theta = 1 and t = step_size, each step evaluates g at
+    plus penalty_lambda times a norm subgradient.  With x = v = the start's
+    P, theta = 1 and t = step_size, each step evaluates g at
     y = (1 - theta) x + theta v, sets
     t <- min(sqrt(2) t, |y - y'|_F / (2 |g - g'|_F)) with y' the previous
     y and g' its g (t is kept when y = y' and grows by sqrt(2) when
-    g = g'), then sets v <- proj(v + sign (t / theta) g) and
-    x <- (1 - theta) x + theta v.  When sign <g, x_new - x> < 0 the
-    momentum points against the gradient and the loop restarts (theta = 1,
-    v = x, t kept); otherwise theta <- theta (sqrt(theta^2 + 4) - theta) / 2.
-    The first step, and the first after a restart, is a plain projected
-    step.
+    g = g'), then sets v <- proj(v - (t / theta) g) and
+    x <- (1 - theta) x + theta v.  When <g, x_new - x> > 0 the momentum
+    points along the gradient and the loop restarts (theta = 1, v = x, t
+    kept); otherwise theta <- theta (sqrt(theta^2 + 4) - theta) / 2.  The
+    first step, and the first after a restart, is a plain projected step.
+    x, v, y and the stepped point are arrays, projected by model.project;
+    the one map the loop makes is the last y's, when it stops.
 
     t is the local-Lipschitz step of Malitsky & Mishchenko 2020 with their
     largest growth, sqrt(2), and half the inverse local curvature; it costs
@@ -376,53 +401,57 @@ def projected_path(
     them with their transpose.  Use stress_state for any weights.
 
     Each y costs one stress pass, which gives both its unsmoothed value and
-    its gradient.  Returns the last y, the values of every y (the start
-    first) and why the loop stopped: "converged" when |g|_F at y falls below
-    grad_tol, "diverged" on a non-finite step or a value that is non-finite
-    or above DIVERGENCE_RISK, "max_iters" after max_iters steps.  A loop
-    that stops before its first step returns ``model`` itself.  Every y is
-    a convex combination of maps in the ball, so the last map satisfies
-    model_norm <= lambda_cap up to round-off when the start does.  A
-    projection that is not finite raises ValidationError.
+    its gradient.  Returns the map of the last y, the values of every y
+    (the start first) and why the loop stopped: "converged" when |g|_F at y
+    falls below grad_tol, "diverged" on a non-finite step or a value that
+    is non-finite or above DIVERGENCE_RISK in magnitude, "max_iters" after
+    max_iters steps.  A loop that stops before its first step returns
+    ``model`` itself.  Every y is a convex combination of matrices in the
+    ball, so the last map satisfies model_norm <= lambda_cap up to
+    round-off when the start does.  A last y that is not finite raises
+    ValidationError when its map is made.
     """
     _check_sizes(sample, distances)
     feats = model.features(sample.values)
-    eps = config.smoothing_eps
+    eps, penalty = config.smoothing_eps, config.penalty_lambda
 
-    y = model
-    x = v = model.params
+    x = v = y = model.params
     theta = 1.0
     t = config.step_size
-    value, grad = _stress_pass(feats, x, distances.values, weights, eps)
+    value, grad = _stress_pass(feats, y, distances.values, weights, eps)
     values = [value]
     y_prev = g_prev = None
+    reason = "max_iters"
     for _ in range(config.max_iters):
         if penalty > 0.0:
-            grad = grad + penalty * norm_subgradient(y)
+            grad = grad + penalty * model.norm_subgradient(y)
         if y_prev is not None:
-            dy = float(np.linalg.norm(y.params - y_prev))
+            dy = float(np.linalg.norm(y - y_prev))
             if dy > 0.0:
                 dg = float(np.linalg.norm(grad - g_prev))
                 t = min(_GROWTH * t, dy / (2.0 * dg)) if dg > 0.0 else _GROWTH * t
-        y_prev, g_prev = y.params, grad
+        y_prev, g_prev = y, grad
         if float(np.linalg.norm(grad)) < config.grad_tol:
-            return y, values, "converged"
-        stepped = v + (sign * t / theta) * grad
+            reason = "converged"
+            break
+        stepped = v - (t / theta) * grad
         if not np.all(np.isfinite(stepped)):
-            return y, values, "diverged"
-        v = project_norm_ball(model.with_params(stepped)).params
+            reason = "diverged"
+            break
+        v = model.project(stepped)
         x_new = (1.0 - theta) * x + theta * v
-        if sign * float(np.vdot(grad, x_new - x)) < 0.0:
+        if float(np.vdot(grad, x_new - x)) > 0.0:
             theta, v = 1.0, x_new
         else:
             theta *= (math.sqrt(theta * theta + 4.0) - theta) / 2.0
         x = x_new
-        y = model.with_params((1.0 - theta) * x + theta * v)
-        value, grad = _stress_pass(feats, y.params, distances.values, weights, eps)
+        y = (1.0 - theta) * x + theta * v
+        value, grad = _stress_pass(feats, y, distances.values, weights, eps)
         values.append(value)
-        if not np.isfinite(value) or value > DIVERGENCE_RISK:
-            return y, values, "diverged"
-    return y, values, "max_iters"
+        if not abs(value) <= DIVERGENCE_RISK:
+            reason = "diverged"
+            break
+    return (model if y is model.params else model.with_params(y)), values, reason
 
 
 def train(
@@ -434,7 +463,7 @@ def train(
     """Accelerated projected gradient descent with restart on the
     (optionally penalized) stress loss.
 
-    One projected_path with sign -1 and penalty penalty_lambda from a seeded
+    One projected_path, with the penalty penalty_lambda, from a seeded
     start.  Divergence (risk above DIVERGENCE_RISK or a non-finite iterate)
     is reported as non-convergence; the last usable model is still returned
     and always satisfies model_norm <= lambda_cap up to round-off.  A
@@ -445,9 +474,7 @@ def train(
     """
     _check_sizes(sample, distances)
     model = initialize_model(hypothesis_class, sample, np.random.default_rng(config.seed))
-    model, values, reason = projected_path(
-        model, sample, distances, None, config, -1.0, config.penalty_lambda
-    )
+    model, values, reason = projected_path(model, sample, distances, None, config)
     try:
         final_risk = embedded_risk(model, sample.values, distances.upper_rows())
     except ValidationError as exc:

@@ -412,21 +412,21 @@ class TestEmpiricalRademacherMc:
 
 def _triu_index_estimate(sample, distances, hypothesis_class, n_sigma, inner_cfg, seed):
     """empirical_rademacher_mc with each sign matrix built the direct way:
-    the signs placed at np.triu_indices in a matrix of zeros, then the
-    mirrored sum sigma + np.triu(sigma, 1).T.  The oracle of its in-place
-    construction."""
+    the signs 1 - 2 s of -sigma placed at np.triu_indices in a matrix of
+    zeros, then the mirrored sum + np.triu(., 1).T, and minus the least
+    value of the descent on it.  The oracle of its in-place construction."""
     m = sample.m
     upper = np.triu_indices(m)
     values = np.empty(n_sigma)
     zero = hypothesis_class.zero_map(sample)
     for draw in range(n_sigma):
         rng = np.random.default_rng([seed, draw])
-        signs = rng.integers(0, 2, size=upper[0].size) * 2 - 1
+        signs = 1 - rng.integers(0, 2, size=upper[0].size) * 2
         sigma = np.zeros((m, m))
         sigma[upper] = signs
         sigma = sigma + np.triu(sigma, 1).T
         model = _seeded_start(zero, rng)
-        values[draw] = max(projected_path(model, sample, distances, sigma, inner_cfg, 1.0, 0.0)[1])
+        values[draw] = -min(projected_path(model, sample, distances, sigma, inner_cfg)[1])
     estimate = float(values.mean())
     if n_sigma == 1:
         return estimate, 0.0

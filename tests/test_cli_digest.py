@@ -22,6 +22,6 @@ def test_two_runs_print_the_same_line_for_every_output():
                  for name in ("model.json", "train_report.json", "certificate.json")}
     expected |= {f"verify/{c}/{name}" for c in classes for name in ("report.json", "trials.csv")}
     files = [line.split()[0] for line in first]
-    assert files == sorted(expected)
+    assert files == [*sorted(expected), *(f"mc/{c}" for c in classes)]
     assert all(len(line.split()[1]) == 64 for line in first)
 

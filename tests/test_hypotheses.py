@@ -424,7 +424,7 @@ class TestModelSerialization:
         sample = SampleMatrix(rng.normal(size=(6, 2)))
         zero = KernelClass(spec, 0.5, k=2).zero_map(sample)
         moved = zero.with_params(rng.normal(size=(2, 6)) * 10.0)
-        projected = moved.project()
+        projected = project_norm_ball(moved)
         assert projected is not moved
         path = tmp_path / "model.json"
         save_model(projected, path)

@@ -38,6 +38,7 @@ from simcert.core import gram_form_squared_distances
 from simcert.hypotheses import project_norm_ball
 from simcert.kernels import gram, kernel_columns
 from simcert.optimizer import (
+    DIVERGENCE_RISK,
     initialize_model,
     norm_subgradient,
     projected_path,
@@ -567,15 +568,15 @@ class TestProjectedPath:
         model, sample, distances = random_instance(3)
         cfg = TrainConfig(max_iters=5)
         start_value = stress_state(model, sample, distances, None, cfg.smoothing_eps)[0]
-        _, values, reason = projected_path(model, sample, distances, None, cfg, -1.0, 0.0)
+        _, values, reason = projected_path(model, sample, distances, None, cfg)
         assert (reason, len(values), values[0]) == ("max_iters", 6, start_value)
         loose = TrainConfig(grad_tol=1e300)
-        last, values, reason = projected_path(model, sample, distances, None, loose, -1.0, 0.0)
+        last, values, reason = projected_path(model, sample, distances, None, loose)
         assert (reason, values) == ("converged", [start_value]) and last is model
         wild = TrainConfig(step_size=1e8, max_iters=50)
         with np.errstate(over="ignore", invalid="ignore"):
             _, values, reason = projected_path(
-                LinearMap(model.params, 1e200), sample, distances, None, wild, -1.0, 0.0
+                LinearMap(model.params, 1e200), sample, distances, None, wild
             )
         assert reason == "diverged" and not values[-1] <= 1e12
 
@@ -585,7 +586,7 @@ class TestProjectedPath:
         cfg = TrainConfig(max_iters=30, seed=5, penalty_lambda=0.01)
         trained, report = train(sample, distances, hclass, cfg)
         start = initialize_model(hclass, sample, np.random.default_rng(5))
-        last, values, reason = projected_path(start, sample, distances, None, cfg, -1.0, 0.01)
+        last, values, reason = projected_path(start, sample, distances, None, cfg)
         assert np.array_equal(trained.params, last.params)
         assert report.risk_trace == tuple(values[1:])
         assert report.converged == (reason == "converged")
@@ -595,16 +596,44 @@ class TestProjectedPath:
         sigma = symmetric_signs(np.random.default_rng(0), sample.m)
         cfg = TrainConfig(max_iters=20, step_size=0.05)
         _, values, _ = projected_path(
-            model.with_params(model.params * 1e-3), sample, distances, sigma,
-            cfg, 1.0, 0.0,
+            model.with_params(model.params * 1e-3), sample, distances, -sigma, cfg
         )
-        assert max(values) > values[0]
+        assert min(values) < values[0]
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", gamma=0.5)])
+    def test_twenty_steps_build_at_most_one_map(self, monkeypatch, kernel):
+        model, sample, distances = random_instance(6, kernel)
+        built = []
+        for cls in (LinearMap, KernelMap):
+            checks = cls.__post_init__
+
+            def counting(self, checks=checks):
+                built.append(type(self))
+                checks(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        cfg = TrainConfig(max_iters=20, grad_tol=1e-300)
+        _, values, reason = projected_path(model, sample, distances, None, cfg)
+        assert (reason, len(values)) == ("max_iters", 21)
+        assert len(built) <= 1
+
+    def test_a_descent_on_negated_signs_below_the_divergence_risk_diverges(self):
+        # sigma = +1 everywhere, so the descent on -sigma grows every residual
+        model, sample, distances = random_instance(5)
+        sigma = np.ones((sample.m, sample.m))
+        wild = TrainConfig(step_size=1e8, max_iters=50)
+        _, values, reason = projected_path(
+            LinearMap(model.params, 1e200), sample, distances, -sigma, wild
+        )
+        assert reason == "diverged" and values[-1] < -DIVERGENCE_RISK
+        assert all(abs(value) <= DIVERGENCE_RISK for value in values[:-1])
 
 
 @st.composite
 def capped_paths(draw):
-    """A small linear or RBF problem, a start on or inside the ball, and a
-    path direction, with lambda_cap in [1e-3, 1e3]."""
+    """A small linear or RBF problem, a start on or inside the ball, and
+    weights that make the path a descent (None) or an ascent (-sigma), with
+    lambda_cap in [1e-3, 1e3]."""
     rbf = draw(st.booleans())
     cap = 10.0 ** draw(st.floats(-3.0, 3.0))
     start_scale = 10.0 ** draw(st.floats(-3.0, 3.0))
@@ -620,15 +649,15 @@ def capped_paths(draw):
         hclass = LinearClass(lambda_cap=cap, k=2)
     model = initialize_model(hclass, sample, rng)
     model = project_norm_ball(model.with_params(model.params * start_scale))
-    weights = symmetric_signs(rng, m) if sign > 0.0 else None
-    return model, sample, distances, weights, TrainConfig(step_size=step, max_iters=25), sign
+    weights = -symmetric_signs(rng, m) if sign > 0.0 else None
+    return model, sample, distances, weights, TrainConfig(step_size=step, max_iters=25)
 
 
 class TestAcceleratedPath:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(capped_paths())
     def test_every_visited_map_is_in_the_ball(self, path):
-        model, sample, distances, weights, cfg, sign = path
+        model, sample, distances, weights, cfg = path
         visited = []
         stress_pass = optimizer_module._stress_pass
 
@@ -638,7 +667,7 @@ class TestAcceleratedPath:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer_module, "_stress_pass", recording)
-            last, values, _ = projected_path(model, sample, distances, weights, cfg, sign, 0.0)
+            last, values, _ = projected_path(model, sample, distances, weights, cfg)
         assert len(visited) == len(values)
         assert np.array_equal(visited[-1], last.params)
         cap = model.lambda_cap
@@ -724,7 +753,7 @@ def grid_path(monkeypatch, family, m, cap, penalty, eps):
         return stress_pass(feats, params, *args)
 
     monkeypatch.setattr(optimizer_module, "_stress_pass", recording)
-    last, values, reason = projected_path(start, sample, distances, None, cfg, -1.0, penalty)
+    last, values, reason = projected_path(start, sample, distances, None, cfg)
     monkeypatch.setattr(optimizer_module, "_stress_pass", stress_pass)
     return last, values, reason, visited
 

@@ -11,7 +11,12 @@ symmetrizing average and the clamp of the distances repair; then
 (``--gamma 1e6``) is an RBF kernel so narrow that the Gram matrix's
 round-off certificate declines it, so its ``train`` and ``certify`` run
 the eigenvalue check.  One ``<file> <sha256>`` line is printed per output
-file, every file under the temporary directory, in sorted order.  A JSON
+file, every file under the temporary directory, in sorted order.  The
+Monte-Carlo estimate, which no command runs, follows in one
+``mc/<class> <sha256>`` line per class: the sha256 of
+``repr((estimate, standard error))`` of empirical_rademacher_mc (2 sign
+draws, 40 inner steps, seed 0) on the first instance (m = 20 by default),
+with the class its train flags make.  A JSON
 file is hashed after dropping the keys that echo paths (``config``, and
 ``out`` in ``manifest.json``) and dumping it again with sorted keys and
 indent 2, so the lines do not depend on where the directory is.  Two trees
@@ -80,7 +85,8 @@ def _file_digest(path: Path) -> str:
 
 def digest_lines(sizes=(20, 300), verify_m: int = 15, trials: int = 3) -> list[str]:
     """Run the script with the simcert package on sys.path and return the
-    ``<file> <sha256>`` lines of every file it wrote."""
+    ``<file> <sha256>`` lines of every file it wrote, then the
+    ``mc/<class> <sha256>`` lines of the Monte-Carlo estimates."""
     from simcert.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,7 +111,26 @@ def digest_lines(sizes=(20, 300), verify_m: int = 15, trials: int = 3) -> list[s
             _run(cli_main, ["verify", "--m", str(verify_m), "--trials", str(trials), *flags,
                             "--out", str(out)], allowed=(0, 5))
         files = sorted(p for p in root.rglob("*") if p.is_file())
-        return [f"{p.relative_to(root).as_posix()} {_file_digest(p)}" for p in files]
+        lines = [f"{p.relative_to(root).as_posix()} {_file_digest(p)}" for p in files]
+        data = root / f"m{sizes[0]}" / "data"
+        for name, flags in _CLASSES:
+            lines.append(f"mc/{name} {_mc_digest(data, flags)}")
+        return lines
+
+
+def _mc_digest(data: Path, flags: list[str]) -> str:
+    """sha256 of repr((estimate, standard error)) of the Monte-Carlo estimate
+    on the instance in ``data`` for the class that ``flags`` make."""
+    from simcert.bounds import empirical_rademacher_mc
+    from simcert.cli import _class_from_flags, build_parser
+    from simcert.core import SampleMatrix, read_distance_csv, read_matrix_csv
+    from simcert.optimizer import TrainConfig
+
+    hclass = _class_from_flags(build_parser().parse_args(["verify", *flags]))
+    sample = SampleMatrix(read_matrix_csv(data / "features.csv"))
+    distances = read_distance_csv(data / "distances.csv", 1e-9)
+    result = empirical_rademacher_mc(sample, distances, hclass, 2, TrainConfig(max_iters=40), 0)
+    return hashlib.sha256(repr(result).encode()).hexdigest()
 
 
 def main(argv=None) -> int:
