@@ -61,7 +61,6 @@ from .optimizer import (
     TrainConfig,
     TrainReport,
     risk_gradient,
-    smoothed_risk,
     train,
 )
 

@@ -51,7 +51,7 @@ from .hypotheses import (
     embedded_risk,
     model_norm,
 )
-from .optimizer import TrainConfig, _path_arrays, _seeded_start, projected_path
+from .optimizer import TrainConfig, _class_arrays, _seeded_start, projected_path
 
 __all__ = [
     "CertificateInputs",
@@ -219,23 +219,18 @@ def generalization_bound(
 def _mc_arrays(sample: SampleMatrix, hypothesis_class: LinearClass | KernelClass) -> float:
     """m x m float arrays that one empirical_rademacher_mc estimate counts
     before it allocates: sigma, the draw of its m (m + 1) / 2 signs (half an
-    array), a kernel class's Gram matrix and the descent's arrays
-    (optimizer._path_arrays), with k the class's (min(N_features, m) by
-    default) and N the width of its trainable matrix.  The draw is freed
-    before the pass starts; counting both covers the estimator's smaller
-    objects.  tracemalloc (n_sigma 2) reads, with the count in brackets:
-    with k = 2 and 3 features, 3.45 (linear) [5.54] and 4.53 (RBF) [6.62]
-    at m = 200, 1.65 [2.24] and 2.68 [3.27] at m = 600, 1.50 [1.57] and
-    2.50 [2.58] at m = 2000; a linear class on m unit-norm features with
-    k = N = m, 12.52 [15.41] at m = 300, 12.00 [13.23] at m = 600 and
-    12.00 [12.76] at m = 1000.  The count holds from m = 70 on; below, the
+    array), and the descent's arrays on the class, a kernel class's Gram
+    matrix included (optimizer._class_arrays, which train counts too).  The
+    draw is freed before the pass starts; counting both covers the
+    estimator's smaller objects.  tracemalloc (n_sigma 2) reads, with the
+    count in brackets: with k = 2 and 3 features, 3.45 (linear) [5.54] and
+    4.52 (RBF) [6.61] at m = 200, 1.67 [2.24] and 2.69 [3.26] at m = 600,
+    1.50 [1.57] and 2.50 [2.58] at m = 2000; a linear class on m unit-norm
+    features with k = N = m, 12.59 [15.41] at m = 300, 12.02 [13.23] at
+    m = 600 and 12.00 [12.76] at m = 1000.  The count holds from m = 70 on; below, the
     estimator's fixed objects, under 0.2 MB, weigh more than any m x m
     count."""
-    m = sample.m
-    k = hypothesis_class.k if hypothesis_class.k is not None else min(sample.n_features, m)
-    width = m if hypothesis_class.mode == "kernel" else sample.n_features
-    gram = 1.0 if hypothesis_class.mode == "kernel" else 0.0
-    return 1.5 + gram + _path_arrays(m, k, width)
+    return 1.5 + _class_arrays(sample, hypothesis_class)
 
 
 def _sign_matrix(rng: np.random.Generator, out: np.ndarray) -> None:

@@ -97,7 +97,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--step-size", type=float, default=_CFG_DEFAULTS.step_size)
     parser.add_argument("--max-iters", type=int, default=_CFG_DEFAULTS.max_iters)
     parser.add_argument("--grad-tol", type=float, default=_CFG_DEFAULTS.grad_tol)
-    parser.add_argument("--eps", type=float, default=_CFG_DEFAULTS.smoothing_eps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +172,6 @@ def _config_from_flags(args) -> TrainConfig:
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         penalty_lambda=args.penalty,
-        smoothing_eps=args.eps,
         seed=args.seed,
     )
 

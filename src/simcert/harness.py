@@ -151,8 +151,17 @@ def hidden_map(spec: SyntheticSpec) -> np.ndarray:
 
 def _draw(spec: SyntheticSpec):
     """(x, w_true, targets): features uniform in the radius ball, the hidden
-    map, and the generator of their targets (_target_rows).  Points whose
-    image under the hidden map is not finite raise ValidationError."""
+    map, and the generator of their targets (_target_rows).  Before any of
+    them is drawn, _check_memory counts what they hold at once: two (m x N)
+    arrays (the directions with their norms' temporary, then with the
+    points), two (k_true x N) (the map's draw and its scaled copy), two
+    (m x k_true) (the image and its transpose) and the two (b x m) planes of
+    _target_rows, b the rows of the first row block; so a sample too large
+    for memory raises ValidationError, as do points whose image under the
+    hidden map is not finite."""
+    m, n, k = spec.m, spec.n_features, spec.k_true
+    rows = next(_row_blocks(m))[1]
+    _check_memory(m, 2 * (m * n + k * n + m * k + rows * m) / (m * m), "the synthetic sample")
     w_true = hidden_map(spec)
     rng = np.random.default_rng([_SAMPLE_STREAM, spec.seed])
 

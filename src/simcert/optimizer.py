@@ -3,11 +3,13 @@
 Two objectives are covered: the plain mean squared distance error over a
 norm ball (constrained mode, projection after every step) and the same
 risk plus penalty_lambda * model_norm (penalized mode; the penalty is on
-the norm itself, not its square).  Distances are optionally smoothed as
-d~ = sqrt(d^2 + eps^2) because the gradient factor (d - D)/d is singular
-where embedded points coincide; with eps = 0 coincident pairs follow the
-zero-subgradient convention, and so does an eps whose square underflows
-to zero.
+the norm itself, not its square).  The descent follows the exact gradient
+of the risk it reports.  A pair of embedded points y_i, y_j at distance
+d_ij enters that gradient as a_ij (y_i - y_j) with
+a_ij = 2 (d_ij - D_ij) / d_ij, and as |y_i - y_j| = d_ij,
+|a_ij (y_i - y_j)| <= 2 |d_ij - D_ij| stays bounded as d_ij -> 0.  Where
+the points coincide (d_ij = 0: the diagonal, and duplicated or collapsed
+points) the pair takes the zero subgradient and adds nothing.
 
 Everything here speaks to a map only through the protocol of hypotheses
 (params, with_params, features, project(P), norm_subgradient(P)), so
@@ -46,6 +48,7 @@ from .core import (
     DistanceMatrix,
     SampleMatrix,
     ValidationError,
+    _check_memory,
     _check_sizes,
     _row_blocks,
     _squared_row_norms,
@@ -57,7 +60,6 @@ from .hypotheses import (
     LinearClass,
     LinearMap,
     embedded_risk,
-    embedding_distance_matrix,
     model_norm,
 )
 
@@ -68,7 +70,6 @@ __all__ = [
     "risk_gradient",
     "weighted_stress_gradient",
     "weighted_stress_value",
-    "smoothed_risk",
     "norm_subgradient",
     "initialize_model",
     "projected_path",
@@ -95,7 +96,6 @@ class TrainConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-9
     penalty_lambda: float = 0.0
-    smoothing_eps: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -107,9 +107,6 @@ class TrainConfig:
             raise ValidationError("grad_tol must be positive and finite")
         if not 0.0 <= self.penalty_lambda < np.inf:
             raise ValidationError("penalty_lambda must be finite and nonnegative")
-        # eps enters the smoothing only as eps^2, which must be finite
-        if not (0.0 <= self.smoothing_eps and self.smoothing_eps * self.smoothing_eps < np.inf):
-            raise ValidationError("smoothing_eps must be nonnegative with a finite square")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -119,11 +116,11 @@ class TrainReport:
     """Outcome of one training run.
 
     Training is accelerated projected gradient descent with gradient-based
-    restart (see projected_path).  final_risk is the unsmoothed empirical
-    risk of the returned model, summed from the direct-form embedded
-    distances by core.streamed_risk, the one reduction behind every
-    reported risk, so it is certify's R_hat of the same model bit for bit.  risk_trace holds the unsmoothed risk
-    of each map the descent evaluated, one per step taken, from the
+    restart (see projected_path).  final_risk is the empirical risk of the
+    returned model, summed from the direct-form embedded distances by
+    core.streamed_risk, the one reduction behind every reported risk, so it
+    is certify's R_hat of the same model bit for bit.  risk_trace holds the
+    risk of each map the descent evaluated, one per step taken, from the
     Gram-form pass that also yields that map's gradient (see stress_state);
     the returned model is the last of them, and the two forms agree to
     round-off.  The trace is not monotone: momentum can raise the risk
@@ -148,30 +145,29 @@ def stress_state(
     sample: SampleMatrix,
     distances: DistanceMatrix,
     weights: np.ndarray | None,
-    eps: float,
 ) -> tuple[float, np.ndarray]:
-    """Weighted stress value and its eps-smoothed gradient from one pass over the pairs.
+    """Weighted stress value and its gradient from one pass over the pairs.
 
     Returns (value, grad) where value = (1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2
-    with unsmoothed distances and grad is the gradient in the trainable
-    matrix P of the same sum with d~ = sqrt(dhat^2 + eps^2) in place of dhat.
-    ``weights=None`` means all ones.  Since both distances are symmetric,
-    only the symmetric part (w + w^T) / 2 of the weights enters the sum and
-    its gradient; it is taken once, and is w itself for symmetric w
-    (Rademacher sign matrices are), so any m x m weights give the full sum.
+    and grad is its gradient in the trainable matrix P.  ``weights=None``
+    means all ones.  Since both distances are symmetric, only the symmetric
+    part (w + w^T) / 2 of the weights enters the sum and its gradient; it is
+    taken once, and is w itself for symmetric w (Rademacher sign matrices
+    are), so any m x m weights give the full sum.
 
     With F the m x N feature matrix (X, or the anchor Gram matrix) and
     Y = F P^T the m x k embedding, the graph-Laplacian identity
     sum_ij a_ij (f_i - f_j)(f_i - f_j)^T = 2 F^T L F, L = diag(a 1) - a,
     gives grad = (2/m^2) P F^T L F = (2/m^2) (L Y)^T F for symmetric
-    a_ij = 2 w_ij (d~_ij - D_ij) / d~_ij.  Pairs with d~ = 0 (possible only
-    when eps = 0) contribute zero.  The pairs are visited in blocks of b
-    rows, and since the targets, the symmetrized weights and both distances
-    are symmetric each unordered pair is visited once: rows [s, e) pair only
-    with columns [0, e).  The diagonal sub-block [s, e) x [s, e) counts
-    once, the rest twice, and its coefficients feed L Y twice, on rows
-    [s, e) and, transposed, on rows [0, s).  Each block's Gram-form squared
-    distances (gram_form_squared_distances), a, share of L Y and share of
+    a_ij = 2 w_ij (dhat_ij - D_ij) / dhat_ij.  Pairs with dhat = 0, which
+    gram_form_squared_distances gives exactly on the diagonal and for
+    coincident points, take a = 0 (see the module docstring).  The pairs
+    are visited in blocks of b rows, and since the targets, the symmetrized
+    weights and the distances are symmetric each unordered pair is visited
+    once: rows [s, e) pair only with columns [0, e).  The diagonal
+    sub-block [s, e) x [s, e) counts once, the rest twice, and its
+    coefficients feed L Y twice, on rows [s, e) and, transposed, on rows
+    [0, s).  Each block's Gram-form distances, a, share of L Y and share of
     the value are computed and dropped before the next, so a step costs
     about m(m + b)/2 pair entries, O(m^2 k + k m N) flops and O(b m)
     working memory, with b from core._row_blocks.  With m <= b there is
@@ -187,7 +183,6 @@ def stress_state(
         model.params,
         distances.values,
         _symmetric_part(weights),
-        eps,
     )
 
 
@@ -209,7 +204,6 @@ def _stress_pass(
     params: np.ndarray,
     target_values: np.ndarray,
     weights: np.ndarray | None,
-    eps: float,
 ) -> tuple[float, np.ndarray]:
     """stress_state for the map with trainable matrix ``params`` on features
     ``feats``, which a caller visiting many maps computes once; ``weights``
@@ -224,33 +218,30 @@ def _stress_pass(
         # 0:start hold pairs (i, j), j < i, that stand for (j, i) as well
         target = target_values[start:stop, :stop]
         w = None if weights is None else weights[start:stop, :stop]
-        sq = gram_form_squared_distances(y[:stop], start, stop, norms[:stop])
-        dt = sq + eps * eps
-        np.sqrt(dt, out=dt)
-
-        # sq becomes the weighted squared residual of the unsmoothed distances
-        np.sqrt(sq, out=sq)
-        sq -= target
-        sq *= sq
-        if w is not None:
-            sq *= w
-        total += sq.sum()
-        if start > 0:
-            total += sq[:, :start].sum()
+        dist = gram_form_squared_distances(y[:stop], start, stop, norms[:stop])
+        np.sqrt(dist, out=dist)
+        # only where dist == 0: an overflowing distance stays non-finite
+        coincident = dist == 0.0
+        resid = dist - target
 
         # coef holds a / 2; the factor 2 is exact and joins the final scale
-        coef = np.subtract(dt, target, out=sq)
+        coef = np.divide(resid, dist, out=dist)
+        coef[coincident] = 0.0
         if w is not None:
             coef *= w
-        coef /= dt
-        # an eps whose square underflows to 0 smooths nothing, as eps = 0
-        if eps * eps == 0.0:
-            coef[dt == 0.0] = 0.0
         lap_y[start:stop] = coef.sum(axis=1)[:, None] * y[start:stop] - coef @ y[:stop]
         if start > 0:
             # the mirrored pairs (j, i) feed rows 0:start of L Y
             off = coef[:, :start]
             lap_y[:start] += off.sum(axis=0)[:, None] * y[:start] - off.T @ y[start:stop]
+
+        # resid becomes the weighted squared residual
+        resid *= resid
+        if w is not None:
+            resid *= w
+        total += resid.sum()
+        if start > 0:
+            total += resid[:, :start].sum()
     grad = (4.0 / (m * m)) * (lap_y.T @ feats)
     value = float(total) / (m * m)
     if abs(value) <= DIVERGENCE_RISK and not np.all(np.isfinite(grad)):
@@ -263,23 +254,21 @@ def weighted_stress_gradient(
     sample: SampleMatrix,
     distances: DistanceMatrix,
     weights: np.ndarray,
-    eps: float,
 ) -> np.ndarray:
-    """Gradient of (1/m^2) sum_ij w_ij (d~_ij - D_ij)^2 in the trainable matrix.
+    """Gradient of (1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2 in the trainable matrix.
 
     Only the symmetric part of ``weights`` enters; see :func:`stress_state`.
     """
-    return stress_state(model, sample, distances, weights, eps)[1]
+    return stress_state(model, sample, distances, weights)[1]
 
 
 def risk_gradient(
     model: LinearMap | KernelMap,
     sample: SampleMatrix,
     distances: DistanceMatrix,
-    eps: float,
 ) -> np.ndarray:
-    """Gradient of the eps-smoothed empirical risk."""
-    return stress_state(model, sample, distances, None, eps)[1]
+    """Gradient of the empirical risk in the trainable matrix."""
+    return stress_state(model, sample, distances, None)[1]
 
 
 def weighted_stress_value(
@@ -288,22 +277,9 @@ def weighted_stress_value(
     distances: DistanceMatrix,
     weights: np.ndarray,
 ) -> float:
-    """(1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2 with unsmoothed distances, for
-    any m x m weights; see :func:`stress_state`."""
-    return stress_state(model, sample, distances, weights, 0.0)[0]
-
-
-def smoothed_risk(
-    model: LinearMap | KernelMap,
-    sample: SampleMatrix,
-    distances: DistanceMatrix,
-    eps: float,
-) -> float:
-    """Empirical risk with distances smoothed as sqrt(d^2 + eps^2)."""
-    dhat = embedding_distance_matrix(model, sample)
-    dt = np.sqrt(dhat * dhat + eps * eps)
-    resid = dt - distances.values
-    return float(np.mean(resid * resid))
+    """(1/m^2) sum_ij w_ij (dhat_ij - D_ij)^2 for any m x m weights; see
+    :func:`stress_state`."""
+    return stress_state(model, sample, distances, weights)[0]
 
 
 def norm_subgradient(model: LinearMap | KernelMap) -> np.ndarray:
@@ -335,8 +311,10 @@ def _seeded_start(zero: LinearMap | KernelMap, rng: np.random.Generator) -> Line
 
 
 # (b x m) float planes, b the rows of the first row block (core._row_blocks),
-# that one stress pass holds at once: tracemalloc reads 2.4 at m = 200 and
-# 3.6 at m = 600 with k = 2, and 4.3 at m = 2000, its (m x k) arrays included.
+# that one stress pass holds at once: a block's distances, its residuals and
+# one bool mask, or gram_form_squared_distances's two planes and mask while
+# it makes the distances.  tracemalloc reads 2.4 at m = 200 and 3.7 at
+# m = 600 with k = 2, and 4.5 at m = 2000, its (m x k) arrays included.
 _PASS_PLANES = 4
 # (k x N) arrays of projected_path, N the feature width (m for a kernel map):
 # x, v, the evaluated y and its gradient, the previous y and gradient that
@@ -358,6 +336,17 @@ def _path_arrays(m: int, k: int, width: int) -> float:
     return _PASS_PLANES * rows / m + (_LOOP_PARAMS * k * width + _PASS_EMBEDDINGS * m * k) / (m * m)
 
 
+def _class_arrays(sample: SampleMatrix, hypothesis_class: LinearClass | KernelClass) -> float:
+    """m x m float arrays that a descent on the class holds at once on the
+    sample: a kernel class's Gram matrix and projected_path's arrays
+    (_path_arrays), with k the class's (min(N_features, m) by default) and
+    N the width of its trainable matrix (m for a kernel class)."""
+    m = sample.m
+    k = hypothesis_class.k if hypothesis_class.k is not None else min(sample.n_features, m)
+    kernel = hypothesis_class.mode == "kernel"
+    return float(kernel) + _path_arrays(m, k, m if kernel else sample.n_features)
+
+
 # a diverging step overflows; the loop stops on the value (see below)
 @np.errstate(over="ignore", invalid="ignore")
 def projected_path(
@@ -369,8 +358,8 @@ def projected_path(
 ) -> tuple[LinearMap | KernelMap, list[float], str]:
     """Accelerated projected descent from ``model`` on its trainable matrix.
 
-    g is the eps-smoothed gradient of the weighted stress (see stress_state)
-    plus penalty_lambda times a norm subgradient.  With x = v = the start's
+    g is the gradient of the weighted stress (see stress_state) plus
+    penalty_lambda times a norm subgradient.  With x = v = the start's
     P, theta = 1 and t = step_size, each step evaluates g at
     y = (1 - theta) x + theta v, sets
     t <- min(sqrt(2) t, |y - y'|_F / (2 |g - g'|_F)) with y' the previous
@@ -400,8 +389,8 @@ def projected_path(
     part: the pass reads only their lower triangle, and no check compares
     them with their transpose.  Use stress_state for any weights.
 
-    Each y costs one stress pass, which gives both its unsmoothed value and
-    its gradient.  Returns the map of the last y, the values of every y
+    Each y costs one stress pass, which gives both its value and its
+    gradient.  Returns the map of the last y, the values of every y
     (the start first) and why the loop stopped: "converged" when |g|_F at y
     falls below grad_tol, "diverged" on a non-finite step or a value that
     is non-finite or above DIVERGENCE_RISK in magnitude, "max_iters" after
@@ -413,18 +402,17 @@ def projected_path(
     """
     _check_sizes(sample, distances)
     feats = model.features(sample.values)
-    eps, penalty = config.smoothing_eps, config.penalty_lambda
 
     x = v = y = model.params
     theta = 1.0
     t = config.step_size
-    value, grad = _stress_pass(feats, y, distances.values, weights, eps)
+    value, grad = _stress_pass(feats, y, distances.values, weights)
     values = [value]
     y_prev = g_prev = None
     reason = "max_iters"
     for _ in range(config.max_iters):
-        if penalty > 0.0:
-            grad = grad + penalty * model.norm_subgradient(y)
+        if config.penalty_lambda > 0.0:
+            grad = grad + config.penalty_lambda * model.norm_subgradient(y)
         if y_prev is not None:
             dy = float(np.linalg.norm(y - y_prev))
             if dy > 0.0:
@@ -446,7 +434,7 @@ def projected_path(
             theta *= (math.sqrt(theta * theta + 4.0) - theta) / 2.0
         x = x_new
         y = (1.0 - theta) * x + theta * v
-        value, grad = _stress_pass(feats, y, distances.values, weights, eps)
+        value, grad = _stress_pass(feats, y, distances.values, weights)
         values.append(value)
         if not abs(value) <= DIVERGENCE_RISK:
             reason = "diverged"
@@ -466,13 +454,17 @@ def train(
     One projected_path, with the penalty penalty_lambda, from a seeded
     start.  Divergence (risk above DIVERGENCE_RISK or a non-finite iterate)
     is reported as non-convergence; the last usable model is still returned
-    and always satisfies model_norm <= lambda_cap up to round-off.  A
+    and always satisfies model_norm <= lambda_cap up to round-off.  Before
+    the start is made, _check_memory counts the descent's _class_arrays, so
+    a sample or an output dimension k too large for memory raises
+    ValidationError.  A
     diverged model whose embedding overflows raises ValidationError saying
     that training diverged.
     final_risk is recomputed once, in direct form, by the streamed
     reduction of every reported risk (hypotheses.embedded_risk).
     """
     _check_sizes(sample, distances)
+    _check_memory(sample.m, _class_arrays(sample, hypothesis_class), "training")
     model = initialize_model(hypothesis_class, sample, np.random.default_rng(config.seed))
     model, values, reason = projected_path(model, sample, distances, None, config)
     try:

@@ -397,8 +397,42 @@ def test_targets_beyond_the_physical_memory_exit_4(tmp_path, capsys, monkeypatch
     assert main(args) == 4
     line = _one_error_line(capsys)
     assert "the synthetic target matrix at m = 20 needs" in line and "above RAM" in line
+    # the target matrix fits, and the sample's draw is counted next
     _available_memory(monkeypatch, 3200)
+    assert main(args) == 4
+    assert "the synthetic sample at m = 20 needs" in _one_error_line(capsys)
+    _available_memory(monkeypatch, 2**30)
     assert main(args) == 0
+
+
+_SIZE_FLAGS = [
+    ("train", ["--k", "10000000000"], "training at m = 100 needs"),
+    ("verify", ["--k", "10000000000"], "training at m = 12 needs"),
+    ("gen", ["--n", "10000000000"], "the synthetic sample at m = 50 needs"),
+    ("gen", ["--k-true", "10000000000"], "the synthetic sample at m = 50 needs"),
+    ("verify", ["--n-holdout", "10000000000"], "the synthetic sample at m = 10000000000 needs"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flags,named", _SIZE_FLAGS, ids=[" ".join([c, *f]) for c, f, _ in _SIZE_FLAGS]
+)
+def test_a_size_beyond_the_available_memory_exits_4_before_it_allocates(
+    tmp_path, capsys, monkeypatch, command, flags, named
+):
+    # 1 GiB holds every other array of these runs; the flag's arrays are
+    # counted before any of them is allocated
+    _identity_fixture(tmp_path)
+    inputs = {
+        "gen": [],
+        "train": ["--max-iters", "5", "--features", str(tmp_path / "features.csv"),
+                  "--distances", str(tmp_path / "distances.csv")],
+        "verify": ["--m", "12", "--trials", "1", "--max-iters", "5"],
+    }[command]
+    _available_memory(monkeypatch, 2**30)
+    assert main([command, *inputs, *flags, "--out", str(tmp_path / "run")]) == 4
+    line = _one_error_line(capsys)
+    assert named in line and "above RAM" in line
 
 
 def test_kernel_model_whose_gram_matrix_exceeds_the_physical_memory_exits_4(
@@ -477,9 +511,14 @@ def test_distances_csv_beyond_the_physical_memory_exits_4_before_it_is_read(
     line = _one_error_line(capsys)
     assert "distances.csv: the distance matrix at m = 20 needs" in line and "above RAM" in line
     assert distances not in loaded
+    # the matrix is read once it fits, and training's arrays are counted next
     _available_memory(monkeypatch, 8 * 20**2)
-    assert main(args) == 0
+    assert main(args) == 4
+    assert "training at m = 20 needs" in _one_error_line(capsys)
     assert loaded.count(distances) == 1
+    _available_memory(monkeypatch, 2**30)
+    assert main(args) == 0
+    assert loaded.count(distances) == 2
 
 
 def test_distances_csv_is_held_once_from_load_to_targets(tmp_path):
@@ -594,8 +633,6 @@ _REJECTED_FLAGS = [
     ("train", ["--penalty", "nan"], "penalty_lambda"),
     ("train", ["--step-size", "inf"], "step_size"),
     ("train", ["--grad-tol", "inf"], "grad_tol"),
-    ("train", ["--eps", "nan"], "smoothing_eps"),
-    ("train", ["--eps", "1e160"], "smoothing_eps"),
     ("train", ["--lambda-cap", "nan"], "lambda_cap"),
     ("train", ["--lambda-cap", "inf"], "lambda_cap"),
     ("train", ["--class", "kernel", "--gamma", "inf"], "gamma"),
@@ -631,6 +668,14 @@ def test_rejected_flag_value_is_usage_error(tmp_path, capsys, command, flags, na
                    "--distances", str(tmp_path / "distances.csv")]
     assert main([command, *inputs, *flags, "--out", str(tmp_path / "run")]) == 2
     assert named in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_the_eps_flag_is_unknown(tmp_path, capsys, command):
+    # the descent takes the exact gradient, which has no smoothing to set
+    required = ["--features", "f.csv", "--distances", "d.csv"] if command == "train" else []
+    assert main([command, *required, "--eps", "1e-9", "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
 
 
 def _diverging_train(tmp_path, scale, *flags):

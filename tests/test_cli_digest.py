@@ -25,3 +25,21 @@ def test_two_runs_print_the_same_line_for_every_output():
     assert files == [*sorted(expected), *(f"mc/{c}" for c in classes)]
     assert all(len(line.split()[1]) == 64 for line in first)
 
+
+
+def test_drift_against_its_own_package_prints_no_line(capfd):
+    src = str(cli_digest._ROOT / "src")
+    argv = ["--drift", src, "--src", src, "--sizes", "12", "--verify-m", "10", "--trials", "2"]
+    assert cli_digest.main(argv) == 0
+    assert capfd.readouterr().out == ""
+
+
+def test_drift_reports_the_largest_changes_and_other_leaves(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text('{"a": [2.0, 1e-3], "n": 3, "stop": "converged", "config": {"out": "x"}}')
+    new.write_text('{"a": [3.0, 2e-3], "n": 3, "stop": "max_iters", "config": {"out": "y"}}')
+    assert cli_digest._drift(old, new) == "rel 1 abs 1 other 1"
+    old_csv, new_csv = tmp_path / "old.csv", tmp_path / "new.csv"
+    old_csv.write_text("trial,gap\n0,0.0\n1,4.0\n")
+    new_csv.write_text("trial,gap\n0,1e-20\n1,4.0\n")
+    assert cli_digest._drift(old_csv, new_csv) == "rel inf abs 1e-20"

@@ -125,7 +125,7 @@ class TestEmbeddingDistanceMatrix:
                 else:
                     h = KernelMap(rng.normal(size=(2, m)), gram(kernel, s), 100.0)
                 direct = empirical_risk(embedding_distance_matrix(h, s), d)
-                gram_form = stress_state(h, s, d, None, 0.0)[0]
+                gram_form = stress_state(h, s, d, None)[0]
                 assert abs(gram_form - direct) <= 1e-12 * direct, (kernel, m)
 
     def test_kernel_map_on_fresh_points(self):

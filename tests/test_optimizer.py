@@ -1,6 +1,8 @@
 """Gradients against finite differences, objectives, and training runs."""
 
+import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,7 +32,6 @@ from simcert import (
     model_norm,
     pairwise_distances,
     risk_gradient,
-    smoothed_risk,
     train,
     validate_distance_matrix,
 )
@@ -48,16 +49,21 @@ from simcert.optimizer import (
 )
 
 
-def finite_difference_gradient(model, sample, distances, eps, step=1e-5):
-    """Central finite differences of the smoothed risk, entry by entry."""
+def direct_risk(model, sample, distances):
+    """The empirical risk from the direct-form embedded distances."""
+    return empirical_risk(embedding_distance_matrix(model, sample), distances)
+
+
+def finite_difference_gradient(model, sample, distances, step=1e-5):
+    """Central finite differences of the empirical risk, entry by entry."""
     base = model.params
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         bumped = base.copy()
         bumped[idx] += step
-        up = smoothed_risk(model.with_params(bumped), sample, distances, eps)
+        up = direct_risk(model.with_params(bumped), sample, distances)
         bumped[idx] -= 2 * step
-        down = smoothed_risk(model.with_params(bumped), sample, distances, eps)
+        down = direct_risk(model.with_params(bumped), sample, distances)
         grad[idx] = (up - down) / (2 * step)
     return grad
 
@@ -83,10 +89,10 @@ class TestRiskGradient:
         sample = SampleMatrix([[0.0], [1.0]])
         distances = DistanceMatrix([[0.0, 1.0], [1.0, 0.0]])
         model = LinearMap([[2.0]], 100.0)
-        grad = risk_gradient(model, sample, distances, eps=0.0)
+        grad = risk_gradient(model, sample, distances)
         assert grad.shape == (1, 1)
         assert grad[0, 0] == pytest.approx(1.0, abs=1e-12)
-        fd = finite_difference_gradient(model, sample, distances, eps=1e-6)
+        fd = finite_difference_gradient(model, sample, distances)
         assert grad[0, 0] == pytest.approx(fd[0, 0], rel=1e-6)
 
     def test_perfect_fit_zero_gradient(self):
@@ -94,7 +100,7 @@ class TestRiskGradient:
         sample = SampleMatrix([[0.0, 0.0], [3.0, 4.0]])
         distances = DistanceMatrix(pairwise_distances(sample.values))
         model = LinearMap(np.eye(2), 10.0)
-        grad = risk_gradient(model, sample, distances, eps=0.0)
+        grad = risk_gradient(model, sample, distances)
         assert np.all(grad == 0.0)
 
     def test_zero_map_subgradient_convention(self):
@@ -102,14 +108,14 @@ class TestRiskGradient:
         sample = SampleMatrix(rng.normal(size=(4, 2)))
         distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(4, 2))))
         model = LinearMap(np.zeros((2, 2)), 1.0)
-        grad = risk_gradient(model, sample, distances, eps=0.0)
+        grad = risk_gradient(model, sample, distances)
         assert np.all(grad == 0.0)
 
     def test_matches_finite_differences_linear(self):
         for seed in range(10):
             model, sample, distances = random_instance(seed)
-            grad = risk_gradient(model, sample, distances, eps=1e-6)
-            fd = finite_difference_gradient(model, sample, distances, eps=1e-6)
+            grad = risk_gradient(model, sample, distances)
+            fd = finite_difference_gradient(model, sample, distances)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5, f"seed {seed}: relative error {rel:g}"
 
@@ -117,8 +123,8 @@ class TestRiskGradient:
         kernels = [KernelSpec("rbf", gamma=0.7), KernelSpec("linear"), KernelSpec("polynomial")]
         for seed in range(9):
             model, sample, distances = random_instance(seed + 100, kernel=kernels[seed % 3])
-            grad = risk_gradient(model, sample, distances, eps=1e-6)
-            fd = finite_difference_gradient(model, sample, distances, eps=1e-6)
+            grad = risk_gradient(model, sample, distances)
+            fd = finite_difference_gradient(model, sample, distances)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5, f"seed {seed}: relative error {rel:g}"
 
@@ -129,8 +135,8 @@ class TestWeightedStress:
             model, sample, distances = random_instance(seed, kernel=kernel)
             ones = np.ones((sample.m, sample.m))
             assert np.array_equal(
-                weighted_stress_gradient(model, sample, distances, ones, 1e-6),
-                risk_gradient(model, sample, distances, eps=1e-6),
+                weighted_stress_gradient(model, sample, distances, ones),
+                risk_gradient(model, sample, distances),
             )
             direct = empirical_risk(embedding_distance_matrix(model, sample), distances)
             assert weighted_stress_value(model, sample, distances, ones) == pytest.approx(
@@ -169,7 +175,7 @@ def symmetric_signs(rng, m):
     return upper + np.triu(upper, 1).T
 
 
-def full_matrix_state(model, sample, distances, weights, eps):
+def full_matrix_state(model, sample, distances, weights):
     """(value, grad) from the full m x m formula P F^T (diag(a 1) - a) F.
 
     The formula stress_state used before it was row-blocked and regrouped
@@ -182,13 +188,13 @@ def full_matrix_state(model, sample, distances, weights, eps):
     c = y @ y.T
     d = np.diag(c).copy()
     sq = np.maximum(d[:, None] + d[None, :] - 2.0 * c, 0.0)
-    dt = np.sqrt(sq + eps * eps)
+    dist = np.sqrt(sq)
     w = np.ones((m, m)) if weights is None else weights
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(dt == 0.0, 0.0, 2.0 * w * (dt - distances.values) / dt)
+        coef = np.where(dist == 0.0, 0.0, 2.0 * w * (dist - distances.values) / dist)
     lap = np.diag(coef.sum(axis=1)) - coef
     grad = (2.0 / (m * m)) * (param @ (feats.T @ (lap @ feats)))
-    value = float(np.mean(w * (np.sqrt(sq) - distances.values) ** 2))
+    value = float(np.mean(w * (dist - distances.values) ** 2))
     return value, grad
 
 
@@ -206,16 +212,11 @@ class TestRowBlockedStressState:
             else:
                 model = KernelMap(rng.normal(size=(2, m)), gram(FAMILIES[family], sample), 1e6)
             for weights in (None, symmetric_signs(rng, m)):
-                for eps in (0.0, 1e-9):
-                    value, grad = stress_state(model, sample, distances, weights, eps)
-                    ref_value, ref_grad = full_matrix_state(
-                        model, sample, distances, weights, eps
-                    )
-                    case = f"m={m} weighted={weights is not None} eps={eps}"
-                    assert abs(value - ref_value) <= 1e-12 * abs(ref_value), case
-                    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(
-                        ref_grad
-                    ), case
+                value, grad = stress_state(model, sample, distances, weights)
+                ref_value, ref_grad = full_matrix_state(model, sample, distances, weights)
+                case = f"m={m} weighted={weights is not None}"
+                assert abs(value - ref_value) <= 1e-12 * abs(ref_value), case
+                assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad), case
 
     def test_each_unordered_pair_is_visited_once(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -232,13 +233,13 @@ class TestRowBlockedStressState:
             monkeypatch.setattr(optimizer_module, "gram_form_squared_distances", counted)
             sample = SampleMatrix(rng.normal(size=(m, 3)))
             distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
-            stress_state(LinearMap(rng.normal(size=(2, 3)), 1e6), sample, distances, None, 1e-9)
+            stress_state(LinearMap(rng.normal(size=(2, 3)), 1e6), sample, distances, None)
             assert sum(rows for rows, _ in shapes) == m
             assert max(rows for rows, _ in shapes) <= b
             assert sum(rows * cols for rows, cols in shapes) <= m * (m + b) / 2, m
 
     @pytest.mark.parametrize("family", ["linear", "rbf"])
-    def test_coincident_points_contribute_nothing_at_zero_eps(self, monkeypatch, family):
+    def test_coincident_points_contribute_nothing(self, monkeypatch, family):
         rng = np.random.default_rng(30)
         b = BLOCK_ROWS
         m = 2 * b + 5
@@ -273,7 +274,7 @@ class TestRowBlockedStressState:
                         ref_grad += (2.0 * w[i, j] * resid / dist) * np.outer(
                             diff, feats[i] - feats[j]
                         )
-            value, grad = stress_state(model, sample, distances, weights, 0.0)
+            value, grad = stress_state(model, sample, distances, weights)
             assert value == pytest.approx(ref_value / (m * m), rel=1e-12)
             assert np.linalg.norm(grad - ref_grad / (m * m)) <= 1e-12 * np.linalg.norm(
                 ref_grad / (m * m)
@@ -301,18 +302,16 @@ class TestRowBlockedStressState:
             coef = 2.0 * weights * resid / np.where(dist > 0.0, dist, 1.0)
             fdiff = feats[:, None, :] - feats[None, :, :]
             ref_grad = np.einsum("ij,ijk,ijl->kl", coef, diff, fdiff) / (m * m)
-            value, grad = stress_state(model, sample, distances, weights, 0.0)
+            value, grad = stress_state(model, sample, distances, weights)
             assert value == pytest.approx(ref_value, rel=1e-12), m
             assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad), m
             assert weighted_stress_value(model, sample, distances, weights) == value
 
     def test_a_copy_of_the_anchors_uses_the_held_gram_matrix(self, count_calls):
         model, sample, distances = random_instance(32, kernel=KernelSpec("rbf", gamma=0.5))
-        expected = stress_state(model, sample, distances, None, 1e-9)
+        expected = stress_state(model, sample, distances, None)
         calls = count_calls(kernel_columns)
-        value, grad = stress_state(
-            model, SampleMatrix(sample.values.copy()), distances, None, 1e-9
-        )
+        value, grad = stress_state(model, SampleMatrix(sample.values.copy()), distances, None)
         assert calls == []
         assert value == expected[0]
         assert np.array_equal(grad, expected[1])
@@ -325,7 +324,7 @@ class TestRowBlockedStressState:
         model = LinearMap(rng.normal(size=(4, 5)), 1e6)
         tracemalloc.start()
         try:
-            stress_state(model, sample, distances, None, 1e-9)
+            stress_state(model, sample, distances, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,7 +419,7 @@ class TestTrain:
         w_true /= np.linalg.norm(w_true, 2)
         distances = DistanceMatrix(pairwise_distances(sample.values @ w_true.T))
         hclass = LinearClass(lambda_cap=2.0, k=2)
-        cfg = TrainConfig(step_size=0.05, max_iters=300, smoothing_eps=0.0, seed=2)
+        cfg = TrainConfig(step_size=0.05, max_iters=300, seed=2)
         init = initialize_model(hclass, sample, np.random.default_rng(2))
         init_risk = empirical_risk(embedding_distance_matrix(init, sample), distances)
         _, report = train(sample, distances, hclass, cfg)
@@ -474,18 +473,26 @@ class TestTrain:
         assert penalized.final_model_norm < plain.final_model_norm
 
     @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", gamma=0.5)], ids=["linear", "rbf"])
-    def test_eps_whose_square_underflows_trains_as_eps_zero(self, kernel):
-        # (1e-170)^2 is 0 in float64: the smoothing is exactly off
-        _, sample, distances = random_instance(17)
-        hclass = LinearClass(2.0, k=2) if kernel is None else KernelClass(kernel, 2.0, k=2)
-        tiny, tiny_report = train(
-            sample, distances, hclass, TrainConfig(max_iters=30, smoothing_eps=1e-170)
-        )
-        zero, zero_report = train(
-            sample, distances, hclass, TrainConfig(max_iters=30, smoothing_eps=0.0)
-        )
-        assert np.array_equal(tiny.params, zero.params)
-        assert tiny_report == zero_report
+    def test_a_fit_beyond_the_available_memory_is_refused_before_it_allocates(
+        self, monkeypatch, count_calls, kernel
+    ):
+        _, sample, distances = random_instance(8)
+        m = sample.m
+        hclass = LinearClass(1.0, k=2) if kernel is None else KernelClass(kernel, 1.0, k=2)
+        need = math.ceil(optimizer_module._class_arrays(sample, hclass) * 8 * m * m)
+        calls = count_calls(hclass.zero_map)
+        monkeypatch.setattr(core_module, "_available_memory", lambda: need - 1)
+        with pytest.raises(ValidationError, match=f"^training at m = {m} needs"):
+            train(sample, distances, hclass, TrainConfig(max_iters=5))
+        # an output dimension far beyond memory is counted, not allocated
+        wide = dataclasses.replace(hclass, k=10**10)
+        monkeypatch.setattr(core_module, "_available_memory", lambda: 2**30)
+        with pytest.raises(ValidationError, match=f"^training at m = {m} needs"):
+            train(sample, distances, wide, TrainConfig(max_iters=5))
+        assert calls == []
+        monkeypatch.setattr(core_module, "_available_memory", lambda: need)
+        _, report = train(sample, distances, hclass, TrainConfig(max_iters=5))
+        assert report.iterations_used == 5
 
     def test_size_mismatch_rejected(self):
         rng = np.random.default_rng(14)
@@ -505,10 +512,6 @@ class TestTrainConfig:
             TrainConfig(grad_tol=0.0)
         with pytest.raises(ValidationError):
             TrainConfig(penalty_lambda=-0.1)
-        with pytest.raises(ValidationError):
-            TrainConfig(smoothing_eps=-1e-9)
-        with pytest.raises(ValidationError, match="smoothing_eps"):
-            TrainConfig(smoothing_eps=1e160)  # its square overflows
         with pytest.raises(ValidationError, match="seed"):
             TrainConfig(seed=-1)
 
@@ -567,7 +570,7 @@ class TestProjectedPath:
     def test_values_start_with_the_start_and_each_stop_has_its_reason(self):
         model, sample, distances = random_instance(3)
         cfg = TrainConfig(max_iters=5)
-        start_value = stress_state(model, sample, distances, None, cfg.smoothing_eps)[0]
+        start_value = stress_state(model, sample, distances, None)[0]
         _, values, reason = projected_path(model, sample, distances, None, cfg)
         assert (reason, len(values), values[0]) == ("max_iters", 6, start_value)
         loose = TrainConfig(grad_tol=1e300)
@@ -733,7 +736,7 @@ STEP_GRID_FAMILIES = {
 }
 
 
-def grid_path(monkeypatch, family, m, cap, penalty, eps):
+def grid_path(monkeypatch, family, m, cap, penalty):
     """100 descent steps of projected_path from the seeded start on a noisy
     m-point instance in R^3; returns (last map, values, reason, the params of
     every map evaluated)."""
@@ -744,7 +747,7 @@ def grid_path(monkeypatch, family, m, cap, penalty, eps):
     kernel = STEP_GRID_FAMILIES[family]
     hclass = LinearClass(cap, k=2) if kernel is None else KernelClass(kernel, cap, k=2)
     start = initialize_model(hclass, sample, np.random.default_rng(0))
-    cfg = TrainConfig(max_iters=100, penalty_lambda=penalty, smoothing_eps=eps)
+    cfg = TrainConfig(max_iters=100, penalty_lambda=penalty)
     visited = []
     stress_pass = optimizer_module._stress_pass
 
@@ -760,22 +763,23 @@ def grid_path(monkeypatch, family, m, cap, penalty, eps):
 
 class TestStepGrid:
     """The local-Lipschitz step over classes, caps {0.1, 2, 100}, penalties
-    {0, 0.1}, smoothing {0, 1e-9} and m in {2, 3, 20, 100}.  The fixed step
+    {0, 0.1} and m in {2, 3, 20, 100}.  The fixed step
     of 0.25 diverged on none of these cases."""
 
     @pytest.mark.parametrize("m", [2, 3, 20, 100])
     @pytest.mark.parametrize("family", sorted(STEP_GRID_FAMILIES))
     def test_no_case_diverges_and_every_visited_map_is_in_the_ball(self, monkeypatch, family, m):
-        for cap, penalty, eps in itertools.product((0.1, 2.0, 100.0), (0.0, 0.1), (0.0, 1e-9)):
-            last, _, reason, visited = grid_path(monkeypatch, family, m, cap, penalty, eps)
-            case = f"cap={cap} penalty={penalty} eps={eps}"
+        for cap, penalty in itertools.product((0.1, 2.0, 100.0), (0.0, 0.1)):
+            last, _, reason, visited = grid_path(monkeypatch, family, m, cap, penalty)
+            case = f"cap={cap} penalty={penalty}"
             assert reason != "diverged", case
             for params in visited:
                 assert model_norm(last.with_params(params)) <= cap * (1 + 1e-9), case
 
     # value + 0.1 model_norm of the last map after 100 fixed steps of 0.25,
-    # RBF gamma 0.1, eps 1e-9: a kernel this flat has little stress curvature,
-    # and a step set from the stress gradient alone ended up to 79% higher here
+    # RBF gamma 0.1, distances then smoothed by 1e-9: a kernel this flat has
+    # little stress curvature, and a step set from the stress gradient alone
+    # ended up to 79% higher here
     FIXED_STEP_PENALIZED = {
         (2.0, 3): 0.1908882385002364,
         (2.0, 20): 0.19465414722859262,
@@ -789,6 +793,6 @@ class TestStepGrid:
     def test_a_penalized_flat_kernel_fit_ends_no_higher_than_the_fixed_step(
         self, monkeypatch, cap, m
     ):
-        last, values, _, _ = grid_path(monkeypatch, "rbf_gamma0.1", m, cap, 0.1, 1e-9)
+        last, values, _, _ = grid_path(monkeypatch, "rbf_gamma0.1", m, cap, 0.1)
         objective = values[-1] + 0.1 * model_norm(last)
         assert objective <= self.FIXED_STEP_PENALIZED[(cap, m)] * (1 + 1e-4)
