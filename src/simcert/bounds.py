@@ -31,7 +31,7 @@ ascent, so the estimate is lower-biased and never part of a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,12 +270,12 @@ def empirical_rademacher_mc(
     mirrored (diagonal signs multiply a zero term), then
     (1/m^2) sum_ij sigma_ij (dhat_ij - D_ij)^2 is maximized over the class
     within the inner budget from a seeded start: one projected_path
-    descends on the same sum signed by -sigma, without penalty, and the
-    best value is minus the least value among the maps it evaluates, each
-    of which is in the class.  Negation is exact, so this is bitwise the
-    ascent on sigma.  The zero map of the class, with a kernel class's
-    Gram matrix, is built once and shared by every draw, and every draw's
-    -sigma is built in place in one m x m array (_sign_matrix).
+    descends on the same sum signed by -sigma, and the best value is minus
+    the least value among the maps it evaluates, each of which is in the
+    class.  Negation is exact, so this is bitwise the ascent on sigma.  The
+    zero map of the class, with a kernel class's Gram matrix, is built once
+    and shared by every draw, and every draw's -sigma is built in place in
+    one m x m array (_sign_matrix).
     Before any m x m allocation, _check_memory counts _mc_arrays arrays,
     so an m too large for memory raises ValidationError.  Returns
     (mean, standard error) over draws.  Local ascent reaches only a lower
@@ -289,13 +289,12 @@ def empirical_rademacher_mc(
     _check_memory(m, _mc_arrays(sample, hypothesis_class), "the Monte-Carlo estimate")
     values = np.empty(n_sigma)
     zero = hypothesis_class.zero_map(sample)
-    config = replace(inner_cfg, penalty_lambda=0.0)
     negated = np.empty((m, m))
     for draw in range(n_sigma):
         rng = np.random.default_rng([seed, draw])
         _sign_matrix(rng, negated)
         model = _seeded_start(zero, rng)
-        values[draw] = -min(projected_path(model, sample, distances, negated, config)[1])
+        values[draw] = -min(projected_path(model, sample, distances, negated, inner_cfg)[1])
 
     estimate = float(values.mean())
     if n_sigma == 1:
@@ -314,9 +313,9 @@ def certify(
 
     The certified budget is lam = max(lambda_cap, model_norm), so the class
     the certificate speaks about contains the model.  A trained model is
-    inside its cap, penalized or not, because projected_path projects every
-    step; for it the max only absorbs round-off in the norm.  A model built
-    or loaded by hand may lie outside its cap, and then lam is its norm.
+    inside its cap, because projected_path projects every step; for it the
+    max only absorbs round-off in the norm.  A model built or loaded by
+    hand may lie outside its cap, and then lam is its norm.
     R_hat is summed by core.streamed_risk, the one reduction behind every
     reported risk, from the rows of the stored targets.
     """

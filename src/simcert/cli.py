@@ -93,7 +93,6 @@ def _add_class_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--penalty", type=float, default=0.0, help="norm penalty weight")
     parser.add_argument("--step-size", type=float, default=_CFG_DEFAULTS.step_size)
     parser.add_argument("--max-iters", type=int, default=_CFG_DEFAULTS.max_iters)
     parser.add_argument("--grad-tol", type=float, default=_CFG_DEFAULTS.grad_tol)
@@ -171,7 +170,6 @@ def _config_from_flags(args) -> TrainConfig:
         step_size=args.step_size,
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
-        penalty_lambda=args.penalty,
         seed=args.seed,
     )
 

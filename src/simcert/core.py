@@ -34,9 +34,10 @@ of copying it; the public constructor still copies.  Before the first m x m
 array is allocated from an input's size, _check_memory compares the arrays
 that path then holds at once with the available memory (MemAvailable, or
 the physical memory where /proc/meminfo cannot be read): one for the
-synthetic targets, for the distances CSV and for a Gram matrix that the
-round-off certificate accepts, two for a Gram matrix that psd_check
-decides (the matrix and the copy its eigenvalue solve factors), and for
+distances CSV and for a Gram matrix that the round-off certificate
+accepts, two for a Gram matrix that psd_check decides (the matrix and the
+copy its eigenvalue solve factors), one for the synthetic targets plus
+the draw beside them (harness._check_draw), and for
 bounds.empirical_rademacher_mc a count that bounds._mc_arrays derives from
 the first row block and the class.
 

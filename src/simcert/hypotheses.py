@@ -7,9 +7,11 @@ matrix F, and share one protocol:
 - ``features(points)`` is the n x N matrix F, so the embedding is F P^T;
 - ``norm()`` is the certified size of the map; ``project(P)`` is the
   nearest trainable matrix in the ball of radius lambda_cap (P itself when
-  it is inside) and ``norm_subgradient(P)`` a subgradient of the norm at
-  P, both for the map's kind, cap and features, so a loop over trainable
-  matrices builds no map per step;
+  it is inside), for the map's kind, cap and features, so a loop over
+  trainable matrices builds no map per step;
+- ``norm_subgradient(P)`` is a subgradient of the norm at P; no descent
+  calls it, and it stays only for optimizer.norm_subgradient, which the
+  benchmark's tracer names;
 - ``feature_radius(sample)`` is the radius of the sample in feature space;
 - ``to_dict()`` is the JSON model format and ``mode`` names the class.
 

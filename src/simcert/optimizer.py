@@ -1,22 +1,20 @@
 """Stress-loss gradients and the projected (sub)gradient loop.
 
-Two objectives are covered: the plain mean squared distance error over a
-norm ball (constrained mode, projection after every step) and the same
-risk plus penalty_lambda * model_norm (penalized mode; the penalty is on
-the norm itself, not its square).  The descent follows the exact gradient
-of the risk it reports.  A pair of embedded points y_i, y_j at distance
-d_ij enters that gradient as a_ij (y_i - y_j) with
+One objective is covered: the mean squared distance error over a norm
+ball, with a projection after every step.  The descent follows the exact
+gradient of the risk it reports.  A pair of embedded points y_i, y_j at
+distance d_ij enters that gradient as a_ij (y_i - y_j) with
 a_ij = 2 (d_ij - D_ij) / d_ij, and as |y_i - y_j| = d_ij,
 |a_ij (y_i - y_j)| <= 2 |d_ij - D_ij| stays bounded as d_ij -> 0.  Where
 the points coincide (d_ij = 0: the diagonal, and duplicated or collapsed
 points) the pair takes the zero subgradient and adds nothing.
 
 Everything here speaks to a map only through the protocol of hypotheses
-(params, with_params, features, project(P), norm_subgradient(P)), so
-linear and kernel maps take one code path.  The loop steps the trainable
-matrix P itself and makes one map, by with_params, when it stops, so that
-map passes its constructor's checks and a kernel map shares the Gram
-matrix of the map it came from.  One kernel, stress_state, computes the
+(params, with_params, features, project(P)), so linear and kernel maps
+take one code path.  The loop steps the trainable matrix P itself and
+makes one map, by with_params, when it stops, so that map passes its
+constructor's checks and a kernel map shares the Gram matrix of the map
+it came from.  One kernel, stress_state, computes the
 weighted stress value and its gradient together from the Gram-form
 distances of core (the direct form stays with the reported risks); it
 visits each unordered pair once, in the row blocks of core._row_blocks,
@@ -95,7 +93,6 @@ class TrainConfig:
     step_size: float = 0.25
     max_iters: int = 2000
     grad_tol: float = 1e-9
-    penalty_lambda: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -105,8 +102,6 @@ class TrainConfig:
             raise ValidationError("max_iters must be nonnegative")
         if not 0.0 < self.grad_tol < np.inf:
             raise ValidationError("grad_tol must be positive and finite")
-        if not 0.0 <= self.penalty_lambda < np.inf:
-            raise ValidationError("penalty_lambda must be finite and nonnegative")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -287,6 +282,7 @@ def norm_subgradient(model: LinearMap | KernelMap) -> np.ndarray:
 
     Spectral norm: outer product of the leading singular vectors.  RKHS
     norm: A K / norm.  Zero at the zero map, where the norm is non-smooth.
+    No descent calls it; it stays because the benchmark's tracer names it.
     """
     return model.norm_subgradient(model.params)
 
@@ -358,10 +354,9 @@ def projected_path(
 ) -> tuple[LinearMap | KernelMap, list[float], str]:
     """Accelerated projected descent from ``model`` on its trainable matrix.
 
-    g is the gradient of the weighted stress (see stress_state) plus
-    penalty_lambda times a norm subgradient.  With x = v = the start's
-    P, theta = 1 and t = step_size, each step evaluates g at
-    y = (1 - theta) x + theta v, sets
+    g is the gradient of the weighted stress (see stress_state).  With
+    x = v = the start's P, theta = 1 and t = step_size, each step evaluates
+    g at y = (1 - theta) x + theta v, sets
     t <- min(sqrt(2) t, |y - y'|_F / (2 |g - g'|_F)) with y' the previous
     y and g' its g (t is kept when y = y' and grows by sqrt(2) when
     g = g'), then sets v <- proj(v - (t / theta) g) and
@@ -376,12 +371,9 @@ def projected_path(
     largest growth, sqrt(2), and half the inverse local curvature; it costs
     no pass, as g at y comes from the pass that evaluates y.  Growth 2 and
     the full ratio stalled linear fits above grad_tol where the fixed step
-    converged.  g and g' include the penalty's subgradient, so the step
-    also follows the penalty's curvature: taken from the stress gradient
-    alone, it ended penalized fits on flat RBF kernels up to 79% above the
-    fixed step's objective.  The coverage benchmark's linear fits (m = 50)
-    converge in 23-30 steps, where the fixed step of 0.25 took 51-72, to
-    the same optimum.
+    converged.  The coverage benchmark's linear fits (m = 50) converge in
+    23-30 steps, where the fixed step of 0.25 took 51-72, to the same
+    optimum.
 
     ``weights`` must be None or a symmetric m x m float array, as both
     callers' are (train passes None, the Monte-Carlo estimator a sign
@@ -411,8 +403,6 @@ def projected_path(
     y_prev = g_prev = None
     reason = "max_iters"
     for _ in range(config.max_iters):
-        if config.penalty_lambda > 0.0:
-            grad = grad + config.penalty_lambda * model.norm_subgradient(y)
         if y_prev is not None:
             dy = float(np.linalg.norm(y - y_prev))
             if dy > 0.0:
@@ -448,19 +438,17 @@ def train(
     hypothesis_class: LinearClass | KernelClass,
     config: TrainConfig,
 ) -> tuple[LinearMap | KernelMap, TrainReport]:
-    """Accelerated projected gradient descent with restart on the
-    (optionally penalized) stress loss.
+    """Accelerated projected gradient descent with restart on the stress
+    loss over the class's ball.
 
-    One projected_path, with the penalty penalty_lambda, from a seeded
-    start.  Divergence (risk above DIVERGENCE_RISK or a non-finite iterate)
-    is reported as non-convergence; the last usable model is still returned
-    and always satisfies model_norm <= lambda_cap up to round-off.  Before
-    the start is made, _check_memory counts the descent's _class_arrays, so
-    a sample or an output dimension k too large for memory raises
-    ValidationError.  A
-    diverged model whose embedding overflows raises ValidationError saying
-    that training diverged.
-    final_risk is recomputed once, in direct form, by the streamed
+    One projected_path from a seeded start.  Divergence (risk above
+    DIVERGENCE_RISK or a non-finite iterate) is reported as
+    non-convergence; the last usable model is still returned and always
+    satisfies model_norm <= lambda_cap up to round-off.  Before the start
+    is made, _check_memory counts the descent's _class_arrays, so a sample
+    or an output dimension k too large for memory raises ValidationError.
+    A diverged model whose embedding overflows raises ValidationError
+    saying that training diverged.  final_risk is recomputed once, in direct form, by the streamed
     reduction of every reported risk (hypotheses.embedded_risk).
     """
     _check_sizes(sample, distances)

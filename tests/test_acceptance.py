@@ -239,7 +239,7 @@ def test_criterion_9_projection_contract():
     sample, distances, _ = generate_synthetic(spec)
     runs = [
         (LinearClass(lambda_cap=0.8, k=2), TrainConfig(max_iters=300, seed=0)),
-        (LinearClass(lambda_cap=1.5, k=2), TrainConfig(max_iters=300, penalty_lambda=0.1, seed=1)),
+        (LinearClass(lambda_cap=1.5, k=2), TrainConfig(max_iters=300, seed=1)),
         (KernelClass(KernelSpec("rbf", gamma=0.6), lambda_cap=1.0, k=2),
          TrainConfig(max_iters=300, seed=2)),
     ]

@@ -390,17 +390,22 @@ def _available_memory(monkeypatch, nbytes: int) -> None:
 
 @pytest.mark.parametrize("command", ["gen", "verify"])
 def test_targets_beyond_the_physical_memory_exit_4(tmp_path, capsys, monkeypatch, command):
-    # the one target matrix at m = 20: 8 x 20^2 = 3200 bytes
-    extra = ["--trials", "1", "--max-iters", "5"] if command == "verify" else []
-    args = [command, "--m", "20", *extra, "--out", str(tmp_path)]
-    _available_memory(monkeypatch, 3199)
+    # one check counts the target matrix at m = 20 with the draw beside it,
+    # 1 + 2.42 m x m arrays: 8 x 20^2 x 3.42 = 10944 bytes; verify's
+    # holdout of 20 points, counted first, needs 2.42 arrays
+    extra = ["--trials", "1", "--max-iters", "5", "--n-holdout", "20"]
+    args = [command, "--m", "20", *(extra if command == "verify" else []), "--out", str(tmp_path)]
+    _available_memory(monkeypatch, 10943)
     assert main(args) == 4
     line = _one_error_line(capsys)
-    assert "the synthetic target matrix at m = 20 needs" in line and "above RAM" in line
-    # the target matrix fits, and the sample's draw is counted next
-    _available_memory(monkeypatch, 3200)
-    assert main(args) == 4
-    assert "the synthetic sample at m = 20 needs" in _one_error_line(capsys)
+    assert "the synthetic sample at m = 20 needs" in line and "above RAM" in line
+    _available_memory(monkeypatch, 10944)
+    if command == "gen":
+        assert main(args) == 0
+    else:
+        # the instance is drawn, and training's arrays are counted next
+        assert main(args) == 4
+        assert "training at m = 20 needs" in _one_error_line(capsys)
     _available_memory(monkeypatch, 2**30)
     assert main(args) == 0
 
@@ -630,7 +635,6 @@ _REJECTED_FLAGS = [
     ("train", ["--tol", "nan"], "tol"),
     ("certify", ["--tol", "nan"], "tol"),
     ("certify", ["--tol", "inf"], "tol"),
-    ("train", ["--penalty", "nan"], "penalty_lambda"),
     ("train", ["--step-size", "inf"], "step_size"),
     ("train", ["--grad-tol", "inf"], "grad_tol"),
     ("train", ["--lambda-cap", "nan"], "lambda_cap"),
@@ -670,12 +674,14 @@ def test_rejected_flag_value_is_usage_error(tmp_path, capsys, command, flags, na
     assert named in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--penalty"])
 @pytest.mark.parametrize("command", ["train", "verify"])
-def test_the_eps_flag_is_unknown(tmp_path, capsys, command):
-    # the descent takes the exact gradient, which has no smoothing to set
+def test_a_removed_flag_is_unknown(tmp_path, capsys, command, flag):
+    # the descent takes the exact gradient, which has no smoothing to set,
+    # and minimizes the stress alone, since the certificate covers the ball
     required = ["--features", "f.csv", "--distances", "d.csv"] if command == "train" else []
-    assert main([command, *required, "--eps", "1e-9", "--out", str(tmp_path)]) == 2
-    assert "unrecognized arguments: --eps" in capsys.readouterr().err
+    assert main([command, *required, flag, "0.1", "--out", str(tmp_path)]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def _diverging_train(tmp_path, scale, *flags):

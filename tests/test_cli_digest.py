@@ -34,12 +34,28 @@ def test_drift_against_its_own_package_prints_no_line(capfd):
     assert capfd.readouterr().out == ""
 
 
-def test_drift_reports_the_largest_changes_and_other_leaves(tmp_path):
+def test_drift_reports_the_largest_change_per_key_and_other_leaves(tmp_path):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text('{"a": [2.0, 1e-3], "n": 3, "stop": "converged", "config": {"out": "x"}}')
     new.write_text('{"a": [3.0, 2e-3], "n": 3, "stop": "max_iters", "config": {"out": "y"}}')
-    assert cli_digest._drift(old, new) == "rel 1 abs 1 other 1"
+    assert cli_digest._drift(old, new) == [".a[] rel 1 abs 1", ".stop other 1"]
     old_csv, new_csv = tmp_path / "old.csv", tmp_path / "new.csv"
     old_csv.write_text("trial,gap\n0,0.0\n1,4.0\n")
     new_csv.write_text("trial,gap\n0,1e-20\n1,4.0\n")
-    assert cli_digest._drift(old_csv, new_csv) == "rel inf abs 1e-20"
+    assert cli_digest._drift(old_csv, new_csv) == ["column 1 rel inf abs 1e-20"]
+    old_mc, new_mc = tmp_path / "old_mc", tmp_path / "new_mc"
+    old_mc.write_text("(0.5, 0.0)")
+    new_mc.write_text("(0.25, 0.0)")
+    assert cli_digest._drift(old_mc, new_mc) == ["estimate rel 0.5 abs 0.25"]
+
+
+def test_a_moved_step_count_does_not_hide_the_round_off_of_a_risk(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text('{"trials": [{"gap": 0.25, "iterations_used": 1331},'
+                   ' {"gap": 0.5, "iterations_used": 40}]}')
+    new.write_text('{"trials": [{"gap": 0.25, "iterations_used": 1485},'
+                   ' {"gap": 0.5000000000000001, "iterations_used": 40}]}')
+    assert cli_digest._drift(old, new) == [
+        ".trials[].gap rel 2.22e-16 abs 1.11e-16",
+        ".trials[].iterations_used rel 0.116 abs 154",
+    ]

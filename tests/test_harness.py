@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import simcert.core as core_module
+import simcert.harness as harness_module
 
 from simcert import (
     DistanceMatrix,
@@ -126,6 +127,30 @@ class TestGenerateSynthetic:
             tracemalloc.stop()
         assert peak < 8 * m * m + 2 * core_module._BLOCK_BYTES + 2 * m * m
 
+    @pytest.mark.parametrize("m,n", [(50, 1000), (300, 300)])
+    def test_one_memory_check_counts_the_warm_peak(self, monkeypatch, m, n):
+        # the target matrix lives beside the draw, so one check counts both;
+        # counted one after the other, neither count reached the peak (43.68
+        # and 3.48 m x m arrays against 44.15 and 3.81)
+        spec = _spec(m=m, n_features=n, noise_sigma=0.05, seed=1)
+        generate_synthetic(spec)
+        counts = []
+        check = harness_module._check_memory
+
+        def recorded(size, arrays, what):
+            counts.append(arrays)
+            check(size, arrays, what)
+
+        monkeypatch.setattr(harness_module, "_check_memory", recorded)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counts) * 8 * m * m
+        assert len(counts) == 1
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValidationError):
             _spec(m=1)
@@ -210,6 +235,27 @@ class TestHoldoutRisk:
 
 
 class TestCoverageExperiment:
+    @pytest.mark.parametrize(
+        "n_holdout,match",
+        [(1, "n_holdout must be >= 2"), (10**5, "the synthetic sample at m = 100000 needs")],
+    )
+    def test_a_holdout_it_cannot_draw_is_refused_before_any_trial(
+        self, monkeypatch, count_calls, n_holdout, match
+    ):
+        # 1 MiB holds every array of a trial at m = 12, but not the draw of
+        # a holdout of 10^5 points
+        monkeypatch.setattr(core_module, "_available_memory", lambda: 2**20)
+        calls = count_calls(train)
+        with pytest.raises(ValidationError, match=match):
+            run_coverage_experiment(
+                _spec(), LinearClass(2.0, k=2), TrainConfig(max_iters=5), 0.05, 1, n_holdout
+            )
+        assert calls == []
+        run_coverage_experiment(
+            _spec(), LinearClass(2.0, k=2), TrainConfig(max_iters=5), 0.05, 1, 100
+        )
+        assert calls == [1]
+
     def test_deterministic_reports(self):
         spec = _spec(noise_sigma=0.05)
         cfg = TrainConfig(max_iters=150, seed=0)

@@ -24,12 +24,16 @@ whose programs write the same bytes print the same lines.
 
 ``--drift OLD/src`` runs the script once with the package in OLD/src and
 once with the one in ``--src``, each in its own Python process (both
-packages are named simcert), and prints one line per output, or
-``mc/<class>``, whose digest differs: the largest relative and the largest
-absolute change of any number it holds (the JSON leaves, the CSV fields,
-the Monte-Carlo pair), then, if any, how many of its other leaves differ
-(a string such as a stop reason, or a leaf only one side has).  A relative
-change from 0 is inf.  Trees whose outputs agree print nothing.
+packages are named simcert).  For each output, or ``mc/<class>``, whose
+digest differs it prints one line per key whose leaves moved, as
+``tests/test_equivalence.py --diff`` groups them: a JSON key path with
+its list indices dropped (``.trials[].gap``), a CSV column
+(``column 3``), or the ``estimate`` or ``std_error`` of a Monte-Carlo
+pair.  The line gives the largest relative and the largest absolute
+change of the key's numbers, then, if any, how many of its other leaves
+differ (a string such as a stop reason, or a leaf only one side has), so
+a step count that moved does not hide the round-off of a risk.  A
+relative change from 0 is inf.  Trees whose outputs agree print nothing.
 
 Usage:
 
@@ -168,61 +172,75 @@ def _mc_estimate(data: Path, flags: list[str]) -> tuple[float, float]:
 
 
 def _leaves(path: Path) -> dict:
-    """The leaves of an output by their place: JSON leaves by key path
-    (without the path echoes), CSV fields by (row, column), as floats where
-    they parse, and the two numbers of a Monte-Carlo pair."""
+    """The leaves of an output by their place, each as (key, value): JSON
+    leaves by key path (without the path echoes), keyed by that path with
+    its list indices dropped; CSV fields by (row, column), as floats where
+    they parse, keyed by column; and the two numbers of a Monte-Carlo pair."""
     if path.suffix == ".json":
         out = {}
 
-        def walk(node, key):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for k, child in items:
+        def walk(node, place, key):
+            is_dict = isinstance(node, dict)
+            for k, child in node.items() if is_dict else enumerate(node):
+                sub = f"{key}.{k}" if is_dict else f"{key}[]"
                 if isinstance(child, (dict, list)):
-                    walk(child, (*key, k))
+                    walk(child, (*place, k), sub)
                 else:
-                    out[(*key, k)] = child
+                    out[(*place, k)] = (sub, child)
 
-        walk(_payload(path), ())
+        walk(_payload(path), (), "")
         return out
     if path.suffix == ".csv":
         out = {}
         for i, row in enumerate(path.read_text().splitlines()):
             for j, field in enumerate(row.split(",")):
                 try:
-                    out[(i, j)] = float(field)
+                    out[(i, j)] = (f"column {j}", float(field))
                 except ValueError:
-                    out[(i, j)] = field
+                    out[(i, j)] = (f"column {j}", field)
         return out
-    return dict(enumerate(ast.literal_eval(path.read_text())))
+    estimate, std_error = ast.literal_eval(path.read_text())
+    return {0: ("estimate", estimate), 1: ("std_error", std_error)}
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _drift(old: Path, new: Path) -> str:
-    """'rel R abs A' for the numbers two versions of an output share, and
-    ' other N' when N of their other leaves differ."""
+def _drift(old: Path, new: Path) -> list[str]:
+    """'<key> rel R abs A other N' for each key (see _leaves) of two
+    versions of an output whose leaves differ, in key order: rel and abs
+    when its shared numbers moved, other when N of its other leaves
+    differ."""
     a, b = _leaves(old), _leaves(new)
-    rel = absolute = 0.0
-    other = 0
-    for key in a.keys() | b.keys():
-        x, y = a.get(key), b.get(key)
-        if key in a and key in b and _is_number(x) and _is_number(y):
+    moved = {}
+    for place in a.keys() | b.keys():
+        key, x = a.get(place, b.get(place))
+        y = b.get(place, (key, None))[1]
+        rel, absolute, other = moved.get(key, (0.0, 0.0, 0))
+        if place in a and place in b and _is_number(x) and _is_number(y):
             change = abs(y - x)
             absolute = max(absolute, change)
             rel = max(rel, change / abs(x) if x != 0 else (math.inf if change else 0.0))
-        elif key not in a or key not in b or x != y:
+        elif place not in a or place not in b or x != y:
             other += 1
-    return f"rel {rel:.3g} abs {absolute:.3g}" + (f" other {other}" if other else "")
+        moved[key] = (rel, absolute, other)
+    lines = []
+    for key, (rel, absolute, other) in sorted(moved.items()):
+        parts = [f"rel {rel:.3g} abs {absolute:.3g}"] if absolute else []
+        parts += [f"other {other}"] if other else []
+        if parts:
+            lines.append(" ".join([key, *parts]))
+    return lines
 
 
 def drift_lines(old_src, new_src=_ROOT / "src", sizes=_SIZES, verify_m: int = _VERIFY_M,
                 trials: int = _TRIALS) -> list[str]:
     """Run the script with the package in ``old_src`` and with the one in
-    ``new_src``, each in its own process, and return ``<name> rel R abs A``
-    (see _drift) for every output whose digest differs, ``<name> missing``
-    for one that only one run wrote."""
+    ``new_src``, each in its own process, and return ``<name> <key> rel R
+    abs A`` (see _drift) for every key that moved in an output whose digest
+    differs (``<name> no leaf moved`` when none did), ``<name> missing`` for
+    an output that only one run wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         roots = []
         for side, src in (("old", old_src), ("new", new_src)):
@@ -240,7 +258,8 @@ def drift_lines(old_src, new_src=_ROOT / "src", sizes=_SIZES, verify_m: int = _V
             if name not in old or name not in new:
                 lines.append(f"{name} missing")
             elif _file_digest(old[name]) != _file_digest(new[name]):
-                lines.append(f"{name} {_drift(old[name], new[name])}")
+                moved = _drift(old[name], new[name]) or ["no leaf moved"]
+                lines += [f"{name} {line}" for line in moved]
         return lines
 
 
