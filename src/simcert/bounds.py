@@ -223,13 +223,13 @@ def _mc_arrays(sample: SampleMatrix, hypothesis_class: LinearClass | KernelClass
     matrix included (optimizer._class_arrays, which train counts too).  The
     draw is freed before the pass starts; counting both covers the
     estimator's smaller objects.  tracemalloc (n_sigma 2) reads, with the
-    count in brackets: with k = 2 and 3 features, 3.45 (linear) [5.54] and
-    4.52 (RBF) [6.61] at m = 200, 1.67 [2.24] and 2.69 [3.26] at m = 600,
+    count in brackets: with k = 2 and 3 features, 3.21 (linear) [5.55] and
+    4.28 (RBF) [6.62] at m = 200, 1.50 [2.24] and 2.51 [3.27] at m = 600,
     1.50 [1.57] and 2.50 [2.58] at m = 2000; a linear class on m unit-norm
-    features with k = N = m, 12.59 [15.41] at m = 300, 12.02 [13.23] at
-    m = 600 and 12.00 [12.76] at m = 1000.  The count holds from m = 70 on; below, the
-    estimator's fixed objects, under 0.2 MB, weigh more than any m x m
-    count."""
+    features with k = N = m, 14.01 [16.41] at m = 300, 13.21 [14.23] at
+    m = 600 and 13.09 [13.76] at m = 1000.  The count holds from m = 20
+    on; below, the estimator's fixed objects, under 0.2 MB, weigh more than
+    any m x m count."""
     return 1.5 + _class_arrays(sample, hypothesis_class)
 
 

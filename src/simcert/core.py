@@ -19,6 +19,10 @@ Every pairwise-distance helper lives here, in two forms:
   from one matrix product.  It runs at BLAS speed but loses relative
   accuracy at distances far below the row norms, so it is used only in the
   stress pass (optimizer), whose values and gradients feed the descent.
+  The product is a GEMM against a row-major transposed copy, -2 y^T, and
+  never the symmetric rank-k update (BLAS syrk) that numpy uses for
+  y @ y.T: with OpenBLAS 0.3.31 on 2 cores, syrk takes 51 us at 200 x 16
+  (34 us on one thread) where the GEMM takes 20 us.
 
 pairwise_distances, streamed_risk, validate_distance_matrix, the stress
 pass and kernels.GramMatrix visit an m x m matrix in blocks of b rows under
@@ -453,7 +457,8 @@ def streamed_risk(points, target_blocks) -> float:
 
 
 def gram_form_squared_distances(
-    y: np.ndarray, start: int = 0, stop: int | None = None, norms: np.ndarray | None = None
+    y: np.ndarray, start: int = 0, stop: int | None = None, norms: np.ndarray | None = None,
+    *, minus2_yt: np.ndarray | None = None, out: tuple | None = None,
 ) -> np.ndarray:
     """Squared distances from rows start:stop of y to every row of y, in the
     Gram form.
@@ -462,20 +467,43 @@ def gram_form_squared_distances(
     c = y[start:stop] y^T, so a block of b rows costs O(b m k) flops and
     O(b m) memory; the default range is the whole m x m matrix.  A caller
     visiting y block by block passes n as ``norms``, computed once with
-    _squared_row_norms.  An entry at or below the dot-product round-off
-    bound 2 (k + 2) u (n_i + n_j), u the unit round-off, cannot be told
-    from zero in this form and is set to zero.  This clamps round-off
-    negatives and makes the distance between coincident rows, and so the
-    diagonal, exactly zero for finite y.
+    _squared_row_norms, and -2 y^T, a row-major (k x m) array, as
+    ``minus2_yt`` (the scale by -2 is exact).  The product is always the
+    GEMM y[start:stop] @ minus2_yt, never syrk (see the module docstring),
+    whether or not the operand is passed, so the stress pass and a direct
+    call agree.  A block can still differ from the same rows of the whole
+    matrix in the last bit, as OpenBLAS tiles its rows differently.  An
+    entry at or below the dot-product round-off bound 2 (k + 2) u
+    (n_i + n_j), u the unit round-off, cannot be told from zero in this
+    form and is set to zero.  This clamps round-off negatives and makes the
+    distance between coincident rows, and so the diagonal, exactly zero for
+    finite y.
+
+    ``out``, if given, is three planes of the block's shape: the squared
+    distances are written into the first, which is returned, the second
+    ends holding the clamp bound and the third, bool, is True exactly where
+    an entry was clamped, so the result is zero there and nowhere else.
     """
     if norms is None:
         norms = _squared_row_norms(y)
-    sq = y[start:stop] @ y.T
-    sq *= -2.0
-    floor = norms[start:stop, None] + norms[None, :]
+    if minus2_yt is None:
+        minus2_yt = np.multiply(y.T, -2.0, order="C")
+    rows = y[start:stop]
+    if out is None:
+        shape = (rows.shape[0], y.shape[0])
+        out = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+    sq, floor, clamped = out
+    np.matmul(rows, minus2_yt, out=sq)
+    # n_i + n_j as the rank-2 GEMM [1, n_i] . [n_j, 1]: it rounds once, as
+    # the broadcast sum does, so it is that sum bit for bit, in a quarter of
+    # its time at 200 x 200
+    ends = np.ones((3, y.shape[0]))
+    ends[1] = norms
+    np.matmul(ends[:2, start:stop].T, ends[1:], out=floor)
     sq += floor
     floor *= 2.0 * (y.shape[1] + 2) * _UNIT_ROUNDOFF
-    sq[sq <= floor] = 0.0
+    np.less_equal(sq, floor, out=clamped)
+    np.copyto(sq, 0.0, where=clamped)
     return sq
 
 

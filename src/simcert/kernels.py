@@ -23,8 +23,11 @@ inner products on.  It is exactly symmetric as computed, with no pass that
 mirrors a triangle: numpy forms x @ x.T of one array by a symmetric rank-k
 update (BLAS syrk) and copies that triangle itself, and each family's
 value is an entrywise function of inner_ij and n_i + n_j, both symmetric
-in i and j.  A kernel value that overflows becomes inf without a numpy
-warning; the finite check of the matrix that holds it names the failure.
+in i and j.  The stress pass takes its Gram-form products by GEMM, not
+syrk, for speed; kernel_columns must keep syrk, as GramMatrix relies on
+that exact symmetry.  A kernel value that overflows becomes inf without a
+numpy warning; the finite check of the matrix that holds it names the
+failure.
 
 The RBF round-off certificate.  Take m stored rows x_i in R^N, r^2 =
 max_i ||x_i||^2, u the unit round-off, gamma_N = N u / (1 - N u) and N u <=

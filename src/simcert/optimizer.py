@@ -21,9 +21,14 @@ visits each unordered pair once, in the row blocks of core._row_blocks,
 each paired only with the columns up to the block's last row, and
 contracts the graph Laplacian through the m x k embedding, so a step
 costs O(m^2 k + k m N) flops (N the feature width, N = m for kernel
-maps), about m(m + b)/2 pair entries and O(b m) working memory.  One
-loop, projected_path, runs accelerated projected gradient (FISTA, Beck &
-Teboulle 2009, in its single-projection form) with gradient-based
+maps) and about m(m + b)/2 pair entries.  Its O(b m) working memory, two
+float planes and one bool plane of the first block's size and a
+row-major (k x m) copy of -2 Y^T, is allocated once per descent
+(_pass_workspace) and every pass writes into it, so no step allocates a
+plane; the one bool plane is both the Gram form's clamp mask and the mask
+of coincident pairs.  One loop, projected_path, runs accelerated
+projected gradient (FISTA, Beck & Teboulle 2009, in its
+single-projection form) with gradient-based
 adaptive restart (O'Donoghue & Candes 2015) and a step taken from the
 local curvature between the last two evaluated maps (Malitsky &
 Mishchenko 2020, "Adaptive gradient descent without descent", ICML).  It
@@ -163,10 +168,13 @@ def stress_state(
     sub-block [s, e) x [s, e) counts once, the rest twice, and its
     coefficients feed L Y twice, on rows [s, e) and, transposed, on rows
     [0, s).  Each block's Gram-form distances, a, share of L Y and share of
-    the value are computed and dropped before the next, so a step costs
-    about m(m + b)/2 pair entries, O(m^2 k + k m N) flops and O(b m)
-    working memory, with b from core._row_blocks.  With m <= b there is
-    one block, the whole m x m matrix.
+    the value are computed in the planes of one workspace, which the next
+    block overwrites, so a step costs about m(m + b)/2 pair entries,
+    O(m^2 k + k m N) flops and O(b m) working memory, with b from
+    core._row_blocks: two float planes, one bool plane and a (k x m)
+    operand (_pass_workspace).  Each call makes its own workspace; a
+    descent makes one for all its steps (see projected_path).  With
+    m <= b there is one block, the whole m x m matrix.
 
     A non-finite gradient raises ValidationError only while the value is
     finite and within DIVERGENCE_RISK in magnitude, so a diverged iterate
@@ -178,6 +186,7 @@ def stress_state(
         model.params,
         distances.values,
         _symmetric_part(weights),
+        _pass_workspace(sample.m, model.params.shape[0]),
     )
 
 
@@ -192,6 +201,15 @@ def _symmetric_part(weights: np.ndarray | None) -> np.ndarray | None:
     return 0.5 * (w + w.T)
 
 
+def _pass_workspace(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The working memory of _stress_pass on m points with k embedding
+    columns, which a descent allocates once: two float planes and one bool
+    plane of b x m entries, b the rows of the first row block
+    (core._row_blocks), and the row-major (k x m) operand -2 Y^T."""
+    size = next(_row_blocks(m), (0, 0))[1] * m
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool), np.empty((k, m))
+
+
 # a diverging iterate overflows in the pass; its value reports it (see stress_state)
 @np.errstate(all="ignore")
 def _stress_pass(
@@ -199,29 +217,44 @@ def _stress_pass(
     params: np.ndarray,
     target_values: np.ndarray,
     weights: np.ndarray | None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[float, np.ndarray]:
     """stress_state for the map with trainable matrix ``params`` on features
     ``feats``, which a caller visiting many maps computes once; ``weights``
-    must be symmetric (see _symmetric_part)."""
+    must be symmetric (see _symmetric_part).  ``work`` is the
+    _pass_workspace of the sample and params, which a descent allocates
+    once: each block's planes are contiguous views of its first entries,
+    the Gram-form distances go into the first, the residuals into the
+    second, and the bool plane, the Gram form's clamp mask, is also the
+    mask of coincident pairs.  Every entry the pass reads from the
+    workspace it has written first, so no state carries from one pass to
+    the next."""
     m = feats.shape[0]
     y = feats @ params.T
     norms = _squared_row_norms(y)
+    *planes, minus2_yt = work
+    np.multiply(y.T, -2.0, out=minus2_yt)
     lap_y = np.empty_like(y)
     total = 0.0
     for start, stop in _row_blocks(m):
         # the block pairs rows start:stop with columns 0:stop; columns
         # 0:start hold pairs (i, j), j < i, that stand for (j, i) as well
+        b = stop - start
+        dist, resid, clamped = (plane[: b * stop].reshape(b, stop) for plane in planes)
         target = target_values[start:stop, :stop]
         w = None if weights is None else weights[start:stop, :stop]
-        dist = gram_form_squared_distances(y[:stop], start, stop, norms[:stop])
+        gram_form_squared_distances(
+            y[:stop], start, stop, norms[:stop], minus2_yt=minus2_yt[:, :stop],
+            out=(dist, resid, clamped),
+        )
         np.sqrt(dist, out=dist)
-        # only where dist == 0: an overflowing distance stays non-finite
-        coincident = dist == 0.0
-        resid = dist - target
+        np.subtract(dist, target, out=resid)
 
-        # coef holds a / 2; the factor 2 is exact and joins the final scale
+        # coef holds a / 2; the factor 2 is exact and joins the final scale.
+        # dist == 0 exactly where the Gram form clamped, so its mask marks the
+        # coincident pairs; an overflowing distance stays non-finite
         coef = np.divide(resid, dist, out=dist)
-        coef[coincident] = 0.0
+        np.copyto(coef, 0.0, where=clamped)
         if w is not None:
             coef *= w
         lap_y[start:stop] = coef.sum(axis=1)[:, None] * y[start:stop] - coef @ y[:stop]
@@ -307,27 +340,31 @@ def _seeded_start(zero: LinearMap | KernelMap, rng: np.random.Generator) -> Line
 
 
 # (b x m) float planes, b the rows of the first row block (core._row_blocks),
-# that one stress pass holds at once: a block's distances, its residuals and
-# one bool mask, or gram_form_squared_distances's two planes and mask while
-# it makes the distances.  tracemalloc reads 2.4 at m = 200 and 3.7 at
-# m = 600 with k = 2, and 4.5 at m = 2000, its (m x k) arrays included.
+# counted for the stress pass.  Its workspace (_pass_workspace), two float
+# planes and one bool plane, is allocated before a descent's first pass and
+# held until it stops, and a pass allocates no plane of its own: tracemalloc
+# reads one stress_state at 2.2 planes at m = 200, 2.3 at m = 600 with k = 2
+# and 2.5 at m = 2000, its (m x k) arrays included.  The spare planes cover
+# the Monte-Carlo estimator's fixed objects where a plane is small, m x m
+# at m <= b (see bounds._mc_arrays).
 _PASS_PLANES = 4
 # (k x N) arrays of projected_path, N the feature width (m for a kernel map):
 # x, v, the evaluated y and its gradient, the previous y and gradient that
 # set the step, and the stepped point.  The start and the projection's SVD
-# factors fit within this count and _PASS_EMBEDDINGS, whose arrays are free
+# factors fit within this count and the _PASS_EMBEDDINGS arrays that are free
 # between passes: one Monte-Carlo estimate with k = N = m = 600 peaks at
-# 12.0 m x m arrays under tracemalloc and counts 13.2 (bounds._mc_arrays).
+# 13.2 m x m arrays under tracemalloc and counts 14.2 (bounds._mc_arrays).
 _LOOP_PARAMS = 7
-# (m x k) embedding arrays of the stress pass: Y, L Y and their block products.
-_PASS_EMBEDDINGS = 4
+# (m x k) embedding arrays of the stress pass: Y, L Y and their block
+# products, and the workspace's (k x m) operand -2 Y^T, held across steps.
+_PASS_EMBEDDINGS = 5
 
 
 def _path_arrays(m: int, k: int, width: int) -> float:
     """m x m float arrays that projected_path holds at once on m points with
-    a k x width trainable matrix: the stress pass's _PASS_PLANES planes of
-    the first row block and the loop's _LOOP_PARAMS (k x width) and
-    _PASS_EMBEDDINGS (m x k) arrays."""
+    a k x width trainable matrix: the _PASS_PLANES planes of the first row
+    block that its stress-pass workspace holds, and the loop's _LOOP_PARAMS
+    (k x width) and _PASS_EMBEDDINGS (m x k) arrays."""
     rows = next(_row_blocks(m))[1]
     return _PASS_PLANES * rows / m + (_LOOP_PARAMS * k * width + _PASS_EMBEDDINGS * m * k) / (m * m)
 
@@ -382,7 +419,8 @@ def projected_path(
     them with their transpose.  Use stress_state for any weights.
 
     Each y costs one stress pass, which gives both its value and its
-    gradient.  Returns the map of the last y, the values of every y
+    gradient; the passes share one workspace, allocated before the first.
+    Returns the map of the last y, the values of every y
     (the start first) and why the loop stopped: "converged" when |g|_F at y
     falls below grad_tol, "diverged" on a non-finite step or a value that
     is non-finite or above DIVERGENCE_RISK in magnitude, "max_iters" after
@@ -394,11 +432,12 @@ def projected_path(
     """
     _check_sizes(sample, distances)
     feats = model.features(sample.values)
+    work = _pass_workspace(sample.m, model.params.shape[0])
 
     x = v = y = model.params
     theta = 1.0
     t = config.step_size
-    value, grad = _stress_pass(feats, y, distances.values, weights)
+    value, grad = _stress_pass(feats, y, distances.values, weights, work)
     values = [value]
     y_prev = g_prev = None
     reason = "max_iters"
@@ -424,7 +463,7 @@ def projected_path(
             theta *= (math.sqrt(theta * theta + 4.0) - theta) / 2.0
         x = x_new
         y = (1.0 - theta) * x + theta * v
-        value, grad = _stress_pass(feats, y, distances.values, weights)
+        value, grad = _stress_pass(feats, y, distances.values, weights, work)
         values.append(value)
         if not abs(value) <= DIVERGENCE_RISK:
             reason = "diverged"

@@ -158,8 +158,26 @@ class TestGramFormSquaredDistances:
         whole = gram_form_squared_distances(y)
         blocks = np.vstack([gram_form_squared_distances(y, s, s + 5) for s in range(0, 23, 5)])
         assert blocks.shape == whole.shape == (23, 23)
+        # both are GEMMs, but OpenBLAS tiles a block's rows differently from
+        # the whole matrix's, so the last bit of an entry may differ
         np.testing.assert_allclose(blocks, whole, rtol=0.0, atol=1e-14 * np.max(whole))
         np.testing.assert_allclose(whole, pairwise_distances(y) ** 2, rtol=1e-12)
+
+    def test_each_entry_is_the_broadcast_formula_bit_for_bit(self):
+        # the norm sums come from a rank-2 GEMM; they must be the broadcast
+        # sum n_i + n_j exactly, overflow included
+        rng = np.random.default_rng(9)
+        for scale in (1e-150, 1.0, 1e150, 1e155):
+            y = rng.normal(size=(37, 4)) * scale
+            norms = np.einsum("ij,ij->i", y, y)
+            for start, stop in ((0, 37), (5, 19)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = y[start:stop] @ np.ascontiguousarray(-2.0 * y.T)
+                    floor = norms[start:stop, None] + norms[None, :]
+                    expected += floor
+                    expected[expected <= floor * (2.0 * (4 + 2) * (np.finfo(float).eps / 2.0))] = 0.0
+                    sq = gram_form_squared_distances(y, start, stop)
+                assert np.array_equal(sq, expected, equal_nan=True), (scale, start)
 
     def test_coincident_rows_are_exactly_zero(self):
         rng = np.random.default_rng(8)

@@ -224,8 +224,8 @@ class TestRowBlockedStressState:
             block_rows(monkeypatch, m)
             shapes = []
 
-            def counted(y, start=0, stop=None, norms=None):
-                sq = gram_form_squared_distances(y, start, stop, norms)
+            def counted(y, start=0, stop=None, norms=None, **kwargs):
+                sq = gram_form_squared_distances(y, start, stop, norms, **kwargs)
                 shapes.append(sq.shape)
                 return sq
 
@@ -236,6 +236,31 @@ class TestRowBlockedStressState:
             assert sum(rows for rows, _ in shapes) == m
             assert max(rows for rows, _ in shapes) <= b
             assert sum(rows * cols for rows, cols in shapes) <= m * (m + b) / 2, m
+
+    @pytest.mark.parametrize("family", ["linear", "rbf"])
+    def test_a_reused_workspace_carries_no_state(self, monkeypatch, family):
+        rng = np.random.default_rng(35)
+        b = BLOCK_ROWS
+        for m in (b - 1, b + 1, 4 * b + 3):
+            block_rows(monkeypatch, m)
+            sample = SampleMatrix(rng.normal(size=(m, 3)))
+            distances = validate_distance_matrix(pairwise_distances(rng.normal(size=(m, 2))))
+            if FAMILIES[family] is None:
+                model = LinearMap(rng.normal(size=(2, 3)), 1e6)
+            else:
+                model = KernelMap(rng.normal(size=(2, m)), gram(FAMILIES[family], sample), 1e6)
+            feats = pair_features(model, sample)
+            for weights in (None, symmetric_signs(rng, m)):
+                args = (feats, model.params, distances.values, weights)
+                work = optimizer_module._pass_workspace(m, 2)
+                value, grad = optimizer_module._stress_pass(*args, work)
+                # every float entry NaN and every mask entry set
+                for plane in work:
+                    plane.fill(np.nan if plane.dtype == float else True)
+                again = optimizer_module._stress_pass(*args, work)
+                case = f"m={m} weighted={weights is not None}"
+                assert again[0] == value, case
+                assert np.array_equal(again[1], grad), case
 
     @pytest.mark.parametrize("family", ["linear", "rbf"])
     def test_coincident_points_contribute_nothing(self, monkeypatch, family):
@@ -528,6 +553,49 @@ class TestWorkCounts:
             assert report.iterations_used == max_iters
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("family", ["linear", "rbf"])
+    def test_a_descent_makes_its_pass_planes_once(self, monkeypatch, family):
+        # m = 200 is one row block: each plane holds m x m entries
+        m = 200
+        spec = SyntheticSpec(
+            m=m, n_features=3, k_true=2, radius=1.0, map_norm=1.0, noise_sigma=0.05, seed=1
+        )
+        sample, distances, _ = generate_synthetic(spec)
+        kernel = FAMILIES[family]
+        hclass = LinearClass(2.0, k=2) if kernel is None else KernelClass(kernel, 2.0, k=2)
+        start = initialize_model(hclass, sample, np.random.default_rng(0))
+        plane = next(core_module._row_blocks(m))[1] * m
+        made, used, large = [], [], []
+        make, empty = optimizer_module._pass_workspace, np.empty
+
+        def counted_make(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        def recording(y, start=0, stop=None, norms=None, *, out=None, **kwargs):
+            used.append(out)
+            return gram_form_squared_distances(y, start, stop, norms, out=out, **kwargs)
+
+        def recorded_empty(shape, *args, **kwargs):
+            arr = empty(shape, *args, **kwargs)
+            if arr.size >= plane:
+                large.append(len(used))
+            return arr
+
+        monkeypatch.setattr(optimizer_module, "_pass_workspace", counted_make)
+        monkeypatch.setattr(optimizer_module, "gram_form_squared_distances", recording)
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        _, values, reason = projected_path(
+            start, sample, distances, None, TrainConfig(max_iters=20, grad_tol=1e-300)
+        )
+        monkeypatch.undo()
+        assert (len(values), reason) == (21, "max_iters")
+        assert len(made) == 1 and len(used) == 21
+        # the three planes, all made before the first pass
+        assert large == [0, 0, 0]
+        for out in used:
+            assert all(np.shares_memory(a, b) for a, b in zip(out, made[0][:3], strict=True))
 
     def test_derived_maps_share_the_gram_matrix_and_new_anchors_do_not(self, count_calls):
         _, sample, distances = random_instance(17)
